@@ -4,7 +4,7 @@ Subpackage layout:
 
 * :mod:`ktnext.volume`    complex volumes, domain tags, centered orthonormal FFTs
 * :mod:`ktnext.sampling`  k-t sampling masks, phantom simulation, sequence files
-* :mod:`ktnext.xf`        temporal-average baseline, data consistency, x-f transforms
+* :mod:`ktnext.xf`        temporal-average baseline and data consistency
 * :mod:`ktnext.autodiff`  reverse-mode tape over real arrays with FFT-aware nodes
 * :mod:`ktnext.network`   parameter stores, ADAM, recurrent layers, checkpoints
 * :mod:`ktnext.model`     the cascaded reconstruction network and its trainer

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -100,12 +101,6 @@ def _model_config(args):
         channels=args.channels,
         dc_lambda=args.dc_lambda,
     )
-
-
-def _config_dict(config) -> dict:
-    from dataclasses import asdict
-
-    return asdict(config)
 
 
 def _sequence_files(path):
@@ -207,7 +202,7 @@ def cmd_train(args) -> int:
           f"loss {history[0].loss!r} -> {history[-1].loss!r}")
     _write_manifest(
         args, "train",
-        config=_config_dict(config),
+        config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask)},
         outputs={"checkpoint": str(args.checkpoint), "history": str(args.output)},
         extra={"steps": args.steps, "lr": args.lr},
@@ -244,7 +239,7 @@ def cmd_reconstruct(args) -> int:
     print(f"reconstructed {args.input} -> {written['reconstruction']}")
     _write_manifest(
         args, "reconstruct",
-        config=_config_dict(config),
+        config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask),
                 "checkpoint": str(args.checkpoint)},
         outputs=written,
@@ -288,7 +283,7 @@ def cmd_evaluate(args) -> int:
     print(f"evaluated {len(files)} sequences -> {args.output}")
     _write_manifest(
         args, "evaluate",
-        config=_config_dict(config),
+        config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask),
                 "checkpoint": str(args.checkpoint)},
         outputs={"metrics": str(args.output)},
@@ -341,7 +336,7 @@ def cmd_render(args) -> int:
         rendered_recon = True
     print(f"rendered {seq.t_frames} frames to {out}"
           + (" (with reconstruction and error maps)" if rendered_recon else ""))
-    config = _config_dict(_model_config(args)) if args.checkpoint else {}
+    config = asdict(_model_config(args)) if args.checkpoint else {}
     _write_manifest(
         args, "render",
         config=config,
@@ -358,6 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--deterministic", action="store_true",
                         help="single-threaded, timestamp-free, byte-reproducible run")
+    # the architecture of the checkpoint a command writes or reads
+    arch = argparse.ArgumentParser(add_help=False)
+    arch.add_argument("--cascades", type=int, default=4)
+    arch.add_argument("--channels", type=int, default=16)
+    arch.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
 
     parser = argparse.ArgumentParser(
         prog="ktnext",
@@ -384,51 +384,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", parents=[common], help="train on fully sampled sequences")
+    p = sub.add_parser("train", parents=[common, arch], help="train on fully sampled sequences")
     p.add_argument("--input", required=True, help=".ckt file or directory of them")
     p.add_argument("--mask", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cascades", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
     p.add_argument("--checkpoint", required=True, help="output weights file")
     p.add_argument("--output", required=True, help="output history CSV")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("reconstruct", parents=[common],
+    p = sub.add_parser("reconstruct", parents=[common, arch],
                        help="reconstruct a measured k-space sequence")
     p.add_argument("--input", required=True, help="k-space .ckt file")
     p.add_argument("--mask", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cascades", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
     p.add_argument("--output", required=True,
                    help=".ckt file for the final volume, or a directory "
                         "to also keep per-cascade intermediates")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, arch],
                        help="score reconstructions against ground truth")
     p.add_argument("--input", required=True, help="ground-truth .ckt file or directory")
     p.add_argument("--mask", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cascades", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
     p.add_argument("--output", required=True, help="output metrics CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[common, arch],
                        help="emit grayscale PGM figures for a sequence")
     p.add_argument("--input", required=True, help="image-domain .ckt file")
     p.add_argument("--mask")
     p.add_argument("--checkpoint", help="also render the model reconstruction and error maps")
-    p.add_argument("--cascades", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_render)
 

@@ -10,13 +10,12 @@ squared error.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .metrics import compute_metrics, psnr
+from .metrics import psnr
 from .network import (
     ParamStore,
     adam_step,
@@ -29,7 +28,7 @@ from .network import (
 from .sampling import KtMeasurement, undersample, zero_filled
 from .sampling import augment as augment_sequence
 from .volume import ComplexVolume, Domain, fft_t, ifft2c
-from .xf import XfPair, dc_baseline_kspace, kspace_temporal_average
+from .xf import dc_baseline_kspace, kspace_temporal_average
 
 _XF_INPUT_MODES = ("residual_plus_baseline", "residual_only")
 
@@ -170,6 +169,12 @@ def _check_params(params: KtNextParams, config: KtNextConfig) -> None:
 # ------------------------------------------------------------------ forward
 
 
+def _xf_residual(sigma, avg):
+    """The current estimate minus the temporal average of the acquired
+    k-space, expressed in x-f space: F_t F_2^-1 (F_2 sigma - avg)."""
+    return ad.fft_t(ad.ifft2c(ad.add_const(ad.fft2c(sigma), -avg[None, :, :])))
+
+
 def _xfcnn_apply(residual, baseline, store, config, prefix):
     # residual and baseline are complex x-f tape tensors [F, Y, X]
     x = ad.complex_to_channels_xf(residual)
@@ -214,7 +219,6 @@ def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConf
     avg = kspace_temporal_average(meas)
     baseline_xf = fft_t(ifft2c(dc_baseline_kspace(avg, meas)))
     base = ad.constant(baseline_xf.data)
-    neg_avg = -avg[None, :, :]
     sigma = ad.constant(zero_filled(meas).data)
     hidden = None
     rho = None
@@ -222,8 +226,7 @@ def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConf
     prefixes = _prefixes(config)
     for n in range(config.n_cascades):
         prefix = prefixes[n % len(prefixes)]
-        residual = ad.fft_t(ad.ifft2c(ad.add_const(ad.fft2c(sigma), neg_avg)))
-        rho = _xfcnn_apply(residual, base, params.xfcnn, config, prefix)
+        rho = _xfcnn_apply(_xf_residual(sigma, avg), base, params.xfcnn, config, prefix)
         img = ad.ifft_t(rho)
         sigma, hidden = _crnn_apply(
             img,
@@ -245,43 +248,6 @@ class CascadeOutput:
     sigma: ComplexVolume
 
 
-def xfcnn_forward(pair: XfPair, params: KtNextParams, config: KtNextConfig) -> ComplexVolume:
-    """One de-aliasing pass: baseline plus the CNN correction.
-
-    With per-cascade weights this standalone entry point applies the first
-    cascade's set.
-    """
-    _check_params(params, config)
-    rho = _xfcnn_apply(
-        ad.constant(pair.residual.data),
-        ad.constant(pair.dc_baseline.data),
-        params.xfcnn,
-        config,
-        _prefixes(config)[0],
-    )
-    return ComplexVolume(rho.value, Domain.XF)
-
-
-def crnn_recon(img_in: ComplexVolume, m: KtMeasurement, params: KtNextParams,
-               config: KtNextConfig, hidden=None):
-    """One recurrent image refinement with data consistency.
-
-    hidden is a list of per-layer state arrays from a previous call (or
-    None to start fresh); the refreshed list is returned alongside the
-    reconstruction.
-    """
-    _check_params(params, config)
-    if img_in.domain is not Domain.IMAGE:
-        raise ValueError(f"expected an image-domain input, got {img_in.domain.value}")
-    if hidden is not None and len(hidden) != config.crnn_layers:
-        raise ValueError(f"expected {config.crnn_layers} hidden states, got {len(hidden)}")
-    hidden_t = None if hidden is None else [ad.constant(h) for h in hidden]
-    sigma, new_hidden = _crnn_apply(
-        ad.constant(img_in.data), m, params.crnn, config, _prefixes(config)[0], hidden_t
-    )
-    return ComplexVolume(sigma.value, Domain.IMAGE), [h.value for h in new_hidden]
-
-
 def ktnext_forward(m: KtMeasurement, params: KtNextParams, config: KtNextConfig):
     """Run the full cascade from the zero-filled estimate.
 
@@ -301,37 +267,6 @@ def ktnext_forward(m: KtMeasurement, params: KtNextParams, config: KtNextConfig)
 
 
 # ------------------------------------------------------------------ loss
-
-
-def _as_batch(arg, what):
-    if isinstance(arg, ComplexVolume):
-        return [arg]
-    vols = list(arg)
-    if not vols or not all(isinstance(v, ComplexVolume) for v in vols):
-        raise ValueError(f"{what} must be a ComplexVolume or a nonempty sequence of them")
-    return vols
-
-
-def joint_loss(sigma_pred, rho_pred, sigma_gt, rho_gt) -> float:
-    """Summed squared error of both estimates, averaged over the batch."""
-    sp = _as_batch(sigma_pred, "sigma_pred")
-    rp = _as_batch(rho_pred, "rho_pred")
-    sg = _as_batch(sigma_gt, "sigma_gt")
-    rg = _as_batch(rho_gt, "rho_gt")
-    if not len(sp) == len(rp) == len(sg) == len(rg):
-        raise ValueError("batch lengths differ")
-    total = 0.0
-    for a, b, c, d in zip(sp, rp, sg, rg):
-        if a.domain is not Domain.IMAGE or c.domain is not Domain.IMAGE:
-            raise ValueError("image term expects image-domain volumes")
-        if b.domain is not Domain.XF or d.domain is not Domain.XF:
-            raise ValueError("x-f term expects x-f volumes")
-        if a.data.shape != c.data.shape or b.data.shape != d.data.shape:
-            raise ValueError("prediction/target shape mismatch")
-        ds = a.data - c.data
-        dr = b.data - d.data
-        total += float(np.vdot(ds, ds).real) + float(np.vdot(dr, dr).real)
-    return total / len(sp)
 
 
 def _loss_node(stages, sigma_gt_arr, rho_gt_arr):
@@ -444,24 +379,3 @@ def load_params(path, config: KtNextConfig) -> KtNextParams:
     params.crnn.set_values({n: values["crnn." + n] for n in params.crnn.names()})
     return params
 
-
-# ------------------------------------------------------------------ evaluation
-
-
-def evaluate_dataset(dataset, mask, params: KtNextParams, config: KtNextConfig,
-                     parallel: bool = False):
-    """Reconstruct each sequence from its simulated acquisition and score it.
-
-    parallel fans sequences out over a thread pool; params are only read,
-    and per-sequence arithmetic is unchanged, so results match serial runs.
-    """
-
-    def one(img):
-        meas = undersample(img, mask)
-        sigma, _, _ = ktnext_forward(meas, params, config)
-        return compute_metrics(sigma, img)
-
-    if not parallel:
-        return [one(img) for img in dataset]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(one, dataset))

@@ -14,12 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .sampling import (
-    BadMagicError,
-    DimensionOverflowError,
-    FileFormatError,
-    TruncatedPayloadError,
-)
+from .sampling import BadPayloadError, BinaryReader, DimensionOverflowError, FileFormatError
 
 __all__ = [
     "AdamState",
@@ -30,11 +25,8 @@ __all__ = [
     "he_conv_weights",
     "init_adam",
     "load_checkpoint",
-    "parameter_count",
     "save_checkpoint",
 ]
-
-_MAX_PAYLOAD_BYTES = 1 << 40
 
 
 class ParamStore:
@@ -93,10 +85,6 @@ class ParamStore:
 
     def snapshot(self) -> dict:
         return {name: t.value.copy() for name, t in self._tensors.items()}
-
-
-def parameter_count(store: ParamStore) -> int:
-    return store.total_count
 
 
 def he_conv_weights(rng, c_out: int, c_in: int, k: int, fan_in: int | None = None) -> np.ndarray:
@@ -266,40 +254,21 @@ def save_checkpoint(path, store: ParamStore) -> None:
 
 def load_checkpoint(path) -> dict:
     """Read a KTNP file back into an ordered name -> float64 array mapping."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: shorter than the magic")
-    if raw[:4] != b"KTNP":
-        raise BadMagicError(f"{path}: expected magic KTNP, got {raw[:4]!r}")
-    if len(raw) < 8:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
-    (count,) = struct.unpack_from("<I", raw, 4)
-    pos = 8
+    reader = BinaryReader(path, b"KTNP")
+    (count,) = reader.unpack("<I", "the record count")
     out = {}
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise TruncatedPayloadError(f"{path}: truncated while reading {what}")
-        chunk = raw[pos : pos + n]
-        pos += n
-        return chunk
-
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n_elem = 1
-        for d in shape:
-            n_elem *= d
-        if 8 * n_elem > _MAX_PAYLOAD_BYTES:
-            raise DimensionOverflowError(f"{path}: record {name!r} shape {shape} out of range")
-        payload = take(8 * n_elem, f"payload of {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        (name_len,) = reader.unpack("<H", "name length")
+        (encoded,) = reader.unpack(f"<{name_len}s", "name")
+        try:
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadPayloadError(f"{path}: record name {encoded!r} is not UTF-8") from exc
+        (rank,) = reader.unpack("<B", "rank")
+        shape = reader.unpack(f"<{rank}I", "dims")
+        arr = reader.array("<f8", shape, f"payload of {name!r}").astype(np.float64)
         if name in out:
             raise FileFormatError(f"{path}: duplicate record {name!r}")
         out[name] = arr
-    if pos != len(raw):
-        raise FileFormatError(f"{path}: {len(raw) - pos} trailing bytes")
+    reader.finish()
     return out

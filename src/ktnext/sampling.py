@@ -6,11 +6,13 @@ binary [t][x] array broadcast over y.
 
 Sequence files ("CKT1") and mask files ("CKM1") are little-endian binary with
 a 4-byte magic; loading failures raise distinct error types so callers can
-map them to exit codes.
+map them to exit codes.  :class:`BinaryReader` holds the checks those readers
+share with the checkpoint reader in :mod:`ktnext.network`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +25,8 @@ from .volume import ComplexVolume, Domain, DomainMismatchError, fft2c, ifft2c
 __all__ = [
     "AcquisitionSpec",
     "BadMagicError",
+    "BadPayloadError",
+    "BinaryReader",
     "DimensionOverflowError",
     "FileFormatError",
     "KtMeasurement",
@@ -57,8 +61,58 @@ class DimensionOverflowError(FileFormatError):
     pass
 
 
+class BadPayloadError(FileFormatError):
+    """The file is complete but holds values its format does not allow."""
+
+
 # refuse to allocate for absurd headers (1 TiB payload cap)
 _MAX_PAYLOAD_BYTES = 1 << 40
+
+
+class BinaryReader:
+    """Cursor over the bytes of one little-endian binary file, read whole.
+
+    The constructor checks the 4-byte magic.  Every read advances the cursor
+    and raises TruncatedPayloadError when the file ends first; ``array``
+    refuses a payload over the size cap before looking for it, and returns
+    a read-only view into the file's bytes; ``finish`` rejects trailing
+    bytes.
+    """
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self.raw = Path(path).read_bytes()
+        if len(self.raw) < 4:
+            raise TruncatedPayloadError(f"{path}: shorter than the magic")
+        if self.raw[:4] != magic:
+            raise BadMagicError(f"{path}: expected magic {magic.decode()}, got {self.raw[:4]!r}")
+        self.pos = 4
+
+    def _take(self, n: int, what: str) -> int:
+        start = self.pos
+        if start + n > len(self.raw):
+            raise TruncatedPayloadError(f"{self.path}: truncated while reading {what}")
+        self.pos = start + n
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt), what))
+
+    def array(self, dtype, shape, what: str) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        if count * dtype.itemsize > _MAX_PAYLOAD_BYTES:
+            raise DimensionOverflowError(f"{self.path}: {what} of shape {shape} out of range")
+        start = self._take(count * dtype.itemsize, what)
+        flat = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+        try:
+            return flat.reshape(shape)
+        except ValueError as exc:  # more axes, or a larger extent, than numpy allows
+            raise DimensionOverflowError(f"{self.path}: {what} of shape {shape}: {exc}") from exc
+
+    def finish(self) -> None:
+        if self.pos != len(self.raw):
+            raise FileFormatError(f"{self.path}: {len(self.raw) - self.pos} trailing bytes")
 
 
 @dataclass(frozen=True)
@@ -290,24 +344,17 @@ def save_sequence(path, v: ComplexVolume) -> None:
 
 def load_sequence(path, domain: Domain = Domain.IMAGE) -> ComplexVolume:
     """Read a CKT1 file; the domain tag is supplied by the caller."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: shorter than the magic")
-    if raw[:4] != b"CKT1":
-        raise BadMagicError(f"{path}: expected magic CKT1, got {raw[:4]!r}")
-    if len(raw) < 16:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
-    t, y, x = struct.unpack("<III", raw[4:16])
-    if min(t, y, x) < 1 or 8 * t * y * x > _MAX_PAYLOAD_BYTES:
+    reader = BinaryReader(path, b"CKT1")
+    t, y, x = reader.unpack("<III", "the header")
+    if min(t, y, x) < 1:
         raise DimensionOverflowError(f"{path}: declared shape {(t, y, x)} out of range")
-    need = 16 + 8 * t * y * x
-    if len(raw) < need:
-        raise TruncatedPayloadError(f"{path}: expected {need} bytes, found {len(raw)}")
-    if len(raw) > need:
-        raise FileFormatError(f"{path}: {len(raw) - need} trailing bytes")
-    arr = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, y, x, 2)
+    arr = reader.array("<f4", (t, y, x, 2), "the payload")
+    reader.finish()
     data = arr[..., 0].astype(np.float64) + 1j * arr[..., 1].astype(np.float64)
-    return ComplexVolume(data, domain)
+    try:
+        return ComplexVolume(data, domain)
+    except ValueError as exc:
+        raise BadPayloadError(f"{path}: {exc}") from exc
 
 
 def save_mask(path, mask: SamplingMask) -> None:
@@ -319,22 +366,13 @@ def save_mask(path, mask: SamplingMask) -> None:
 
 
 def load_mask(path) -> SamplingMask:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: shorter than the magic")
-    if raw[:4] != b"CKM1":
-        raise BadMagicError(f"{path}: expected magic CKM1, got {raw[:4]!r}")
-    if len(raw) < 12:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
-    t, x = struct.unpack("<II", raw[4:12])
-    if min(t, x) < 1 or t * x > _MAX_PAYLOAD_BYTES:
+    reader = BinaryReader(path, b"CKM1")
+    t, x = reader.unpack("<II", "the header")
+    if min(t, x) < 1:
         raise DimensionOverflowError(f"{path}: declared shape {(t, x)} out of range")
-    need = 12 + t * x
-    if len(raw) < need:
-        raise TruncatedPayloadError(f"{path}: expected {need} bytes, found {len(raw)}")
-    if len(raw) > need:
-        raise FileFormatError(f"{path}: {len(raw) - need} trailing bytes")
-    bits = np.frombuffer(raw, dtype=np.uint8, offset=12).reshape(t, x)
-    if not np.isin(bits, (0, 1)).all():
-        raise FileFormatError(f"{path}: mask bytes must be 0 or 1")
-    return SamplingMask(bits.copy())
+    bits = reader.array(np.uint8, (t, x), "the mask bits")
+    reader.finish()
+    try:
+        return SamplingMask(bits)
+    except ValueError as exc:
+        raise BadPayloadError(f"{path}: {exc}") from exc

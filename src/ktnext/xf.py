@@ -1,49 +1,28 @@
-"""Temporal-average baseline and residual formation in x-f space.
+"""Temporal-average baseline and data consistency.
 
 One de-aliasing step takes the current image estimate sigma, forms the
 temporal average of the acquired k-space (a motion-blurred but alias-reduced
-baseline), re-imposes each frame's own acquired data on that baseline, and
-expresses both the baseline and the residual (current estimate minus
-baseline) in x-f space, where a CNN can separate signal from aliasing.
-Each readout row y is independent throughout: all operations act on (x, f)
-or (x, t) planes broadcast over y.
+baseline) and re-imposes each frame's own acquired data on that baseline.
+The cascade in :mod:`ktnext.model` expresses that baseline and the residual
+(current estimate minus average) in x-f space, where a CNN can separate
+signal from aliasing.  Each readout row y is independent throughout: all
+operations act on (x, f) or (x, t) planes broadcast over y.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import KtMeasurement
-from .volume import ComplexVolume, Domain, DomainMismatchError, fft2c, fft_t, ifft2c, ifft_t
+from .volume import ComplexVolume, Domain, DomainMismatchError
 
 __all__ = [
-    "XfPair",
     "data_consistency",
     "dc_baseline_kspace",
     "kspace_temporal_average",
-    "xf_to_image",
-    "xf_transform",
 ]
-
-
-@dataclass(frozen=True)
-class XfPair:
-    """De-aliasing network inputs: x-f residual and the DC'd x-f baseline."""
-
-    residual: ComplexVolume
-    dc_baseline: ComplexVolume
-
-    def __post_init__(self):
-        if self.residual.domain is not Domain.XF or self.dc_baseline.domain is not Domain.XF:
-            raise DomainMismatchError("both members of an XfPair must carry the x-f tag")
-        if self.residual.data.shape != self.dc_baseline.data.shape:
-            raise ValueError(
-                f"residual {self.residual.data.shape} does not match "
-                f"baseline {self.dc_baseline.data.shape}"
-            )
 
 
 def kspace_temporal_average(m: KtMeasurement) -> np.ndarray:
@@ -101,32 +80,3 @@ def data_consistency(pred_k: ComplexVolume, m: KtMeasurement, lam: float) -> Com
         out = np.where(bits == 1, blended, pred_k.data)
     return ComplexVolume(out, pred_k.domain)
 
-
-def xf_transform(sigma: ComplexVolume, m: KtMeasurement) -> XfPair:
-    """Form the x-f residual and DC'd baseline for the current estimate.
-
-    The average is taken over the estimate's k-space hard-merged with the
-    acquisition and restricted to the mask support; with hard replacement
-    that restriction is identically the acquired data, so the baseline
-    depends only on the measurement (and stays fixed across cascades).
-    """
-    if sigma.domain is not Domain.IMAGE:
-        raise DomainMismatchError(f"xf_transform expects an image sequence, got {sigma.domain.value}")
-    if sigma.data.shape != m.kspace.data.shape:
-        raise ValueError(
-            f"estimate {sigma.data.shape} does not match measurement {m.kspace.data.shape}"
-        )
-    v = fft2c(sigma)
-    avg = kspace_temporal_average(m)
-    residual_k = ComplexVolume(v.data - avg[None, :, :], Domain.KSPACE)
-    baseline_k = dc_baseline_kspace(avg, m)
-    residual_xf = fft_t(ifft2c(residual_k))
-    baseline_xf = fft_t(ifft2c(baseline_k))
-    return XfPair(residual_xf, baseline_xf)
-
-
-def xf_to_image(rho: ComplexVolume) -> ComplexVolume:
-    """Map an x-f volume back to the dynamic image sequence (inverse along f)."""
-    if rho.domain is not Domain.XF:
-        raise DomainMismatchError(f"xf_to_image expects an x-f volume, got {rho.domain.value}")
-    return ifft_t(rho)

@@ -324,6 +324,37 @@ def test_malformed_mask_file_exits_4(tmp_path):
     assert rc == 4
 
 
+def empty_first_mask_frame(mask_p, seq_p, ckpt):
+    raw = bytearray(mask_p.read_bytes())
+    raw[12:20] = bytes(8)  # CKM1 header is 12 bytes; frame 0 has 8 columns
+    mask_p.write_bytes(bytes(raw))
+
+
+def non_utf8_record_name(mask_p, seq_p, ckpt):
+    raw = bytearray(ckpt.read_bytes())
+    raw[10] = 0xFF  # first byte of the first record's name, after magic, count, length
+    ckpt.write_bytes(bytes(raw))
+
+
+def nan_in_sequence(mask_p, seq_p, ckpt):
+    raw = bytearray(seq_p.read_bytes())
+    raw[16:20] = np.array([np.nan], dtype="<f4").tobytes()  # first value after the header
+    seq_p.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("corrupt", [empty_first_mask_frame, non_utf8_record_name,
+                                     nan_in_sequence])
+def test_malformed_payload_exits_4(tmp_path, corrupt):
+    """Files that are complete but hold values their format forbids are
+    format violations, whichever of the three files it is."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    corrupt(mask_p, seq_p, ckpt)
+    rc = run_cli("evaluate", "--input", seq_p, "--mask", mask_p, "--checkpoint", ckpt,
+                 "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv")
+    assert rc == 4
+
+
 def test_invalid_accel_value_exits_2(tmp_path):
     rc = run_cli("mask", "--accel", 0, "--center", 0, "--frames", 4,
                  "--cols", 8, "--output", tmp_path / "m.ckm")

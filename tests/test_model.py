@@ -9,16 +9,12 @@ from ktnext.model import (
     KtNextConfig,
     KtNextParams,
     NonFiniteLossError,
-    crnn_recon,
-    evaluate_dataset,
     fit,
     init_params,
-    joint_loss,
     ktnext_forward,
     load_params,
     parameter_count,
     save_params,
-    xfcnn_forward,
 )
 from ktnext.sampling import (
     AcquisitionSpec,
@@ -27,8 +23,8 @@ from ktnext.sampling import (
     undersample,
     zero_filled,
 )
-from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c
-from ktnext.xf import data_consistency, dc_baseline_kspace, kspace_temporal_average, xf_to_image, xf_transform
+from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c, ifft_t
+from ktnext.xf import data_consistency, dc_baseline_kspace, kspace_temporal_average
 
 
 def small_config(**kw):
@@ -42,6 +38,34 @@ def make_case(seed, t_frames=4, rows=8, cols=8, accel=2, n_center=2):
     spec = AcquisitionSpec(accel=accel, n_center=n_center)
     mask = make_shear_mask(spec, t_frames, cols)
     return gt, mask, undersample(gt, mask)
+
+
+def xf_inputs(meas):
+    """The first cascade's de-aliasing inputs, built as the cascade builds
+    them from the zero-filled estimate: (x-f residual, x-f DC'd baseline)."""
+    avg = kspace_temporal_average(meas)
+    residual = km._xf_residual(ad.constant(zero_filled(meas).data), avg).value
+    baseline = fft_t(ifft2c(dc_baseline_kspace(avg, meas))).data
+    return residual, baseline
+
+
+def xfcnn_pass(meas, params, cfg):
+    """One de-aliasing pass on the zero-filled estimate: (rho, baseline)."""
+    residual, baseline = xf_inputs(meas)
+    rho = km._xfcnn_apply(ad.constant(residual), ad.constant(baseline), params.xfcnn, cfg, "")
+    return rho.value, baseline
+
+
+def crnn_pass(img, meas, params, cfg, hidden=None):
+    """One recurrent refinement with data consistency: (sigma, hidden states)."""
+    sigma, new_hidden = km._crnn_apply(ad.constant(img), meas, params.crnn, cfg, "", hidden)
+    return sigma.value, new_hidden
+
+
+def loss_value(stages, sigma_gt, rho_gt):
+    """Value of the training loss node; stages are (rho, sigma) array pairs."""
+    node = km._loss_node([(ad.constant(r), ad.constant(s)) for r, s in stages], sigma_gt, rho_gt)
+    return float(node.value)
 
 
 def zero_all(params: KtNextParams):
@@ -185,17 +209,15 @@ def test_init_params_unshared_prefixes():
     assert "w0" not in p.xfcnn
 
 
-# --------------------------------------------------------------- xfcnn_forward
+# --------------------------------------------------------------- x-f CNN
 
 
 def test_xfcnn_zero_weights_returns_baseline():
     _, _, meas = make_case(1)
     cfg = small_config()
     params = zero_all(init_params(cfg, 1))
-    pair = xf_transform(zero_filled(meas), meas)
-    out = xfcnn_forward(pair, params, cfg)
-    assert out.domain is Domain.XF
-    assert np.array_equal(out.data, pair.dc_baseline.data)
+    rho, baseline = xfcnn_pass(meas, params, cfg)
+    assert np.array_equal(rho, baseline)
 
 
 def test_xfcnn_zero_weights_static_full_mask_recovers_truth():
@@ -205,34 +227,31 @@ def test_xfcnn_zero_weights_static_full_mask_recovers_truth():
     meas = undersample(static, mask)
     cfg = small_config()
     params = zero_all(init_params(cfg, 2))
-    out = xfcnn_forward(xf_transform(zero_filled(meas), meas), params, cfg)
-    assert np.max(np.abs(out.data - fft_t(static).data)) < 1e-12
+    rho, _ = xfcnn_pass(meas, params, cfg)
+    assert np.max(np.abs(rho - fft_t(static).data)) < 1e-12
 
 
 def test_xfcnn_config_param_mismatch():
     _, _, meas = make_case(3)
     cfg = small_config()
     params = init_params(cfg, 3)
-    pair = xf_transform(zero_filled(meas), meas)
     with pytest.raises(ValueError):
-        xfcnn_forward(pair, params, small_config(xf_layers=3))
+        ktnext_forward(meas, params, small_config(xf_layers=3))
     with pytest.raises(ValueError):
-        xfcnn_forward(pair, params, small_config(xf_input_mode="residual_only"))
+        ktnext_forward(meas, params, small_config(xf_input_mode="residual_only"))
 
 
 def test_xfcnn_gradient_check():
     _, _, meas = make_case(4)
     cfg = small_config()
     params = randomize_biases(init_params(cfg, 4), 104)
-    pair = xf_transform(zero_filled(meas), meas)
+    residual_arr, baseline_arr = xf_inputs(meas)
     rng = np.random.default_rng(4)
-    target = rng.standard_normal(pair.residual.data.shape) + 1j * rng.standard_normal(
-        pair.residual.data.shape
-    )
+    target = rng.standard_normal(residual_arr.shape) + 1j * rng.standard_normal(residual_arr.shape)
 
     def build_loss():
-        residual = ad.constant(pair.residual.data)
-        base = ad.constant(pair.dc_baseline.data)
+        residual = ad.constant(residual_arr)
+        base = ad.constant(baseline_arr)
         rho = km._xfcnn_apply(residual, base, params.xfcnn, cfg, "")
         return ad.sumsq_diff(rho, target)
 
@@ -242,7 +261,7 @@ def test_xfcnn_gradient_check():
     assert err < 1e-4
 
 
-# --------------------------------------------------------------- crnn_recon
+# --------------------------------------------------------------- recurrent block
 
 
 def test_crnn_zero_weights_is_dc_of_input():
@@ -254,9 +273,9 @@ def test_crnn_zero_weights_is_dc_of_input():
         rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape),
         Domain.IMAGE,
     )
-    out, hidden = crnn_recon(img, meas, params, cfg, None)
+    out, hidden = crnn_pass(img.data, meas, params, cfg)
     want = ifft2c(data_consistency(fft2c(img), meas, np.inf))
-    assert np.max(np.abs(out.data - want.data)) < 1e-12
+    assert np.max(np.abs(out - want.data)) < 1e-12
     assert len(hidden) == cfg.crnn_layers
 
 
@@ -267,23 +286,21 @@ def test_crnn_full_mask_recovers_truth_for_any_weights():
     cfg = small_config()
     params = init_params(cfg, 6)
     rng = np.random.default_rng(6)
-    img = ComplexVolume(
-        rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape),
-        Domain.IMAGE,
-    )
-    out, _ = crnn_recon(img, meas, params, cfg, None)
-    assert np.max(np.abs(out.data - gt.data)) < 1e-8
+    img = rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape)
+    out, _ = crnn_pass(img, meas, params, cfg)
+    assert np.max(np.abs(out - gt.data)) < 1e-8
 
 
 def test_crnn_hidden_carry_changes_output():
     gt, _, meas = make_case(7)
     cfg = small_config()
     params = init_params(cfg, 7)
-    img = xf_to_image(xf_transform(zero_filled(meas), meas).dc_baseline)
-    out0, hidden = crnn_recon(img, meas, params, cfg, None)
-    out1, _ = crnn_recon(img, meas, params, cfg, hidden)
+    _, baseline = xf_inputs(meas)
+    img = ifft_t(ComplexVolume(baseline, Domain.XF)).data
+    out0, hidden = crnn_pass(img, meas, params, cfg)
+    out1, _ = crnn_pass(img, meas, params, cfg, hidden)
     # hard DC pins sampled k-space, so compare where the network can act
-    assert np.max(np.abs(out0.data - out1.data)) > 1e-8
+    assert np.max(np.abs(out0 - out1)) > 1e-8
 
 
 def test_crnn_gradient_check():
@@ -328,11 +345,10 @@ def test_forward_n1_equals_manual_unroll():
     cfg = small_config(n_cascades=1)
     params = init_params(cfg, 9)
     sigma, rho, inter = ktnext_forward(meas, params, cfg)
-    pair = xf_transform(zero_filled(meas), meas)
-    rho_hand = xfcnn_forward(pair, params, cfg)
-    sigma_hand, _ = crnn_recon(xf_to_image(rho_hand), meas, params, cfg, None)
-    assert np.max(np.abs(sigma.data - sigma_hand.data)) < 1e-13
-    assert np.max(np.abs(rho.data - rho_hand.data)) < 1e-13
+    rho_hand, _ = xfcnn_pass(meas, params, cfg)
+    sigma_hand, _ = crnn_pass(ifft_t(ComplexVolume(rho_hand, Domain.XF)).data, meas, params, cfg)
+    assert np.max(np.abs(sigma.data - sigma_hand)) < 1e-13
+    assert np.max(np.abs(rho.data - rho_hand)) < 1e-13
     assert len(inter) == 1
 
 
@@ -405,32 +421,31 @@ def test_full_model_gradient_check():
     assert err < 1e-4
 
 
-# --------------------------------------------------------------- joint_loss
+# --------------------------------------------------------------- joint loss
 
 
 def test_joint_loss_identical_is_zero():
     gt, _, _ = make_case(16)
-    rho = fft_t(gt)
-    assert joint_loss(gt, rho, gt, rho) == 0.0
+    rho = fft_t(gt).data
+    assert loss_value([(rho, gt.data)], gt.data, rho) == 0.0
 
 
 def test_joint_loss_single_voxel():
     gt, _, _ = make_case(17)
-    rho = fft_t(gt)
+    rho = fft_t(gt).data
     bumped = gt.data.copy()
     bumped[1, 2, 3] += 1.0
-    loss = joint_loss(ComplexVolume(bumped, Domain.IMAGE), rho, gt, rho)
+    loss = loss_value([(rho, bumped)], gt.data, rho)
     assert abs(loss - 1.0) < 1e-12
 
 
 def test_joint_loss_batch_average():
+    # several graded cascades (supervise_intermediates) average their losses
     gt, _, _ = make_case(18)
-    rho = fft_t(gt)
+    rho = fft_t(gt).data
     bumped = gt.data.copy()
     bumped[0, 0, 0] += 1.0
-    loss = joint_loss(
-        [ComplexVolume(bumped, Domain.IMAGE), gt], [rho, rho], [gt, gt], [rho, rho]
-    )
+    loss = loss_value([(rho, bumped), (rho, gt.data)], gt.data, rho)
     assert abs(loss - 0.5) < 1e-12
 
 
@@ -438,27 +453,18 @@ def test_joint_loss_matches_double_loop_oracle():
     rng = np.random.default_rng(19)
     shape = (3, 8, 8)
 
-    def rand_vol(domain):
-        return ComplexVolume(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), domain
-        )
+    def rand_arr():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    sp, sg = rand_vol(Domain.IMAGE), rand_vol(Domain.IMAGE)
-    rp, rg = rand_vol(Domain.XF), rand_vol(Domain.XF)
+    sp, sg = rand_arr(), rand_arr()
+    rp, rg = rand_arr(), rand_arr()
     want = 0.0
     for t in range(3):
         for y in range(8):
             for x in range(8):
-                want += abs(sp.data[t, y, x] - sg.data[t, y, x]) ** 2
-                want += abs(rp.data[t, y, x] - rg.data[t, y, x]) ** 2
-    assert abs(joint_loss(sp, rp, sg, rg) - want) < 1e-12
-
-
-def test_joint_loss_domain_check():
-    gt, _, _ = make_case(21)
-    rho = fft_t(gt)
-    with pytest.raises(ValueError):
-        joint_loss(rho, rho, gt, rho)  # first arg must be image domain
+                want += abs(sp[t, y, x] - sg[t, y, x]) ** 2
+                want += abs(rp[t, y, x] - rg[t, y, x]) ** 2
+    assert abs(loss_value([(rp, sp)], sg, rg) - want) < 1e-12
 
 
 # --------------------------------------------------------------- fit
@@ -559,16 +565,3 @@ def test_load_params_config_mismatch(tmp_path):
     with pytest.raises(ValueError):
         load_params(path, small_config(xf_layers=3))
 
-
-# --------------------------------------------------------------- evaluation
-
-
-def test_evaluate_dataset_parallel_matches_serial():
-    dataset, mask = fit_setup(50, n_seq=3)
-    cfg = small_config()
-    params = init_params(cfg, 50)
-    serial = evaluate_dataset(dataset, mask, params, cfg)
-    parallel = evaluate_dataset(dataset, mask, params, cfg, parallel=True)
-    assert len(serial) == 3
-    for a, b in zip(serial, parallel):
-        assert a.psnr == b.psnr and a.ssim == b.ssim and a.hfen == b.hfen

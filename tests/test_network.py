@@ -1,5 +1,7 @@
 """Parameter store, ADAM, He init, the bidirectional recurrent layer, KTNP files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,9 @@ from ktnext.network import (
     he_conv_weights,
     init_adam,
     load_checkpoint,
-    parameter_count,
     save_checkpoint,
 )
-from ktnext.sampling import BadMagicError, TruncatedPayloadError
+from ktnext.sampling import BadMagicError, DimensionOverflowError, TruncatedPayloadError
 
 
 # ------------------------------------------------------------ param store
@@ -27,7 +28,7 @@ def test_param_store_basics():
     w = store.add("w", np.zeros((4, 2, 3, 3)))
     store.add("b", np.zeros(4))
     assert w.needs_grad
-    assert parameter_count(store) == 2 * 4 * 9 + 4  # 76
+    assert store.total_count == 2 * 4 * 9 + 4  # 76
     assert list(store.names()) == ["w", "b"]
     with pytest.raises(ValueError):
         store.add("w", np.zeros(3))
@@ -232,6 +233,13 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     trunc.write_bytes(raw[:-4])
     with pytest.raises(TruncatedPayloadError):
         load_checkpoint(trunc)
+
+    # an empty record whose other extents no numpy array can have
+    huge = tmp_path / "huge.ktnp"
+    huge.write_bytes(b"KTNP" + struct.pack("<IH", 1, 1) + b"w"
+                     + struct.pack("<B3I", 3, 0, 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(DimensionOverflowError):
+        load_checkpoint(huge)
 
 
 def test_check_gradients_flags_broken_vjp():
