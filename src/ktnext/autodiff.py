@@ -119,9 +119,14 @@ def backward(loss: Tensor) -> None:
 def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     """Same-size 2D convolution, zero padding dilation*(k-1)/2 per side.
 
-    x is [n][ci][h][w], w is [co][ci][k][k], b is [co] or None.  The kernel
-    is applied as a k*k sum of shifted slices, so forward and backward are
-    nine BLAS calls each for a 3x3 kernel.
+    x is [n][ci][h][w], w is [co][ci][k][k], b is [co] or None.  The input is
+    written once into a zero-padded grid laid out [ci][h+2p][n][w+2p] and
+    flattened per channel, with 2p trailing zeros.  Every tap (i, j) is then
+    one contiguous column window of that buffer, starting at i*d rows and
+    j*d columns, so forward and vjp are one 2-D GEMM per tap on a view, with
+    the batch folded into the GEMM's column axis.  The output is computed on
+    the grid [co][h][n][w+2p]; its last 2p columns read past the row's end
+    (into the next row, or the tail) and are cut away.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -133,26 +138,32 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
     pad = dilation * (k - 1) // 2
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((n, co, h, wid))
-    for i in range(k):
-        for j in range(k):
-            xs = xp[:, :, i * dilation : i * dilation + h, j * dilation : j * dilation + wid]
-            out += np.moveaxis(np.tensordot(wv[:, :, i, j], xs, axes=([1], [1])), 0, 1)
+    hp, wp = h + 2 * pad, wid + 2 * pad
+    span, body = h * n * wp, hp * n * wp
+    taps = [(i, j, i * dilation * n * wp + j * dilation) for i in range(k) for j in range(k)]
+    flat = np.zeros((ci, body + 2 * pad))
+    grid = flat[:, :body].reshape(ci, hp, n, wp)
+    grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
+    outp = np.zeros((co, span))
+    for i, j, off in taps:
+        outp += wv[:, :, i, j] @ flat[:, off : off + span]
+    out = np.ascontiguousarray(outp.reshape(co, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
     parents = (x, w)
     if b is not None:
         out += b.value[None, :, None, None]
         parents = (x, w, b)
 
     def vjp(g):
-        gw = np.zeros_like(wv)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                sl = np.s_[:, :, i * dilation : i * dilation + h, j * dilation : j * dilation + wid]
-                gw[:, :, i, j] = np.tensordot(g, xp[sl], axes=([0, 2, 3], [0, 2, 3]))
-                gxp[sl] += np.tensordot(g, wv[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
-        gx = gxp[:, :, pad : pad + h, pad : pad + wid]
+        gp = np.zeros((co, h, n, wp))
+        gp[..., :wid] = g.transpose(1, 2, 0, 3)
+        gp = gp.reshape(co, span)
+        gw = np.empty_like(wv)
+        gflat = np.zeros_like(flat)
+        for i, j, off in taps:
+            gw[:, :, i, j] = gp @ flat[:, off : off + span].T
+            gflat[:, off : off + span] += wv[:, :, i, j].T @ gp
+        gx = gflat[:, :body].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
+        gx = np.ascontiguousarray(gx.transpose(2, 0, 1, 3))
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

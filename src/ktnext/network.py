@@ -253,7 +253,10 @@ def save_checkpoint(path, store: ParamStore) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a KTNP file back into an ordered name -> float64 array mapping."""
+    """Read a KTNP file back into an ordered name -> float64 array mapping.
+
+    A record holding NaN or Inf raises BadPayloadError, as CKT1 does.
+    """
     reader = BinaryReader(path, b"KTNP")
     (count,) = reader.unpack("<I", "the record count")
     out = {}
@@ -267,6 +270,8 @@ def load_checkpoint(path) -> dict:
         (rank,) = reader.unpack("<B", "rank")
         shape = reader.unpack(f"<{rank}I", "dims")
         arr = reader.array("<f8", shape, f"payload of {name!r}").astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise BadPayloadError(f"{path}: record {name!r} holds NaN or Inf")
         if name in out:
             raise FileFormatError(f"{path}: duplicate record {name!r}")
         out[name] = arr

@@ -1,7 +1,7 @@
 """Reverse-mode tape: forward oracles and finite-difference gradient checks.
 
-conv2d is checked against a seven-deep nested loop transcription of the
-definition; every differentiable op is checked against central finite
+conv2d and its vjp are checked against seven-deep nested loop transcriptions
+of the definition; every differentiable op is checked against central finite
 differences (step 1e-6, double precision, relative tolerance 1e-4).
 """
 
@@ -32,6 +32,29 @@ def conv2d_oracle(x, w, b, dilation):
                                     acc += w[oc, ic, i, j] * x[nn, ic, yy, xx]
                     out[nn, oc, hh, ww] = acc
     return out
+
+
+def conv2d_vjp_oracle(x, w, g, dilation):
+    """Adjoint of conv2d_oracle: every product it sums, sent back to its
+    input and its weight."""
+    n, ci, h_in, w_in = x.shape
+    co, _, k, _ = w.shape
+    p = dilation * (k - 1) // 2
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for nn in range(n):
+        for oc in range(co):
+            for hh in range(h_in):
+                for ww in range(w_in):
+                    for ic in range(ci):
+                        for i in range(k):
+                            for j in range(k):
+                                yy = hh + i * dilation - p
+                                xx = ww + j * dilation - p
+                                if 0 <= yy < h_in and 0 <= xx < w_in:
+                                    gx[nn, ic, yy, xx] += w[oc, ic, i, j] * g[nn, oc, hh, ww]
+                                    gw[oc, ic, i, j] += g[nn, oc, hh, ww] * x[nn, ic, yy, xx]
+    return gx, gw, g.sum(axis=(0, 2, 3))
 
 
 def numeric_grad(build_loss, leaf, step=1e-6, indices=None):
@@ -84,12 +107,17 @@ def test_conv2d_ones_kernel_interior():
         assert np.all(interior == 9.0)
 
 
+ORACLE_SHAPES = [((1, 1, 5, 5), 3), ((2, 3, 8, 8), 3), ((1, 2, 8, 6), 3),
+                 ((2, 3, 7, 5), 1), ((2, 2, 6, 9), 5)]
+
+
 @pytest.mark.parametrize("dilation", [1, 3])
-@pytest.mark.parametrize("shape", [(1, 1, 5, 5), (2, 3, 8, 8), (1, 2, 8, 6)])
-def test_conv2d_matches_nested_loop_oracle(dilation, shape, request):
+@pytest.mark.parametrize("shape, k", ORACLE_SHAPES,
+                         ids=[f"shape{i}" for i in range(len(ORACLE_SHAPES))])
+def test_conv2d_matches_nested_loop_oracle(dilation, shape, k, request):
     rng = np.random.default_rng(hash(request.node.name) % 2**32)
     x = rng.standard_normal(shape)
-    w = rng.standard_normal((4, shape[1], 3, 3))
+    w = rng.standard_normal((4, shape[1], k, k))
     b = rng.standard_normal(4)
     got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), dilation).value
     want = conv2d_oracle(x, w, b, dilation)
@@ -147,6 +175,29 @@ def test_conv_chain_finite_differences():
     ad.backward(loss)
     for leaf in (x, w, b):
         assert_close_rel(leaf.grad, numeric_grad(build, leaf))
+
+
+@pytest.mark.parametrize("shape, co, k, dilation, bias", [
+    ((2, 3, 7, 5), 4, 3, 1, True),
+    ((2, 3, 7, 5), 2, 3, 3, False),
+    ((2, 2, 6, 4), 3, 1, 1, True),
+    ((2, 3, 7, 9), 2, 5, 1, True),
+    ((1, 2, 9, 8), 3, 5, 3, False),
+    ((2, 2, 3, 2), 3, 3, 3, True),  # every off-centre tap lands in the padding
+])
+def test_conv2d_vjp_matches_nested_loop_oracle(shape, co, k, dilation, bias):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((co, shape[1], k, k))
+    b = ad.constant(rng.standard_normal(co)) if bias else None
+    out = ad.conv2d(ad.constant(x), ad.constant(w), b, dilation)
+    g = rng.standard_normal(out.value.shape)
+    got = out.vjp(g)
+    want = conv2d_vjp_oracle(x, w, g, dilation)
+    assert len(got) == (3 if bias else 2)
+    for have, ref in zip(got, want):
+        assert have.shape == ref.shape
+        assert_close_rel(have, ref, tol=1e-12)
 
 
 def test_shared_weight_reuse_accumulates():

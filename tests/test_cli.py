@@ -342,8 +342,17 @@ def nan_in_sequence(mask_p, seq_p, ckpt):
     seq_p.write_bytes(bytes(raw))
 
 
+def nan_in_checkpoint(mask_p, seq_p, ckpt):
+    raw = bytearray(ckpt.read_bytes())
+    name_len = int.from_bytes(raw[8:10], "little")
+    rank = raw[10 + name_len]
+    start = 11 + name_len + 4 * rank  # first value of the first record's payload
+    raw[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    ckpt.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("corrupt", [empty_first_mask_frame, non_utf8_record_name,
-                                     nan_in_sequence])
+                                     nan_in_sequence, nan_in_checkpoint])
 def test_malformed_payload_exits_4(tmp_path, corrupt):
     """Files that are complete but hold values their format forbids are
     format violations, whichever of the three files it is."""
