@@ -22,6 +22,7 @@ import numpy as np
 
 from .sampling import KtMeasurement
 from .volume import _fft1c_arr, _ifft1c_arr
+from .xf import dc_array
 
 __all__ = [
     "Tensor",
@@ -173,7 +174,8 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0
-    return Tensor(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,), name="relu")
+    # selecting 0 where x <= 0 rather than x where x > 0 lets NaN through
+    return Tensor(np.where(x.value <= 0, 0.0, x.value), (x,), lambda g: (g * mask,), name="relu")
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -330,14 +332,6 @@ def data_consistency(pred_k: Tensor, m: KtMeasurement, lam: float) -> Tensor:
             f"prediction {pred_k.value.shape} does not match measurement {m.kspace.data.shape}"
         )
     bits = m.mask.bits[:, None, :].astype(np.float64)
-    if math.isinf(lam):
-        factor = 1.0 - bits
-        value = np.where(bits == 1.0, m.kspace.data, pred_k.value)
-    else:
-        factor = (1.0 - bits) + bits / (1.0 + lam)
-        value = np.where(
-            bits == 1.0,
-            (pred_k.value + lam * m.kspace.data) / (1.0 + lam),
-            pred_k.value,
-        )
+    factor = (1.0 - bits) if math.isinf(lam) else (1.0 - bits) + bits / (1.0 + lam)
+    value = dc_array(pred_k.value, m.kspace.data, m.mask.bits, lam)
     return Tensor(value, (pred_k,), lambda g: (g * factor,), name="dc")

@@ -428,7 +428,6 @@ def main(argv=None) -> int:
     _configure_threads(args.deterministic)
     # imported lazily so the thread caps above are already in place
     from .metrics import UndefinedMetricError
-    from .model import NonFiniteLossError
     from .sampling import FileFormatError
 
     try:
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return _EXIT_FORMAT
-    except (NonFiniteLossError, UndefinedMetricError) as exc:
+    except (FloatingPointError, UndefinedMetricError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except OSError as exc:

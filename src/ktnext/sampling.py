@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import affine_transform
 
 from .volume import ComplexVolume, Domain, DomainMismatchError, fft2c, ifft2c
 
@@ -32,8 +31,6 @@ __all__ = [
     "KtMeasurement",
     "SamplingMask",
     "TruncatedPayloadError",
-    "apply_affine",
-    "augment",
     "generate_phantom",
     "load_mask",
     "load_sequence",
@@ -293,39 +290,6 @@ def generate_phantom(seed, t_frames, rows, cols, period=None) -> ComplexVolume:
             mag = mag + vals[k] * _soft_ellipse(yy, xx, cy, cx, ry, rx)
         data[t] = np.clip(mag, 0.0, 1.0) * phase_factor
     return ComplexVolume(data, Domain.IMAGE)
-
-
-# ------------------------------------------------------------------ augment
-
-
-def apply_affine(img: ComplexVolume, angle_deg: float, scale: float) -> ComplexVolume:
-    """Rotate by angle_deg and scale isotropically about the frame center.
-
-    A positive angle carries the +y axis toward +x.  The same transform is
-    applied to every frame; real and imaginary parts are interpolated
-    bilinearly and independently, with zero fill outside the grid.
-    """
-    theta = np.deg2rad(angle_deg)
-    c, s = np.cos(theta), np.sin(theta)
-    # pull-back map: output offsets -> input offsets
-    m = np.array([[c, s], [-s, c]]) / scale
-    center = np.array([(img.rows - 1) / 2.0, (img.cols - 1) / 2.0])
-    offset = center - m @ center
-    out = np.empty_like(img.data)
-    for t in range(img.t_frames):
-        re = affine_transform(img.data[t].real, m, offset=offset, order=1,
-                              mode="constant", cval=0.0, prefilter=False)
-        im = affine_transform(img.data[t].imag, m, offset=offset, order=1,
-                              mode="constant", cval=0.0, prefilter=False)
-        out[t] = re + 1j * im
-    return ComplexVolume(out, img.domain)
-
-
-def augment(img: ComplexVolume, rng) -> ComplexVolume:
-    """Random rotation in [-15, 15] degrees and scale in [0.9, 1.1]."""
-    angle = rng.uniform(-15.0, 15.0)
-    scale = rng.uniform(0.9, 1.1)
-    return apply_affine(img, angle, scale)
 
 
 # ------------------------------------------------------------------ files

@@ -20,6 +20,7 @@ from .volume import ComplexVolume, Domain, DomainMismatchError
 
 __all__ = [
     "data_consistency",
+    "dc_array",
     "dc_baseline_kspace",
     "kspace_temporal_average",
 ]
@@ -42,9 +43,14 @@ def kspace_temporal_average(m: KtMeasurement) -> np.ndarray:
     return acc / np.maximum(1, counts)[None, :]
 
 
-def _blend_with_acquired(base_frames: np.ndarray, kdata: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Pure selection: acquired value where sampled, base value elsewhere."""
-    return np.where(bits[:, None, :] == 1, kdata, base_frames)
+def dc_array(pred: np.ndarray, kdata: np.ndarray, bits: np.ndarray, lam: float) -> np.ndarray:
+    """The data-consistency map on [t][y][x] arrays, with bits a [t][x] mask.
+
+    Sampled positions become (pred + lam*kdata) / (1 + lam), or exactly
+    kdata at lam = inf; unsampled positions keep pred.
+    """
+    acquired = kdata if math.isinf(lam) else (pred + lam * kdata) / (1.0 + lam)
+    return np.where(bits[:, None, :] == 1, acquired, pred)
 
 
 def dc_baseline_kspace(avg: np.ndarray, m: KtMeasurement) -> ComplexVolume:
@@ -54,7 +60,7 @@ def dc_baseline_kspace(avg: np.ndarray, m: KtMeasurement) -> ComplexVolume:
     if avg.shape != (rows, cols):
         raise ValueError(f"average plane {avg.shape} does not match k-space ({rows}, {cols})")
     frames = np.broadcast_to(avg, m.kspace.data.shape)
-    out = _blend_with_acquired(frames, m.kspace.data, m.mask.bits)
+    out = dc_array(frames, m.kspace.data, m.mask.bits, math.inf)
     return ComplexVolume(out, Domain.KSPACE)
 
 
@@ -72,11 +78,5 @@ def data_consistency(pred_k: ComplexVolume, m: KtMeasurement, lam: float) -> Com
         )
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    bits = m.mask.bits[:, None, :]
-    if math.isinf(lam):
-        out = np.where(bits == 1, m.kspace.data, pred_k.data)
-    else:
-        blended = (pred_k.data + lam * m.kspace.data) / (1.0 + lam)
-        out = np.where(bits == 1, blended, pred_k.data)
-    return ComplexVolume(out, pred_k.domain)
+    return ComplexVolume(dc_array(pred_k.data, m.kspace.data, m.mask.bits, lam), pred_k.domain)
 

@@ -422,6 +422,7 @@ def test_criterion_07_aliasing_replica_superposition():
 # ---------------------------------------------------------------- criterion 8
 
 
+@pytest.mark.slow
 def test_criterion_08_overfit_benchmark():
     t0 = time.monotonic()
     gt = generate_phantom(0, 8, 32, 32)

@@ -141,6 +141,16 @@ def test_relu_values_and_leaky():
     assert np.allclose(got, [[-0.02, -0.005, 0.0, 0.5, 2.0]])
 
 
+def test_relu_propagates_nan():
+    """A NaN from inside the network must reach the non-finite checks, not
+    turn into a silent 0; signed zeros and infinities map as before."""
+    x = ad.constant(np.array([np.nan, -np.inf, -0.0, 0.0, np.inf]))
+    got = ad.relu(x).value
+    assert np.isnan(got[0])
+    assert np.array_equal(got[1:], [0.0, 0.0, 0.0, np.inf])
+    assert np.isnan(ad.leaky_relu(x).value[0])
+
+
 def test_relu_gradient_indicator():
     rng = np.random.default_rng(3)
     xv = rng.standard_normal((2, 2, 4, 4))

@@ -16,7 +16,7 @@ import pytest
 
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
-from ktnext.model import KtNextConfig, ktnext_forward, load_params
+from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
 from ktnext.sampling import (
     KtMeasurement,
     load_mask,
@@ -389,6 +389,26 @@ def test_diverging_training_exits_5(tmp_path):
     rc = run_cli("train", "--input", seq_p, "--mask", mask_p, "--steps", 2,
                  "--cascades", 1, "--channels", 2, "--lr", "1e200",
                  "--checkpoint", tmp_path / "w.ktnp", "--output", tmp_path / "h.csv")
+    assert rc == 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "render"])
+def test_overflowing_forward_exits_5(tmp_path, command):
+    """A finite checkpoint whose weights overflow the forward pass is a
+    numeric failure, not a bad flag."""
+    mask_p, seq_p, kspace_p = tiny_setup(tmp_path)
+    params = init_params(TINY, 0)
+    params.xfcnn.set_values(
+        {name: np.full_like(t.value, 1e200) for name, t in params.xfcnn.items()}
+    )
+    ckpt = tmp_path / "w.ktnp"
+    save_params(ckpt, params)
+    inputs = {"reconstruct": kspace_p, "evaluate": seq_p, "render": seq_p}
+    outputs = {"reconstruct": "r.ckt", "evaluate": "e.csv", "render": "figs"}
+    rc = run_cli(command, "--input", inputs[command], "--mask", mask_p,
+                 "--checkpoint", ckpt, "--cascades", 1, "--channels", 2,
+                 "--output", tmp_path / outputs[command])
     assert rc == 5
 
 

@@ -1,5 +1,7 @@
 """End-to-end model: cascade assembly, collapse identities, gradients, training."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ktnext.model import (
     parameter_count,
     save_params,
 )
+from ktnext.network import ParamStore, save_checkpoint
 from ktnext.sampling import (
     AcquisitionSpec,
     generate_phantom,
@@ -52,20 +55,19 @@ def xf_inputs(meas):
 def xfcnn_pass(meas, params, cfg):
     """One de-aliasing pass on the zero-filled estimate: (rho, baseline)."""
     residual, baseline = xf_inputs(meas)
-    rho = km._xfcnn_apply(ad.constant(residual), ad.constant(baseline), params.xfcnn, cfg, "")
+    rho = km._xfcnn_apply(ad.constant(residual), ad.constant(baseline), params.xfcnn, cfg)
     return rho.value, baseline
 
 
 def crnn_pass(img, meas, params, cfg, hidden=None):
     """One recurrent refinement with data consistency: (sigma, hidden states)."""
-    sigma, new_hidden = km._crnn_apply(ad.constant(img), meas, params.crnn, cfg, "", hidden)
+    sigma, new_hidden = km._crnn_apply(ad.constant(img), meas, params.crnn, cfg, hidden)
     return sigma.value, new_hidden
 
 
-def loss_value(stages, sigma_gt, rho_gt):
-    """Value of the training loss node; stages are (rho, sigma) array pairs."""
-    node = km._loss_node([(ad.constant(r), ad.constant(s)) for r, s in stages], sigma_gt, rho_gt)
-    return float(node.value)
+def loss_value(sigma, rho, sigma_gt, rho_gt):
+    """Value of the training loss node for final estimates given as arrays."""
+    return float(km._loss_node(ad.constant(sigma), ad.constant(rho), sigma_gt, rho_gt).value)
 
 
 def zero_all(params: KtNextParams):
@@ -99,9 +101,9 @@ def test_config_defaults():
     assert cfg.dilation == 3
     assert cfg.channels == 16
     assert cfg.dc_lambda == np.inf
-    assert cfg.xf_input_mode == "residual_plus_baseline"
-    assert cfg.share_weights_across_cascades
-    assert cfg.iteration_recurrent
+    assert [f.name for f in fields(KtNextConfig)] == [
+        "n_cascades", "xf_layers", "crnn_layers", "kernel", "dilation", "channels", "dc_lambda",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -114,7 +116,7 @@ def test_config_defaults():
         dict(dilation=0),
         dict(kernel=4),
         dict(dc_lambda=-1.0),
-        dict(xf_input_mode="bogus"),
+        dict(dc_lambda=float("nan")),
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -144,10 +146,9 @@ def count_audit(cfg):
     """Independent per-layer arithmetic, written out longhand."""
     k2 = cfg.kernel * cfg.kernel
     ch = cfg.channels
-    c_in0 = 4 if cfg.xf_input_mode == "residual_plus_baseline" else 2
     xf = 0
     for i in range(cfg.xf_layers):
-        ci = c_in0 if i == 0 else ch
+        ci = 4 if i == 0 else ch  # residual and baseline, real and imaginary
         co = 2 if i == cfg.xf_layers - 1 else ch
         xf += co * ci * k2 + co
     cr = 0
@@ -158,15 +159,12 @@ def count_audit(cfg):
         cr += ch * ch * k2  # previous-cascade hidden conv
         cr += ch  # bias
     cr += 2 * ch * k2 + 2  # projection back to 2 channels
-    sets = 1 if cfg.share_weights_across_cascades else cfg.n_cascades
-    return (xf + cr) * sets
+    return xf + cr  # one set of weights, shared by every cascade
 
 
 def test_parameter_count_matches_hand_audit():
     for cfg in (
         KtNextConfig(),
-        KtNextConfig(share_weights_across_cascades=False),
-        KtNextConfig(xf_input_mode="residual_only"),
         small_config(),
         small_config(xf_layers=1, crnn_layers=1),
     ):
@@ -201,14 +199,6 @@ def test_init_params_keeps_unit_gain_at_overfit_shape():
     assert gain < 2.0
 
 
-def test_init_params_unshared_prefixes():
-    cfg = small_config(share_weights_across_cascades=False)
-    p = init_params(cfg, 0)
-    assert "c0.w0" in p.xfcnn and "c1.w0" in p.xfcnn
-    assert "c0.i2h0" in p.crnn and "c1.out_w" in p.crnn
-    assert "w0" not in p.xfcnn
-
-
 # --------------------------------------------------------------- x-f CNN
 
 
@@ -237,8 +227,8 @@ def test_xfcnn_config_param_mismatch():
     params = init_params(cfg, 3)
     with pytest.raises(ValueError):
         ktnext_forward(meas, params, small_config(xf_layers=3))
-    with pytest.raises(ValueError):
-        ktnext_forward(meas, params, small_config(xf_input_mode="residual_only"))
+    with pytest.raises(ValueError, match="first de-aliasing layer"):
+        ktnext_forward(meas, params, small_config(channels=4))
 
 
 def test_xfcnn_gradient_check():
@@ -252,7 +242,7 @@ def test_xfcnn_gradient_check():
     def build_loss():
         residual = ad.constant(residual_arr)
         base = ad.constant(baseline_arr)
-        rho = km._xfcnn_apply(residual, base, params.xfcnn, cfg, "")
+        rho = km._xfcnn_apply(residual, base, params.xfcnn, cfg)
         return ad.sumsq_diff(rho, target)
 
     from ktnext.network import check_gradients
@@ -313,7 +303,7 @@ def test_crnn_gradient_check():
 
     def build_loss():
         img = ad.constant(img_arr)
-        sigma, _ = km._crnn_apply(img, meas, params.crnn, cfg, "", None)
+        sigma, _ = km._crnn_apply(img, meas, params.crnn, cfg, None)
         return ad.sumsq_diff(sigma, target)
 
     from ktnext.network import check_gradients
@@ -386,21 +376,23 @@ def test_forward_intermediate_structure():
         assert stage.rho.domain is Domain.XF
 
 
-def test_forward_residual_only_mode():
-    _, _, meas = make_case(13)
-    cfg = small_config(xf_input_mode="residual_only")
-    params = zero_all(init_params(cfg, 13))
-    sigma, _, _ = ktnext_forward(meas, params, cfg)
-    want = ifft2c(dc_baseline_kspace(kspace_temporal_average(meas), meas))
-    assert np.max(np.abs(sigma.data - want.data)) < 1e-10
-
-
 def test_forward_hidden_carry_toggle_matters():
+    """N=2 equals a manual unroll that hands cascade 1's hidden states to
+    cascade 2, and differs from one that starts cascade 2 afresh."""
     _, _, meas = make_case(14)
-    params = init_params(small_config(), 14)
-    on, _, _ = ktnext_forward(meas, params, small_config(iteration_recurrent=True))
-    off, _, _ = ktnext_forward(meas, params, small_config(iteration_recurrent=False))
-    assert np.max(np.abs(on.data - off.data)) > 1e-10
+    cfg = small_config()
+    params = init_params(cfg, 14)
+    sigma, rho, _ = ktnext_forward(meas, params, cfg)
+    rho1, baseline = xfcnn_pass(meas, params, cfg)
+    sigma1, hidden1 = crnn_pass(ifft_t(ComplexVolume(rho1, Domain.XF)).data, meas, params, cfg)
+    residual2 = km._xf_residual(ad.constant(sigma1), kspace_temporal_average(meas))
+    rho2 = km._xfcnn_apply(residual2, ad.constant(baseline), params.xfcnn, cfg).value
+    img2 = ifft_t(ComplexVolume(rho2, Domain.XF)).data
+    carried, _ = crnn_pass(img2, meas, params, cfg, hidden1)
+    fresh, _ = crnn_pass(img2, meas, params, cfg)
+    assert np.max(np.abs(rho.data - rho2)) < 1e-13
+    assert np.max(np.abs(sigma.data - carried)) < 1e-13
+    assert np.max(np.abs(sigma.data - fresh)) > 1e-10
 
 
 def test_full_model_gradient_check():
@@ -427,7 +419,7 @@ def test_full_model_gradient_check():
 def test_joint_loss_identical_is_zero():
     gt, _, _ = make_case(16)
     rho = fft_t(gt).data
-    assert loss_value([(rho, gt.data)], gt.data, rho) == 0.0
+    assert loss_value(gt.data, rho, gt.data, rho) == 0.0
 
 
 def test_joint_loss_single_voxel():
@@ -435,18 +427,8 @@ def test_joint_loss_single_voxel():
     rho = fft_t(gt).data
     bumped = gt.data.copy()
     bumped[1, 2, 3] += 1.0
-    loss = loss_value([(rho, bumped)], gt.data, rho)
+    loss = loss_value(bumped, rho, gt.data, rho)
     assert abs(loss - 1.0) < 1e-12
-
-
-def test_joint_loss_batch_average():
-    # several graded cascades (supervise_intermediates) average their losses
-    gt, _, _ = make_case(18)
-    rho = fft_t(gt).data
-    bumped = gt.data.copy()
-    bumped[0, 0, 0] += 1.0
-    loss = loss_value([(rho, bumped), (rho, gt.data)], gt.data, rho)
-    assert abs(loss - 0.5) < 1e-12
 
 
 def test_joint_loss_matches_double_loop_oracle():
@@ -464,7 +446,7 @@ def test_joint_loss_matches_double_loop_oracle():
             for x in range(8):
                 want += abs(sp[t, y, x] - sg[t, y, x]) ** 2
                 want += abs(rp[t, y, x] - rg[t, y, x]) ** 2
-    assert abs(loss_value([(rp, sp)], sg, rg) - want) < 1e-12
+    assert abs(loss_value(sp, rp, sg, rg) - want) < 1e-12
 
 
 # --------------------------------------------------------------- fit
@@ -518,29 +500,6 @@ def test_fit_nonfinite_loss_aborts_with_step():
         fit(dataset, mask, cfg, steps=3, seed=0, params=params)
 
 
-def test_fit_augment_path_is_deterministic():
-    dataset, mask = fit_setup(34)
-    cfg = small_config()
-    _, h1 = fit(dataset, mask, cfg, steps=3, seed=9, augment=True)
-    _, h2 = fit(dataset, mask, cfg, steps=3, seed=9, augment=True)
-    assert [r.loss for r in h1] == [r.loss for r in h2]
-
-
-def test_fit_batch_accumulation_runs():
-    dataset, mask = fit_setup(35)
-    cfg = small_config()
-    _, hist = fit(dataset, mask, cfg, steps=2, seed=1, batch_size=2)
-    assert len(hist) == 2 and all(np.isfinite(r.loss) for r in hist)
-
-
-def test_fit_intermediate_supervision_changes_loss():
-    dataset, mask = fit_setup(36)
-    cfg = small_config()
-    _, h_final = fit(dataset, mask, cfg, steps=1, seed=2)
-    _, h_all = fit(dataset, mask, cfg, steps=1, seed=2, supervise_intermediates=True)
-    assert h_final[0].loss != h_all[0].loss
-
-
 # --------------------------------------------------------------- checkpoints
 
 
@@ -565,3 +524,36 @@ def test_load_params_config_mismatch(tmp_path):
     with pytest.raises(ValueError):
         load_params(path, small_config(xf_layers=3))
 
+
+
+# Record names and shapes a KtNextConfig(n_cascades=2, channels=8) checkpoint
+# has always carried, written out so a change to the naming shows up here.
+_OLD_RECORDS = [
+    ("xfcnn.w0", (8, 4, 3, 3)), ("xfcnn.b0", (8,)),
+    ("xfcnn.w1", (8, 8, 3, 3)), ("xfcnn.b1", (8,)),
+    ("xfcnn.w2", (8, 8, 3, 3)), ("xfcnn.b2", (8,)),
+    ("xfcnn.w3", (8, 8, 3, 3)), ("xfcnn.b3", (8,)),
+    ("xfcnn.w4", (2, 8, 3, 3)), ("xfcnn.b4", (2,)),
+    ("crnn.i2h0", (8, 2, 3, 3)), ("crnn.h2h0", (8, 8, 3, 3)),
+    ("crnn.ih2ih0", (8, 8, 3, 3)), ("crnn.bias0", (8,)),
+    ("crnn.i2h1", (8, 8, 3, 3)), ("crnn.h2h1", (8, 8, 3, 3)),
+    ("crnn.ih2ih1", (8, 8, 3, 3)), ("crnn.bias1", (8,)),
+    ("crnn.i2h2", (8, 8, 3, 3)), ("crnn.h2h2", (8, 8, 3, 3)),
+    ("crnn.ih2ih2", (8, 8, 3, 3)), ("crnn.bias2", (8,)),
+    ("crnn.i2h3", (8, 8, 3, 3)), ("crnn.h2h3", (8, 8, 3, 3)),
+    ("crnn.ih2ih3", (8, 8, 3, 3)), ("crnn.bias3", (8,)),
+    ("crnn.out_w", (2, 8, 3, 3)), ("crnn.out_b", (2,)),
+]
+
+
+def test_load_params_reads_old_checkpoint(tmp_path):
+    rng = np.random.default_rng(42)
+    store = ParamStore()
+    for name, shape in _OLD_RECORDS:
+        store.add(name, rng.standard_normal(shape))
+    path = tmp_path / "old.ktnp"
+    save_checkpoint(path, store)
+    loaded = load_params(path, KtNextConfig(n_cascades=2, channels=8)).snapshot()
+    assert list(loaded) == [name for name, _ in _OLD_RECORDS]
+    for name, tensor in store.items():
+        assert np.array_equal(loaded[name], tensor.value)

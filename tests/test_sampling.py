@@ -1,4 +1,4 @@
-"""Shear-grid masks, undersampling, phantoms, augmentation and sequence files.
+"""Shear-grid masks, undersampling, phantoms and sequence files.
 
 Mask tests enumerate the sampled-column sets straight from the definition
 (lattice hits plus center block) with Python sets, independently of the
@@ -16,8 +16,6 @@ from ktnext.sampling import (
     KtMeasurement,
     SamplingMask,
     TruncatedPayloadError,
-    apply_affine,
-    augment,
     generate_phantom,
     load_mask,
     load_sequence,
@@ -27,7 +25,7 @@ from ktnext.sampling import (
     undersample,
     zero_filled,
 )
-from ktnext.volume import ComplexVolume, Domain, energy, fft2c
+from ktnext.volume import ComplexVolume, Domain, fft2c
 
 
 def sampled_set_oracle(accel, n_center, shear_step, t, cols, phase=0):
@@ -276,65 +274,6 @@ def test_phantom_rejects_small_dims():
         generate_phantom(1, t_frames=4, rows=7, cols=16)
     with pytest.raises(ValueError):
         generate_phantom(1, t_frames=4, rows=16, cols=7)
-
-
-# ---------------------------------------------------------------- augment
-
-
-def smooth_disk(rows, cols, radius, edge=3.0):
-    yy, xx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    r = np.hypot(yy - (rows - 1) / 2.0, xx - (cols - 1) / 2.0)
-    u = np.clip((radius - r) / edge + 0.5, 0.0, 1.0)
-    return u * u * (3 - 2 * u)
-
-
-def test_apply_affine_identity_is_exact():
-    rng = np.random.default_rng(8)
-    img = ComplexVolume(
-        rng.standard_normal((3, 12, 12)) + 1j * rng.standard_normal((3, 12, 12)),
-        Domain.IMAGE,
-    )
-    out = apply_affine(img, angle_deg=0.0, scale=1.0)
-    assert np.abs(out.data - img.data).max() < 1e-12
-
-
-def test_apply_affine_rotation_moves_blob():
-    rows = cols = 33
-    img = np.zeros((1, rows, cols))
-    img[0, 16 + 8, 16] = 1.0  # blob 8 below center
-    out = apply_affine(ComplexVolume(img.astype(complex), Domain.IMAGE), 90.0, 1.0)
-    mag = np.abs(out.data[0])
-    yy, xx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    cy = (mag * yy).sum() / mag.sum()
-    cx = (mag * xx).sum() / mag.sum()
-    # +90 degrees carries the +y offset onto the +x axis
-    assert abs(cy - 16) < 0.5 and abs(cx - 24) < 0.5
-
-
-def test_apply_affine_scale_energy():
-    disk = smooth_disk(64, 64, radius=18.0)
-    img = ComplexVolume(disk[None].astype(complex), Domain.IMAGE)
-    e0 = energy(img)
-    for s in (0.9, 1.0, 1.1):
-        out = apply_affine(img, 0.0, s)
-        ratio = energy(out) / e0
-        assert abs(ratio - s * s) < 0.02 * s * s
-
-
-def test_augment_draw_ranges_and_determinism():
-    img = generate_phantom(5, t_frames=3, rows=16, cols=16)
-    out1 = augment(img, np.random.default_rng(99))
-    out2 = augment(img, np.random.default_rng(99))
-    assert np.array_equal(out1.data, out2.data)
-    out3 = augment(img, np.random.default_rng(100))
-    assert not np.array_equal(out1.data, out3.data)
-    # same transform for every frame: a static input stays static
-    static = ComplexVolume(
-        np.broadcast_to(img.data[0], img.data.shape).copy(), Domain.IMAGE
-    )
-    out4 = augment(static, np.random.default_rng(101))
-    for t in range(1, 3):
-        assert np.array_equal(out4.data[t], out4.data[0])
 
 
 # ---------------------------------------------------------------- files

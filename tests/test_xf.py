@@ -130,13 +130,13 @@ def test_dc_baseline_positionwise_oracle():
 def test_dc_baseline_empty_mask_hypothetical():
     # not constructible through SamplingMask (frames may not be empty), so
     # exercise the blending rule directly with an all-zero support
-    from ktnext.xf import _blend_with_acquired
+    from ktnext.xf import dc_array
 
     rng = np.random.default_rng(4)
     avg = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     k = np.zeros((2, 3, 4), dtype=complex)
     bits = np.zeros((2, 4), dtype=np.uint8)
-    out = _blend_with_acquired(avg[None].repeat(2, axis=0), k, bits)
+    out = dc_array(avg[None].repeat(2, axis=0), k, bits, np.inf)
     assert np.array_equal(out[0], avg)
     assert np.array_equal(out[1], avg)
 
