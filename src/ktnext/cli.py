@@ -25,23 +25,19 @@ _EXIT_FORMAT = 4
 _EXIT_NUMERIC = 5
 
 
-def _configure_threads(deterministic: bool) -> None:
-    # must run before numpy is imported anywhere in this process
-    cap = "1" if deterministic else os.environ.get("KTNEXT_THREADS", "").strip()
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = cap
-
-
-def _worker_count(deterministic: bool) -> int:
-    if deterministic:
+def _configure_threads(deterministic: bool) -> int:
+    """Cap BLAS threads at KTNEXT_THREADS (1 under --deterministic) and
+    return evaluate's worker count; must run before numpy first loads."""
+    raw = "1" if deterministic else os.environ.get("KTNEXT_THREADS", "").strip()
+    if not raw:
         return 1
-    raw = os.environ.get("KTNEXT_THREADS", "").strip()
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    count = int(raw) if raw.isdecimal() else 0
+    if count < 1:
+        raise ValueError(f"KTNEXT_THREADS must be a positive integer, got {raw!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = str(count)
+    return count
 
 
 def _lambda_value(text: str) -> float:
@@ -250,6 +246,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_evaluate(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
+    import numpy as np
+
     from .metrics import compute_metrics
     from .model import ktnext_forward, load_params
     from .sampling import load_mask, load_sequence, undersample, zero_filled
@@ -260,14 +258,14 @@ def cmd_evaluate(args) -> int:
     files = _sequence_files(args.input)
 
     def score(path):
-        gt = load_sequence(path)
-        meas = undersample(gt, mask)
-        sigma, _, _ = ktnext_forward(meas, params, config)
-        return compute_metrics(sigma, gt), compute_metrics(zero_filled(meas), gt)
+        with np.errstate(all="ignore"):  # pool threads do not inherit main's
+            gt = load_sequence(path)
+            meas = undersample(gt, mask)
+            sigma, _, _ = ktnext_forward(meas, params, config)
+            return compute_metrics(sigma, gt), compute_metrics(zero_filled(meas), gt)
 
-    workers = _worker_count(args.deterministic)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             scored = list(pool.map(score, files))
     else:
         scored = [score(path) for path in files]
@@ -425,13 +423,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_threads(args.deterministic)
+    try:
+        args.workers = _configure_threads(args.deterministic)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_FLAGS
     # imported lazily so the thread caps above are already in place
+    import numpy as np
+
     from .metrics import UndefinedMetricError
     from .sampling import FileFormatError
 
     try:
-        return args.func(args)
+        # overflow surfaces through the non-finite checks, not numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except FileFormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return _EXIT_FORMAT

@@ -34,33 +34,34 @@ class NonFiniteLossError(FloatingPointError):
     """Training loss left the representable range; the run cannot continue."""
 
 
+# The one architecture; KtNextConfig's docstring describes it.
+XF_LAYERS = 5
+CRNN_LAYERS = 4
+KERNEL = 3
+DILATION = 3
+
+
 @dataclass(frozen=True)
 class KtNextConfig:
-    """Architecture and reconstruction hyperparameters.
+    """Width and run-time choices of the one architecture.
 
-    Defaults follow the reference design: 4 cascades, a 5-layer de-aliasing
-    CNN, a 4-layer recurrent image block, 3x3 kernels with dilation 3, and
-    hard data consistency (dc_lambda = inf).  channels is the desk-scale
-    width; widen it for more capacity.  The design itself is fixed: the
-    de-aliasing CNN sees the residual concatenated with the baseline, all
-    cascades share one set of weights, and the recurrent block's hidden
-    states carry from each cascade into the next.
+    The architecture is fixed by the module constants: a 5-layer de-aliasing
+    CNN and a 4-layer recurrent image block, 3x3 kernels with dilation 3.
+    The de-aliasing CNN sees the residual concatenated with the baseline,
+    all cascades share one set of weights, and the recurrent block's hidden
+    states carry from each cascade into the next.  channels is the width;
+    n_cascades (unrolls of the shared cascade) and dc_lambda (inf = hard
+    data consistency) are run-time choices a checkpoint does not store.
     """
 
     n_cascades: int = 4
-    xf_layers: int = 5
-    crnn_layers: int = 4
-    kernel: int = 3
-    dilation: int = 3
     channels: int = 16
     dc_lambda: float = math.inf
 
     def __post_init__(self):
-        for name in ("n_cascades", "xf_layers", "crnn_layers", "kernel", "dilation", "channels"):
+        for name in ("n_cascades", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.kernel % 2 == 0:
-            raise ValueError("kernel must be odd so convolutions preserve frame size")
         if not self.dc_lambda >= 0.0:  # also rejects nan
             raise ValueError("dc_lambda must be nonnegative (inf = hard replacement)")
 
@@ -94,7 +95,8 @@ def parameter_count(params: KtNextParams) -> int:
 def init_params(config: KtNextConfig, seed) -> KtNextParams:
     """He-initialized conv weights, zero biases, deterministic per seed.
 
-    One set of weights serves every cascade.  The first de-aliasing layer
+    One set of weights serves every cascade; its shapes follow XF_LAYERS,
+    CRNN_LAYERS, KERNEL and config.channels.  The first de-aliasing layer
     takes 4 channels: the real and imaginary parts of the x-f residual and
     of the x-f baseline.
 
@@ -110,16 +112,16 @@ def init_params(config: KtNextConfig, seed) -> KtNextParams:
     regardless of platform.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    k = config.kernel
+    k = KERNEL
     ch = config.channels
     xfcnn = ParamStore()
     crnn = ParamStore()
-    for i in range(config.xf_layers):
+    for i in range(XF_LAYERS):
         ci = 4 if i == 0 else ch
-        co = 2 if i == config.xf_layers - 1 else ch
+        co = 2 if i == XF_LAYERS - 1 else ch
         xfcnn.add(f"w{i}", he_conv_weights(rng, co, ci, k))
         xfcnn.add(f"b{i}", np.zeros(co))
-    for layer in range(config.crnn_layers):
+    for layer in range(CRNN_LAYERS):
         ci = 2 if layer == 0 else ch
         fan_in = 2 * (ci + 2 * ch) * k * k
         crnn.add(f"i2h{layer}", he_conv_weights(rng, ch, ci, k, fan_in))
@@ -133,18 +135,17 @@ def init_params(config: KtNextConfig, seed) -> KtNextParams:
 
 def _check_params(params: KtNextParams, config: KtNextConfig) -> None:
     want_xf, want_cr = set(), {"out_w", "out_b"}
-    for i in range(config.xf_layers):
+    for i in range(XF_LAYERS):
         want_xf.update((f"w{i}", f"b{i}"))
-    for layer in range(config.crnn_layers):
+    for layer in range(CRNN_LAYERS):
         want_cr.update((f"i2h{layer}", f"h2h{layer}", f"ih2ih{layer}", f"bias{layer}"))
     if set(params.xfcnn.names()) != want_xf or set(params.crnn.names()) != want_cr:
         raise ValueError("parameter names do not match the configured architecture")
     w0 = params.xfcnn["w0"].value
-    c_out0 = 2 if config.xf_layers == 1 else config.channels
-    if w0.shape != (c_out0, 4, config.kernel, config.kernel):
+    if w0.shape != (config.channels, 4, KERNEL, KERNEL):
         raise ValueError(
             f"first de-aliasing layer has shape {w0.shape}, expected "
-            f"{(c_out0, 4, config.kernel, config.kernel)}; check channels/kernel"
+            f"{(config.channels, 4, KERNEL, KERNEL)}; check channels"
         )
 
 
@@ -157,14 +158,14 @@ def _xf_residual(sigma, avg):
     return ad.fft_t(ad.ifft2c(ad.add_const(ad.fft2c(sigma), -avg[None, :, :])))
 
 
-def _xfcnn_apply(residual, baseline, store, config):
+def _xfcnn_apply(residual, baseline, store):
     # residual and baseline are complex x-f tape tensors [F, Y, X]
     x = ad.concat_channels(
         [ad.complex_to_channels_xf(residual), ad.complex_to_channels_xf(baseline)]
     )
-    for i in range(config.xf_layers):
-        x = ad.conv2d(x, store[f"w{i}"], store[f"b{i}"], config.dilation)
-        if i < config.xf_layers - 1:
+    for i in range(XF_LAYERS):
+        x = ad.conv2d(x, store[f"w{i}"], store[f"b{i}"], DILATION)
+        if i < XF_LAYERS - 1:
             x = ad.relu(x)
     return ad.add(baseline, ad.channels_to_complex_xf(x))
 
@@ -172,7 +173,7 @@ def _xfcnn_apply(residual, baseline, store, config):
 def _crnn_apply(img, meas, store, config, hidden):
     seq = ad.complex_to_channels_image(img)
     new_hidden = []
-    for layer in range(config.crnn_layers):
+    for layer in range(CRNN_LAYERS):
         prev = None if hidden is None else hidden[layer]
         seq, carry = crnn_bidir_layer(
             seq,
@@ -181,10 +182,10 @@ def _crnn_apply(img, meas, store, config, hidden):
             store[f"ih2ih{layer}"],
             store[f"bias{layer}"],
             hidden_prev=prev,
-            dilation=config.dilation,
+            dilation=DILATION,
         )
         new_hidden.append(carry)
-    out = ad.conv2d(seq, store["out_w"], store["out_b"], config.dilation)
+    out = ad.conv2d(seq, store["out_w"], store["out_b"], DILATION)
     refined = ad.add(img, ad.channels_to_complex_image(out))
     k = ad.data_consistency(ad.fft2c(refined), meas, config.dc_lambda)
     return ad.ifft2c(k), new_hidden
@@ -206,7 +207,7 @@ def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConf
     rho = None
     traces = []
     for _ in range(config.n_cascades):
-        rho = _xfcnn_apply(_xf_residual(sigma, avg), base, params.xfcnn, config)
+        rho = _xfcnn_apply(_xf_residual(sigma, avg), base, params.xfcnn)
         sigma, hidden = _crnn_apply(ad.ifft_t(rho), meas, params.crnn, config, hidden)
         traces.append((rho, sigma))
     return sigma, rho, traces

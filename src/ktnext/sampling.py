@@ -124,7 +124,6 @@ class AcquisitionSpec:
     accel: int
     n_center: int = 4
     pe_lines: int = 190
-    shear_step: int = 1
 
     def __post_init__(self):
         if self.accel < 1:
@@ -162,9 +161,6 @@ class SamplingMask:
     def cols(self) -> int:
         return self.bits.shape[1]
 
-    def sampled_fraction(self) -> float:
-        return float(self.bits.mean())
-
 
 @dataclass(frozen=True)
 class KtMeasurement:
@@ -186,13 +182,11 @@ class KtMeasurement:
             raise ValueError("k-space carries energy at unsampled positions")
 
 
-def make_shear_mask(spec: AcquisitionSpec, t_frames: int, cols: int, phase: int = 0) -> SamplingMask:
+def make_shear_mask(spec: AcquisitionSpec, t_frames: int, cols: int) -> SamplingMask:
     """Shear-grid k-t lattice plus an always-on center block.
 
-    Frame t samples {x : (x - t*shear_step - phase) mod accel == 0} together
-    with the n_center columns starting at cols//2 - n_center//2.  phase
-    shifts the whole schedule; drawing it at random per training sample gives
-    mask-level augmentation without changing the acceleration rate.
+    Frame t samples {x : (x - t) mod accel == 0} together with the n_center
+    columns starting at cols//2 - n_center//2.
     """
     if cols < spec.n_center:
         raise ValueError(f"cols={cols} is smaller than n_center={spec.n_center}")
@@ -200,7 +194,7 @@ def make_shear_mask(spec: AcquisitionSpec, t_frames: int, cols: int, phase: int 
         raise ValueError("t_frames must be >= 1")
     t = np.arange(t_frames)[:, None]
     x = np.arange(cols)[None, :]
-    bits = ((x - t * spec.shear_step - phase) % spec.accel == 0).astype(np.uint8)
+    bits = ((x - t) % spec.accel == 0).astype(np.uint8)
     start = cols // 2 - spec.n_center // 2
     bits[:, start : start + spec.n_center] = 1
     return SamplingMask(bits)
@@ -233,8 +227,8 @@ def _soft_ellipse(yy, xx, cy, cx, ry, rx, edge=0.35):
     return u * u * (3.0 - 2.0 * u)
 
 
-def generate_phantom(seed, t_frames, rows, cols, period=None) -> ComplexVolume:
-    """Seeded dynamic ellipse phantom with one motion cycle per `period` frames.
+def generate_phantom(seed, t_frames, rows, cols) -> ComplexVolume:
+    """Seeded dynamic ellipse phantom with one motion cycle over its t_frames.
 
     A static background ellipse plus 2 to 4 inner ellipses whose centers and
     radii oscillate sinusoidally.  A smooth static spatial phase makes the
@@ -246,8 +240,6 @@ def generate_phantom(seed, t_frames, rows, cols, period=None) -> ComplexVolume:
         raise ValueError(f"rows and cols must be >= 8, got {rows}x{cols}")
     if t_frames < 1:
         raise ValueError("t_frames must be >= 1")
-    if period is None:
-        period = t_frames
     rng = np.random.default_rng(seed)
 
     bg_cy, bg_cx = rows / 2.0, cols / 2.0
@@ -279,8 +271,7 @@ def generate_phantom(seed, t_frames, rows, cols, period=None) -> ComplexVolume:
 
     data = np.empty((t_frames, rows, cols), dtype=np.complex128)
     for t in range(t_frames):
-        # t % period keeps frame t and frame t+period bit-identical
-        osc = np.sin(2.0 * np.pi * (t % period) / period + osc_phase)
+        osc = np.sin(2.0 * np.pi * t / t_frames + osc_phase)
         mag = bg_val * _soft_ellipse(yy, xx, bg_cy, bg_cx, bg_ry, bg_rx)
         for k in range(n_inner):
             cy = cy0[k] + amp_cy[k] * osc[k]

@@ -7,6 +7,7 @@ setup on import is exercised too.
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
+from ktnext.network import ParamStore, save_checkpoint
 from ktnext.sampling import (
     KtMeasurement,
     load_mask,
@@ -364,6 +366,42 @@ def test_malformed_payload_exits_4(tmp_path, corrupt):
     assert rc == 4
 
 
+def test_checkpoint_with_extra_layer_exits_2(tmp_path, capsys):
+    """A KTNP whose records describe another architecture is rejected by name."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    store = ParamStore()
+    for name, value in init_params(TINY, 0).snapshot().items():
+        store.add(name, value)
+    store.add("xfcnn.w5", np.zeros((2, 2, 3, 3)))
+    store.add("xfcnn.b5", np.zeros(2))
+    ckpt = tmp_path / "w.ktnp"
+    save_checkpoint(ckpt, store)
+    rc = run_cli("evaluate", "--input", seq_p, "--mask", mask_p, "--checkpoint", ckpt,
+                 "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unexpected ['xfcnn.b5', 'xfcnn.w5']" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
+    """KTNEXT_THREADS must be a positive integer; anything else stops the
+    run before any BLAS variable is set or any output is written."""
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("KTNEXT_THREADS", value)
+    out = tmp_path / "m.ckm"
+    rc = run_cli("mask", "--accel", 2, "--frames", 4, "--cols", 8, "--output", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: KTNEXT_THREADS must be a positive integer, got {value!r}\n"
+    )
+    assert not out.exists()
+    assert not any(var in os.environ for var in blas_vars)
+
+
 def test_invalid_accel_value_exits_2(tmp_path):
     rc = run_cli("mask", "--accel", 0, "--center", 0, "--frames", 4,
                  "--cols", 8, "--output", tmp_path / "m.ckm")
@@ -392,24 +430,47 @@ def test_diverging_training_exits_5(tmp_path):
     assert rc == 5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "render"])
-def test_overflowing_forward_exits_5(tmp_path, command):
-    """A finite checkpoint whose weights overflow the forward pass is a
-    numeric failure, not a bad flag."""
-    mask_p, seq_p, kspace_p = tiny_setup(tmp_path)
+def overflowing_checkpoint(tmp_path):
+    """A finite TINY checkpoint whose x-f weights, all 1e200, overflow the forward pass."""
     params = init_params(TINY, 0)
     params.xfcnn.set_values(
         {name: np.full_like(t.value, 1e200) for name, t in params.xfcnn.items()}
     )
     ckpt = tmp_path / "w.ktnp"
     save_params(ckpt, params)
+    return ckpt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "render"])
+def test_overflowing_forward_exits_5(tmp_path, command):
+    """A finite checkpoint whose weights overflow the forward pass is a
+    numeric failure, not a bad flag."""
+    mask_p, seq_p, kspace_p = tiny_setup(tmp_path)
+    ckpt = overflowing_checkpoint(tmp_path)
     inputs = {"reconstruct": kspace_p, "evaluate": seq_p, "render": seq_p}
     outputs = {"reconstruct": "r.ckt", "evaluate": "e.csv", "render": "figs"}
     rc = run_cli(command, "--input", inputs[command], "--mask", mask_p,
                  "--checkpoint", ckpt, "--cascades", 1, "--channels", 2,
                  "--output", tmp_path / outputs[command])
     assert rc == 5
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_forward_prints_only_the_error(tmp_path, cli_env, threads):
+    """In a fresh interpreter, where numpy's warnings would reach stderr,
+    an overflowing forward pass reports one line, from the main thread or
+    from an evaluate worker."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    ckpt = overflowing_checkpoint(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktnext.cli", "evaluate", "--input", str(seq_p),
+         "--mask", str(mask_p), "--checkpoint", str(ckpt), "--cascades", "1",
+         "--channels", "2", "--output", str(tmp_path / "e.csv")],
+        env=dict(cli_env, KTNEXT_THREADS=threads), capture_output=True, text=True,
+    )
+    assert proc.returncode == 5
+    assert re.fullmatch(r"error: numeric failure: [^\n]*\n", proc.stderr), proc.stderr
 
 
 # -------------------------------------------------------- determinism

@@ -28,8 +28,8 @@ from ktnext.sampling import (
 from ktnext.volume import ComplexVolume, Domain, fft2c
 
 
-def sampled_set_oracle(accel, n_center, shear_step, t, cols, phase=0):
-    lattice = {x for x in range(cols) if (x - t * shear_step - phase) % accel == 0}
+def sampled_set_oracle(accel, n_center, shear_step, t, cols):
+    lattice = {x for x in range(cols) if (x - t * shear_step) % accel == 0}
     start = cols // 2 - n_center // 2
     centers = set(range(start, start + n_center))
     return lattice | centers
@@ -98,14 +98,6 @@ def test_shear_mask_deterministic():
     assert np.array_equal(a.bits, b.bits)
 
 
-def test_shear_mask_phase_shifts_schedule():
-    spec = AcquisitionSpec(accel=5, n_center=0)
-    base = make_shear_mask(spec, t_frames=10, cols=20)
-    shifted = make_shear_mask(spec, t_frames=7, cols=20, phase=3)
-    for t in range(7):
-        assert np.array_equal(shifted.bits[t], base.bits[t + 3])
-
-
 def test_shear_mask_rejects_too_few_columns():
     with pytest.raises(ValueError):
         make_shear_mask(AcquisitionSpec(accel=4, n_center=4), t_frames=2, cols=3)
@@ -119,7 +111,7 @@ def test_acquisition_spec_validation():
     with pytest.raises(ValueError):
         AcquisitionSpec(accel=4, n_center=200, pe_lines=190)
     spec = AcquisitionSpec(accel=9)
-    assert spec.n_center == 4 and spec.pe_lines == 190 and spec.shear_step == 1
+    assert spec.n_center == 4 and spec.pe_lines == 190
 
 
 def test_sampling_mask_validation():
@@ -260,13 +252,6 @@ def test_phantom_is_genuinely_complex_and_moves():
     assert np.abs(v.data.imag).max() > 1e-3
     diffs = [np.abs(v.data[t] - v.data[0]).max() for t in range(1, 8)]
     assert max(diffs) > 1e-3
-
-
-def test_phantom_periodicity():
-    t_frames = 5
-    v = generate_phantom(3, t_frames=2 * t_frames, rows=16, cols=16, period=t_frames)
-    assert np.array_equal(v.data[0], v.data[t_frames])
-    assert np.array_equal(v.data[2], v.data[t_frames + 2])
 
 
 def test_phantom_rejects_small_dims():
