@@ -17,6 +17,8 @@ complex volumes are [t][y][x] (or [f][y][x] after a temporal transform).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "ifft2c",
     "ifft_t",
     "leaky_relu",
+    "no_tape",
     "parameter",
     "relu",
     "scale",
@@ -53,22 +56,32 @@ __all__ = [
 ]
 
 
+_tape = threading.local()  # .off is True inside no_tape() in this thread
+
+
+@contextmanager
+def no_tape():
+    """Record no graph in this thread: ops keep values, drop parents and vjp buffers."""
+    was, _tape.off = getattr(_tape, "off", False), True
+    try:
+        yield
+    finally:
+        _tape.off = was
+
+
 class Tensor:
     """One tape node: a value, its parents, and the vjp closing over them."""
 
     __slots__ = ("value", "parents", "vjp", "grad", "needs_grad", "name")
 
     def __init__(self, value, parents=(), vjp=None, needs_grad=False, name=""):
+        keep = not getattr(_tape, "off", False)
         self.value = value
-        self.parents = parents
-        self.vjp = vjp
+        self.parents = parents if keep else ()
+        self.vjp = vjp if keep else None
         self.grad = None
         self.name = name
-        self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
-
-    def __repr__(self):
-        tag = self.name or "tensor"
-        return f"<{tag} {self.value.shape} {self.value.dtype}>"
+        self.needs_grad = keep and (needs_grad or any(p.needs_grad for p in parents))
 
 
 def _coerce(value):
@@ -198,16 +211,19 @@ def add_const(x: Tensor, arr) -> Tensor:
     return Tensor(x.value + arr, (x,), lambda g: (g,), name="add_const")
 
 
-def concat_channels(xs) -> Tensor:
+def _concat(xs, axis, name):
     xs = list(xs)
-    sizes = [t.value.shape[1] for t in xs]
-    value = np.concatenate([t.value for t in xs], axis=1)
-    splits = np.cumsum(sizes)[:-1]
+    value = np.concatenate([t.value for t in xs], axis=axis)
+    splits = np.cumsum([t.value.shape[axis] for t in xs])[:-1]
+    return Tensor(value, tuple(xs), lambda g: tuple(np.split(g, splits, axis=axis)), name=name)
 
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=1))
 
-    return Tensor(value, tuple(xs), vjp, name="concat")
+def concat_channels(xs) -> Tensor:
+    return _concat(xs, 1, "concat")
+
+
+def stack_frames(frames) -> Tensor:
+    return _concat(frames, 0, "stack")
 
 
 def slice_frame(x: Tensor, i: int) -> Tensor:
@@ -219,18 +235,6 @@ def slice_frame(x: Tensor, i: int) -> Tensor:
         return (out,)
 
     return Tensor(value, (x,), vjp, name="slice")
-
-
-def stack_frames(frames) -> Tensor:
-    frames = list(frames)
-    sizes = [f.value.shape[0] for f in frames]
-    value = np.concatenate([f.value for f in frames], axis=0)
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=0))
-
-    return Tensor(value, tuple(frames), vjp, name="stack")
 
 
 def sum_scalar(x: Tensor) -> Tensor:

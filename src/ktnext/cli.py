@@ -25,19 +25,26 @@ _EXIT_FORMAT = 4
 _EXIT_NUMERIC = 5
 
 
-def _configure_threads(deterministic: bool) -> int:
-    """Cap BLAS threads at KTNEXT_THREADS (1 under --deterministic) and
-    return evaluate's worker count; must run before numpy first loads."""
-    raw = "1" if deterministic else os.environ.get("KTNEXT_THREADS", "").strip()
+def _configure_threads(args) -> int:
+    """Split KTNEXT_THREADS (1 under --deterministic) between evaluate's pool,
+    one worker per sequence up to that count, and the BLAS threads of each
+    worker; return the worker count.  Must run before numpy first loads."""
+    raw = "1" if args.deterministic else os.environ.get("KTNEXT_THREADS", "").strip()
     if not raw:
         return 1
     count = int(raw) if raw.isdecimal() else 0
     if count < 1:
         raise ValueError(f"KTNEXT_THREADS must be a positive integer, got {raw!r}")
+    workers = 1
+    if args.command == "evaluate":
+        try:
+            workers = min(count, len(_sequence_files(args.input)))
+        except OSError:
+            pass  # cmd_evaluate reports the missing input
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(count)
-    return count
+        os.environ[var] = str(count // workers)
+    return workers
 
 
 def _lambda_value(text: str) -> float:
@@ -424,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.workers = _configure_threads(args.deterministic)
+        args.workers = _configure_threads(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_FLAGS

@@ -229,7 +229,8 @@ def ktnext_forward(m: KtMeasurement, params: KtNextParams, config: KtNextConfig)
     first two return values.  Raises FloatingPointError when an estimate
     holds NaN or Inf, as weights that overflow the forward pass produce.
     """
-    _, _, traces = _forward_graph(m, params, config)
+    with ad.no_tape():
+        _, _, traces = _forward_graph(m, params, config)
     for n, (r, s) in enumerate(traces):
         if not (np.isfinite(r.value).all() and np.isfinite(s.value).all()):
             raise FloatingPointError(f"cascade {n} produced a non-finite estimate")

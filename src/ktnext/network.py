@@ -47,9 +47,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> ad.Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __len__(self):
         return len(self._tensors)
 

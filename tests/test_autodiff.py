@@ -5,6 +5,9 @@ of the definition; every differentiable op is checked against central finite
 differences (step 1e-6, double precision, relative tolerance 1e-4).
 """
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -232,6 +235,73 @@ def test_zero_upstream_gradient_gives_zero_params():
     loss = ad.scale(ad.sum_scalar(ad.conv2d(x, w, None, 1)), 0.0)
     ad.backward(loss)
     assert np.all(w.grad == 0)
+
+
+# ----------------------------------------------------------- no_tape scope
+
+
+def conv_of_parameters(seed=8):
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.standard_normal((1, 2, 5, 5)))
+    w = ad.parameter(rng.standard_normal((3, 2, 3, 3)))
+    b = ad.parameter(rng.standard_normal(3))
+    return x, w, b
+
+
+def test_no_tape_records_no_graph():
+    x, w, b = conv_of_parameters()
+    taped = ad.conv2d(x, w, b, 1)
+    with ad.no_tape():
+        out = ad.conv2d(x, w, b, 1)
+    assert out.parents == ()
+    assert out.vjp is None
+    assert out.needs_grad is False
+    assert np.array_equal(out.value, taped.value)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_tape_records_again_after_no_tape(raises):
+    """Once the scope exits, normally or by an exception, ops record again."""
+    x, w, b = conv_of_parameters()
+    with contextlib.suppress(RuntimeError):
+        with ad.no_tape():
+            ad.conv2d(x, w, b, 1)
+            if raises:
+                raise RuntimeError("inside the scope")
+    out = ad.conv2d(x, w, b, 1)
+    assert out.parents == (x, w, b)
+    assert out.vjp is not None
+    assert out.needs_grad is True
+    ad.backward(ad.sum_scalar(out))
+    for leaf in (x, w, b):
+        assert leaf.grad is not None
+        assert np.any(leaf.grad != 0)
+
+
+def test_no_tape_is_per_thread():
+    """A scope held open in one thread leaves another thread's tape intact."""
+    x, w, b = conv_of_parameters()
+    entered, built = threading.Event(), threading.Event()
+    inside = []
+
+    def hold_scope():
+        with ad.no_tape():
+            entered.set()
+            assert built.wait(timeout=60)
+            inside.append(ad.conv2d(x, w, b, 1))
+
+    worker = threading.Thread(target=hold_scope)
+    worker.start()
+    try:
+        assert entered.wait(timeout=60)
+        out = ad.conv2d(x, w, b, 1)
+    finally:
+        built.set()
+        worker.join(timeout=60)
+    assert out.parents == (x, w, b) and out.vjp is not None
+    assert inside[0].parents == () and inside[0].vjp is None
+    ad.backward(ad.sum_scalar(out))
+    assert all(leaf.grad is not None for leaf in (x, w, b))
 
 
 # ----------------------------------------------------------- structure ops

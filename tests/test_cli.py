@@ -5,6 +5,7 @@ additionally checked through fresh interpreters so the thread environment
 setup on import is exercised too.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from ktnext import cli
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
@@ -383,13 +385,15 @@ def test_checkpoint_with_extra_layer_exits_2(tmp_path, capsys):
     assert "unexpected ['xfcnn.b5', 'xfcnn.w5']" in err
 
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+             "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
     """KTNEXT_THREADS must be a positive integer; anything else stops the
     run before any BLAS variable is set or any output is written."""
-    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-    for var in blas_vars:
+    for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("KTNEXT_THREADS", value)
     out = tmp_path / "m.ckm"
@@ -399,7 +403,36 @@ def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
         f"error: KTNEXT_THREADS must be a positive integer, got {value!r}\n"
     )
     assert not out.exists()
-    assert not any(var in os.environ for var in blas_vars)
+    assert not any(var in os.environ for var in BLAS_VARS)
+
+
+@pytest.mark.parametrize("command, n_files, threads, workers, blas", [
+    ("evaluate", 4, "2", 2, "1"),   # the pool takes the cores, not 2x2 threads
+    ("evaluate", 3, "2", 2, "1"),
+    ("evaluate", 2, "4", 2, "2"),
+    ("evaluate", 1, "2", 1, "2"),   # one sequence: BLAS takes both threads
+    ("evaluate", None, "2", 1, "2"),  # a single .ckt file
+    ("evaluate", 0, "2", 1, "2"),   # no input: evaluate itself reports it
+    ("train", None, "2", 1, "2"),
+])
+def test_thread_count_splits_between_pool_and_blas(tmp_path, monkeypatch, command, n_files,
+                                                   threads, workers, blas):
+    """KTNEXT_THREADS=N gives evaluate one worker per sequence up to N and
+    each worker N // workers BLAS threads; other commands give BLAS all N."""
+    for var in BLAS_VARS:  # setenv first so the test restores them afterwards
+        monkeypatch.setenv(var, "unset")
+    monkeypatch.setenv("KTNEXT_THREADS", threads)
+    if n_files is None:
+        source = tmp_path / "p00.ckt"
+        source.touch()
+    else:
+        source = tmp_path / "seqs"
+        source.mkdir()
+        for i in range(n_files):
+            (source / f"p{i:02d}.ckt").touch()
+    args = argparse.Namespace(deterministic=False, command=command, input=str(source))
+    assert cli._configure_threads(args) == workers
+    assert {var: os.environ[var] for var in BLAS_VARS} == dict.fromkeys(BLAS_VARS, blas)
 
 
 def test_invalid_accel_value_exits_2(tmp_path):

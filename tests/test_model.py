@@ -362,6 +362,34 @@ def test_forward_intermediate_structure():
         assert stage.rho.domain is Domain.XF
 
 
+def test_forward_records_no_tape(monkeypatch):
+    """ktnext_forward returns _forward_graph's values bit for bit, records no
+    graph, and leaves every parameter's gradient unset."""
+    _, _, meas = make_case(13)
+    cfg = small_config(n_cascades=3)
+    params = init_params(cfg, 13)
+    _, _, traces = km._forward_graph(meas, params, cfg)
+    real, built = km._forward_graph, []
+
+    def spy(*args):
+        out = real(*args)
+        built.extend(out[2])
+        return out
+
+    monkeypatch.setattr(km, "_forward_graph", spy)
+    _, _, inter = ktnext_forward(meas, params, cfg)
+    assert len(inter) == len(traces) == 3
+    for stage, (rho, sigma) in zip(inter, traces):
+        assert np.array_equal(stage.rho.data, rho.value)
+        assert np.array_equal(stage.sigma.data, sigma.value)
+    assert len(built) == 3
+    for rho, sigma in built:
+        for node in (rho, sigma):
+            assert node.parents == () and node.vjp is None and not node.needs_grad
+    for store in params.stores():
+        assert all(t.grad is None for t in store.tensors())
+
+
 def test_forward_hidden_carry_toggle_matters():
     """N=2 equals a manual unroll that hands cascade 1's hidden states to
     cascade 2, and differs from one that starts cascade 2 afresh."""
