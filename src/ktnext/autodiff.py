@@ -2,7 +2,8 @@
 
 Nodes hold dense float64 or complex128 values.  A real scalar loss is
 differentiated by walking the tape once in reverse topological order; each
-node's vjp maps the upstream gradient to one gradient per parent.
+node's vjp maps the upstream gradient to one gradient per parent, and the
+walk frees each node once its vjp has run.
 
 Complex arrays follow the 2-channel real embedding convention: the stored
 gradient for a complex tensor z is dL/dRe(z) + 1j*dL/dIm(z).  Under that
@@ -38,6 +39,7 @@ __all__ = [
     "concat_channels",
     "constant",
     "conv2d",
+    "crnn_sweep",
     "data_consistency",
     "fft2c",
     "fft_t",
@@ -48,8 +50,6 @@ __all__ = [
     "parameter",
     "relu",
     "scale",
-    "slice_frame",
-    "stack_frames",
     "sum_scalar",
     "sumsq_diff",
     "sumsq_diff_real",
@@ -101,33 +101,81 @@ def parameter(value, name="") -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a real scalar loss into every needs_grad leaf."""
+    """Accumulate gradients of a real scalar loss into every needs_grad leaf.
+
+    This consumes the graph, as PyTorch does with retain_graph=False: once a
+    node's vjp has run, the node drops its grad, its vjp and its parents
+    (set to None), so the buffers each vjp closes over are freed during the
+    walk.  Values and leaf gradients stay.  A second backward through a
+    consumed node raises RuntimeError; rebuild the graph instead.
+    """
     if loss.value.size != 1 or np.iscomplexobj(loss.value):
         raise ValueError(f"backward needs a real scalar loss, got {loss.value.shape} {loss.value.dtype}")
+
+    def visit(node):
+        if node.parents is None:
+            raise RuntimeError("backward through a graph an earlier backward consumed; "
+                               "build it again")
+        return node, iter(node.parents)
+
     order = []
     seen = {id(loss)}
-    stack = [(loss, iter(loss.parents))]
+    stack = [visit(loss)]
     while stack:
         node, children = stack[-1]
         for child in children:
             if id(child) not in seen:
                 seen.add(id(child))
-                stack.append((child, iter(child.parents)))
+                stack.append(visit(child))
                 break
         else:
             order.append(node)
             stack.pop()
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
+    while order:
+        node = order.pop()  # reverse topological order; popping lets spent nodes go
         if node.vjp is None or node.grad is None or not node.needs_grad:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
+        grads, parents = node.vjp(node.grad), node.parents
+        node.grad = node.vjp = node.parents = None
+        for parent, g in zip(parents, grads):
             if g is None or not parent.needs_grad:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
 # ------------------------------------------------------------- real ops
+
+
+def _taps(k: int, dilation: int, row: int):
+    """Each kernel tap (i, j) with the start of its window in a padded grid
+    whose image rows lie `row` columns apart."""
+    return [(i, j, i * dilation * row + j * dilation) for i in range(k) for j in range(k)]
+
+
+def _taps_forward(wv, flat, taps, span):
+    """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window."""
+    out = np.zeros((wv.shape[0], span))
+    for i, j, off in taps:
+        out += wv[:, :, i, j] @ flat[:, off : off + span]
+    return out
+
+
+def _taps_weight_grad(gp, flat, taps, shape):
+    """Weight gradient of _taps_forward for the grid gradient gp [co][span]."""
+    gw = np.empty(shape)
+    span = gp.shape[1]
+    for i, j, off in taps:
+        gw[:, :, i, j] = gp @ flat[:, off : off + span].T
+    return gw
+
+
+def _taps_input_grad(wv, gp, taps, gflat):
+    """Accumulate the input gradient of _taps_forward into gflat, laid out as flat."""
+    span = gp.shape[1]
+    for i, j, off in taps:
+        gflat[:, off : off + span] += wv[:, :, i, j].T @ gp
+    return gflat
 
 
 def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
@@ -154,13 +202,11 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     pad = dilation * (k - 1) // 2
     hp, wp = h + 2 * pad, wid + 2 * pad
     span, body = h * n * wp, hp * n * wp
-    taps = [(i, j, i * dilation * n * wp + j * dilation) for i in range(k) for j in range(k)]
+    taps = _taps(k, dilation, n * wp)
     flat = np.zeros((ci, body + 2 * pad))
     grid = flat[:, :body].reshape(ci, hp, n, wp)
     grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
-    outp = np.zeros((co, span))
-    for i, j, off in taps:
-        outp += wv[:, :, i, j] @ flat[:, off : off + span]
+    outp = _taps_forward(wv, flat, taps, span)
     out = np.ascontiguousarray(outp.reshape(co, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
     parents = (x, w)
     if b is not None:
@@ -171,11 +217,8 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         gp = np.zeros((co, h, n, wp))
         gp[..., :wid] = g.transpose(1, 2, 0, 3)
         gp = gp.reshape(co, span)
-        gw = np.empty_like(wv)
-        gflat = np.zeros_like(flat)
-        for i, j, off in taps:
-            gw[:, :, i, j] = gp @ flat[:, off : off + span].T
-            gflat[:, off : off + span] += wv[:, :, i, j].T @ gp
+        gw = _taps_weight_grad(gp, flat, taps, wv.shape)
+        gflat = _taps_input_grad(wv, gp, taps, np.zeros_like(flat))
         gx = gflat[:, :body].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
         gx = np.ascontiguousarray(gx.transpose(2, 0, 1, 3))
         if b is None:
@@ -183,6 +226,71 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return Tensor(out, parents, vjp, name="conv2d")
+
+
+def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
+    """Both sweeps of a bidirectional convolutional recurrence, summed.
+
+    pre is the input part of each frame's pre-activation, [t][c][h][w]; w is
+    the hidden-to-hidden kernel [c][c][k][k].  Each direction runs
+    h_s = relu(pre[frame s] + conv(h_(s-1), w)), with no conv at s = 0, and
+    the output is the sum of the two directions' states per frame.
+
+    Each direction keeps its states in one buffer: conv2d's zero-padded grid
+    at n=1, one block per state in sweep order, laid out [c][s][h+2p][w+2p]
+    and flattened per channel with 2p trailing zeros.  A state's h2h input
+    is then a window of that buffer, and the vjp (backpropagation through
+    time) gets a direction's weight gradient over all its frames as one GEMM
+    per tap; windows that read across a block's edge land on zero gradient.
+    """
+    pv, wv = pre.value, w.value
+    t_n, c, h, wid = pv.shape
+    k = wv.shape[-1]
+    if wv.shape != (c, c, k, k) or dilation < 1:
+        raise ValueError(f"kernel {wv.shape} at dilation {dilation} does not fit "
+                         f"recurrent input {pv.shape}")
+    pad = dilation * (k - 1) // 2
+    hp, wp = h + 2 * pad, wid + 2 * pad
+    block, span = hp * wp, h * wp
+    taps = _taps(k, dilation, wp)
+    flats = [np.zeros((c, t_n * block + 2 * pad)) for _ in range(2)]
+    states = [f[:, : t_n * block].reshape(c, t_n, hp, wp)[..., pad : pad + h, pad : pad + wid]
+              for f in flats]
+    sweeps = (range(t_n), range(t_n - 1, -1, -1))  # the frame at each sweep position
+
+    for flat, hs, frames in zip(flats, states, sweeps):
+        for s, f in enumerate(frames):
+            x = pv[f]
+            if s:
+                conv = _taps_forward(wv, flat[:, (s - 1) * block :], taps, span)
+                x = x + conv.reshape(c, h, wp)[..., :wid]
+            # selecting 0 where x <= 0 rather than x where x > 0 lets NaN through
+            hs[:, s] = np.where(x <= 0, 0.0, x)
+    out = np.empty_like(pv)
+    np.add(states[0].transpose(1, 0, 2, 3), states[1][:, ::-1].transpose(1, 0, 2, 3), out=out)
+
+    def vjp(g):
+        gpre = np.zeros_like(pv)
+        gw = np.zeros(wv.shape)
+        for flat, hs, frames in zip(flats, states, sweeps):
+            # gradient of each h2h conv's output on its grid, at its input's block
+            ggrid = np.zeros((c, t_n * block))
+            carry = None
+            for s in reversed(range(t_n)):
+                f = frames[s]
+                gh = g[f] if carry is None else g[f] + carry
+                gx = gh * (hs[:, s] > 0)  # h > 0 exactly where its pre-activation is
+                gpre[f] += gx
+                if s:
+                    ggrid.reshape(c, t_n, hp, wp)[:, s - 1, :h, :wid] = gx
+                    gp = ggrid[:, (s - 1) * block :][:, :span]
+                    gh_prev = _taps_input_grad(wv, gp, taps, np.zeros((c, block + 2 * pad)))
+                    carry = gh_prev[:, :block].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
+            # the last state feeds no conv (and at t=1 no state does)
+            gw += _taps_weight_grad(ggrid[:, : (t_n - 1) * block], flat, taps, wv.shape)
+        return gpre, gw
+
+    return Tensor(out, (pre, w), vjp, name="crnn_sweep")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -220,21 +328,6 @@ def _concat(xs, axis, name):
 
 def concat_channels(xs) -> Tensor:
     return _concat(xs, 1, "concat")
-
-
-def stack_frames(frames) -> Tensor:
-    return _concat(frames, 0, "stack")
-
-
-def slice_frame(x: Tensor, i: int) -> Tensor:
-    value = x.value[i : i + 1].copy()
-
-    def vjp(g):
-        out = np.zeros_like(x.value)
-        out[i : i + 1] = g
-        return (out,)
-
-    return Tensor(value, (x,), vjp, name="slice")
 
 
 def sum_scalar(x: Tensor) -> Tensor:

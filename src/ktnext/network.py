@@ -151,25 +151,13 @@ def crnn_bidir_layer(seq: ad.Tensor, w_i2h: ad.Tensor, w_h2h: ad.Tensor,
     summed sequence twice: once as the layer output, once as the hidden
     state to feed the same layer at the next cascade iteration (conv over a
     zero hidden state contributes nothing, so an absent hidden_prev is
-    simply skipped).
+    simply skipped).  The input terms are one conv2d over all frames; both
+    recurrent sweeps are one tape node, `autodiff.crnn_sweep`.
     """
-    t_frames = seq.value.shape[0]
     base = ad.conv2d(seq, w_i2h, bias, dilation)
     if hidden_prev is not None:
         base = ad.add(base, ad.conv2d(hidden_prev, w_ih2ih, None, dilation))
-
-    def sweep(order):
-        states = [None] * t_frames
-        h = None
-        for t in order:
-            pre = ad.slice_frame(base, t)
-            if h is not None:
-                pre = ad.add(pre, ad.conv2d(h, w_h2h, None, dilation))
-            h = ad.relu(pre)
-            states[t] = h
-        return ad.stack_frames(states)
-
-    out = ad.add(sweep(range(t_frames)), sweep(range(t_frames - 1, -1, -1)))
+    out = ad.crnn_sweep(base, w_h2h, dilation)
     return out, out
 
 

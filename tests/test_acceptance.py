@@ -284,15 +284,11 @@ def _op_cases():
     cases.append(("concat_channels", [c1, c2],
                   lambda: ad.sumsq_diff_real(ad.concat_channels([c1, c2]), ct)))
 
-    s = ad.parameter(rng.standard_normal((3, 2, 2, 2)))
-    st = rng.standard_normal((1, 2, 2, 2))
-    cases.append(("slice_frame", [s],
-                  lambda: ad.sumsq_diff_real(ad.slice_frame(s, 1), st)))
-    f1 = ad.parameter(rng.standard_normal((1, 2, 2, 2)))
-    f2 = ad.parameter(rng.standard_normal((2, 2, 2, 2)))
-    ft = rng.standard_normal((3, 2, 2, 2))
-    cases.append(("stack_frames", [f1, f2],
-                  lambda: ad.sumsq_diff_real(ad.stack_frames([f1, f2]), ft)))
+    sp = ad.parameter(rng.standard_normal((3, 2, 4, 5)))
+    sw = ad.parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4)
+    sweep_t = rng.standard_normal((3, 2, 4, 5))
+    cases.append(("crnn_sweep", [sp, sw],
+                  lambda: ad.sumsq_diff_real(ad.crnn_sweep(sp, sw, 3), sweep_t)))
 
     u = ad.parameter(rng.standard_normal((2, 3)))
     cases.append(("sum_scalar", [u],

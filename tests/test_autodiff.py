@@ -237,6 +237,42 @@ def test_zero_upstream_gradient_gives_zero_params():
     assert np.all(w.grad == 0)
 
 
+def test_backward_consumes_the_graph():
+    """backward frees every interior node it walks, leaves the leaf gradients
+    a fresh build gives, and refuses to walk the spent graph again."""
+    rng = np.random.default_rng(9)
+    x = ad.constant(rng.standard_normal((2, 2, 5, 5)))
+    w = ad.parameter(rng.standard_normal((3, 2, 3, 3)))
+    b = ad.parameter(rng.standard_normal(3))
+    t = rng.standard_normal((2, 3, 5, 5))
+
+    def build():
+        h = ad.relu(ad.conv2d(x, w, b, 1))
+        return h, ad.sumsq_diff_real(ad.add(h, ad.scale(h, 0.5)), t)
+
+    h, loss = build()
+    interior, todo = [], [loss]
+    while todo:
+        node = todo.pop()
+        if node.vjp is not None:
+            interior.append(node)
+            todo.extend(node.parents)
+    assert len({id(node) for node in interior}) == 5  # sumsq, add, scale, relu, conv2d
+    ad.backward(loss)
+    for node in interior:
+        assert node.grad is None and node.vjp is None and node.parents is None
+    assert x.parents == () and w.parents == () and b.parents == ()
+    got = (w.grad.copy(), b.grad.copy())
+    w.grad = b.grad = None
+    ad.backward(build()[1])
+    assert np.array_equal(got[0], w.grad) and np.array_equal(got[1], b.grad)
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.backward(loss)
+    # a new loss over a consumed node cannot walk through it either
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.backward(ad.sum_scalar(h))
+
+
 # ----------------------------------------------------------- no_tape scope
 
 
@@ -307,7 +343,7 @@ def test_no_tape_is_per_thread():
 # ----------------------------------------------------------- structure ops
 
 
-def test_concat_slice_stack_gradients():
+def test_concat_scale_gradients():
     rng = np.random.default_rng(7)
     a = ad.parameter(rng.standard_normal((3, 2, 4, 4)))
     b = ad.parameter(rng.standard_normal((3, 1, 4, 4)))
@@ -315,8 +351,7 @@ def test_concat_slice_stack_gradients():
 
     def build():
         cat = ad.concat_channels([a, b])
-        frames = [ad.scale(ad.slice_frame(cat, i), float(i + 1)) for i in range(3)]
-        return ad.sumsq_diff_real(ad.stack_frames(frames), t)
+        return ad.sumsq_diff_real(ad.add(ad.scale(cat, 2.5), ad.relu(cat)), t)
 
     loss = build()
     ad.backward(loss)

@@ -167,19 +167,62 @@ def test_crnn_temporal_coupling_both_directions():
     assert np.abs(out_c.value[2] - out_a.value[2]).max() > 1e-8
 
 
+def unrolled_layer(seq, w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation):
+    """The layer built frame by frame from conv2d, add and relu nodes."""
+    base = ad.conv2d(seq, w_i2h, bias, dilation)
+    if hidden_prev is not None:
+        base = ad.add(base, ad.conv2d(hidden_prev, w_ih, None, dilation))
+    t_n = base.value.shape[0]
+    frames = [ad.constant(base.value[t : t + 1]) for t in range(t_n)]
+
+    def sweep(order):
+        states, h = [None] * t_n, None
+        for t in order:
+            pre = frames[t] if h is None else ad.add(frames[t], ad.conv2d(h, w_h2h, None, dilation))
+            h = states[t] = ad.relu(pre)
+        return np.concatenate([st.value for st in states])
+
+    return sweep(range(t_n)) + sweep(range(t_n - 1, -1, -1))
+
+
+@pytest.mark.parametrize("with_prev", [False, True])
+def test_crnn_matches_frame_by_frame_unroll_bitwise(with_prev):
+    rng = np.random.default_rng(9)
+    seq = ad.constant(rng.standard_normal((5, 2, 7, 6)))
+    params = layer_params(rng, 2, 4)
+    hidden_prev = ad.constant(rng.standard_normal((5, 4, 7, 6))) if with_prev else None
+    out, _ = crnn_bidir_layer(seq, *params, hidden_prev, dilation=3)
+    assert np.array_equal(out.value, unrolled_layer(seq, *params, hidden_prev, 3))
+
+
 def test_crnn_gradients_finite_differences():
-    rng = np.random.default_rng(5)
-    seq_v = rng.standard_normal((3, 2, 4, 4))
-    w_i2h, w_h2h, w_ih, bias = layer_params(rng, 2, 3)
-    hidden_prev = ad.constant(rng.standard_normal((3, 3, 4, 4)) * 0.3)
-    target = rng.standard_normal((3, 3, 4, 4))
+    for frames in (1, 2, 3):
+        rng = np.random.default_rng(5)
+        seq = ad.parameter(rng.standard_normal((frames, 2, 4, 4)))
+        w_i2h, w_h2h, w_ih, bias = layer_params(rng, 2, 3)
+        hidden_prev = ad.constant(rng.standard_normal((frames, 3, 4, 4)) * 0.3)
+        target = rng.standard_normal((frames, 3, 4, 4))
 
-    def build():
-        out, _ = crnn_bidir_layer(ad.constant(seq_v), w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation=3)
-        return ad.sumsq_diff_real(out, target)
+        def build():
+            out, _ = crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation=3)
+            return ad.sumsq_diff_real(out, target)
 
-    err = check_gradients(build, [w_i2h, w_h2h, w_ih, bias], np.random.default_rng(6), samples=12)
-    assert err < 1e-4
+        leaves = [seq, w_i2h, w_h2h, w_ih, bias]
+        err = check_gradients(build, leaves, np.random.default_rng(6), samples=12)
+        assert err < 1e-4, frames
+        if frames == 1:  # no frame has a neighbour, so h2h takes no part
+            assert np.all(w_h2h.grad == 0)
+
+
+def test_crnn_nan_reaches_output():
+    rng = np.random.default_rng(10)
+    seq_v = rng.standard_normal((3, 2, 5, 5))
+    params = layer_params(rng, 2, 3)
+    seq_v[1, 0, 2, 2] = np.nan
+    out, _ = crnn_bidir_layer(ad.constant(seq_v), *params, None, dilation=1)
+    assert np.isnan(out.value[1]).any()
+    # the neighbours' recurrence carries it on in both directions
+    assert np.isnan(out.value[0]).any() and np.isnan(out.value[2]).any()
 
 
 def test_crnn_shape_mismatch():
@@ -188,6 +231,9 @@ def test_crnn_shape_mismatch():
     w_i2h, w_h2h, w_ih, bias = layer_params(rng, 5, 3)  # wrong ci
     with pytest.raises(ValueError):
         crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, None, dilation=1)
+    w_i2h, _, w_ih, bias = layer_params(rng, 2, 3)
+    with pytest.raises(ValueError):  # h2h must map the hidden width to itself
+        crnn_bidir_layer(seq, w_i2h, ad.parameter(np.zeros((3, 2, 3, 3))), w_ih, bias, None, 1)
 
 
 # ------------------------------------------------------------ checkpoints
