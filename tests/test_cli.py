@@ -506,6 +506,28 @@ def test_overflowing_forward_prints_only_the_error(tmp_path, cli_env, threads):
     assert re.fullmatch(r"error: numeric failure: [^\n]*\n", proc.stderr), proc.stderr
 
 
+def test_train_and_evaluate_do_not_load_scipy(tmp_path, cli_env):
+    """The program needs numpy alone: a fresh interpreter that trains one
+    step and evaluates has not imported scipy."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    net = ["--cascades", 1, "--channels", 2]
+    train = ["train", "--input", seq_p, "--mask", mask_p, "--steps", 1, *net,
+             "--checkpoint", tmp_path / "w.ktnp", "--output", tmp_path / "h.csv"]
+    evaluate = ["evaluate", "--input", seq_p, "--mask", mask_p, *net,
+                "--checkpoint", tmp_path / "w.ktnp", "--output", tmp_path / "e.csv"]
+    script = (
+        "import sys\n"
+        "from ktnext.cli import main\n"
+        f"for argv in {[[str(a) for a in argv] for argv in (train, evaluate)]!r}:\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # -------------------------------------------------------- determinism
 
 

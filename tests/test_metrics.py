@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from ktnext.metrics import ReconMetrics, UndefinedMetricError, compute_metrics, hfen, psnr, ssim
+from ktnext.metrics import (
+    ReconMetrics,
+    UndefinedMetricError,
+    _LOG_TERMS,
+    _SSIM_TERMS,
+    _filter,
+    compute_metrics,
+    hfen,
+    psnr,
+    ssim,
+)
 from ktnext.volume import ComplexVolume, Domain
 
 
@@ -165,6 +175,42 @@ def test_hfen_undefined_for_zero_gt():
     rec = vol(np.ones((1, 8, 8)))
     with pytest.raises(UndefinedMetricError):
         hfen(rec, zero)
+
+
+# ------------------------------------------------- separable band filter
+
+@pytest.mark.parametrize("terms, oracle_kernel, mode", [
+    (_SSIM_TERMS, gaussian_window, "mirror"),
+    (_LOG_TERMS, log_kernel_oracle, "constant"),
+], ids=["ssim-mirror", "log-zero"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 5), (8, 8), (7, 33), (64, 64)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_filter_matches_scipy_correlate(terms, oracle_kernel, mode, shape):
+    """The batched band-matrix filter equals scipy's 2-D correlation frame by
+    frame; at 5x5 and below the 11-tap mirror reflects more than once."""
+    from scipy.ndimage import correlate
+
+    planes = np.random.default_rng(15).standard_normal((3, *shape))
+    got = _filter(planes, terms, mirror=mode == "mirror")
+    want = np.stack([correlate(p, oracle_kernel(), mode=mode, cval=0.0) for p in planes])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ssim_matches_windowed_oracle_non_square():
+    rec, gt = random_pair(16, shape=(3, 7, 13))
+    peak = np.abs(gt.data).max()
+    per_frame = [
+        ssim_oracle_frame(np.abs(rec.data[t]), np.abs(gt.data[t]), peak) for t in range(3)
+    ]
+    assert abs(ssim(rec, gt) - np.mean(per_frame)) < 1e-9
+
+
+def test_identical_volumes_are_exact_at_batched_shape():
+    """Identical planes go through identical arithmetic in the batched products."""
+    rec, gt = random_pair(17, shape=(8, 64, 64), noise=0.0)
+    assert ssim(rec, gt) == 1.0
+    assert hfen(rec, gt) == 0.0
 
 
 # --------------------------------------------------------------- shared
