@@ -45,14 +45,10 @@ __all__ = [
     "fft_t",
     "ifft2c",
     "ifft_t",
-    "leaky_relu",
     "no_tape",
     "parameter",
     "relu",
-    "scale",
-    "sum_scalar",
     "sumsq_diff",
-    "sumsq_diff_real",
 ]
 
 
@@ -72,15 +68,14 @@ def no_tape():
 class Tensor:
     """One tape node: a value, its parents, and the vjp closing over them."""
 
-    __slots__ = ("value", "parents", "vjp", "grad", "needs_grad", "name")
+    __slots__ = ("value", "parents", "vjp", "grad", "needs_grad")
 
-    def __init__(self, value, parents=(), vjp=None, needs_grad=False, name=""):
+    def __init__(self, value, parents=(), vjp=None, needs_grad=False):
         keep = not getattr(_tape, "off", False)
         self.value = value
         self.parents = parents if keep else ()
         self.vjp = vjp if keep else None
         self.grad = None
-        self.name = name
         self.needs_grad = keep and (needs_grad or any(p.needs_grad for p in parents))
 
 
@@ -91,13 +86,13 @@ def _coerce(value):
     return arr.astype(np.float64, copy=False)
 
 
-def constant(value, name="") -> Tensor:
-    return Tensor(_coerce(value), name=name)
+def constant(value) -> Tensor:
+    return Tensor(_coerce(value))
 
 
-def parameter(value, name="") -> Tensor:
+def parameter(value) -> Tensor:
     arr = np.array(value, dtype=np.complex128 if np.iscomplexobj(value) else np.float64)
-    return Tensor(arr, needs_grad=True, name=name)
+    return Tensor(arr, needs_grad=True)
 
 
 def backward(loss: Tensor) -> None:
@@ -225,7 +220,7 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return Tensor(out, parents, vjp, name="conv2d")
+    return Tensor(out, parents, vjp)
 
 
 def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
@@ -290,66 +285,38 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
             gw += _taps_weight_grad(ggrid[:, : (t_n - 1) * block], flat, taps, wv.shape)
         return gpre, gw
 
-    return Tensor(out, (pre, w), vjp, name="crnn_sweep")
+    return Tensor(out, (pre, w), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0
     # selecting 0 where x <= 0 rather than x where x > 0 lets NaN through
-    return Tensor(np.where(x.value <= 0, 0.0, x.value), (x,), lambda g: (g * mask,), name="relu")
-
-
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    mask = x.value > 0
-    out = np.where(mask, x.value, slope * x.value)
-    return Tensor(out, (x,), lambda g: (np.where(mask, g, slope * g),), name="leaky_relu")
+    return Tensor(np.where(x.value <= 0, 0.0, x.value), (x,), lambda g: (g * mask,))
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:
     if x.value.shape != y.value.shape:
         raise ValueError(f"add shapes differ: {x.value.shape} vs {y.value.shape}")
-    return Tensor(x.value + y.value, (x, y), lambda g: (g, g), name="add")
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    return Tensor(x.value * alpha, (x,), lambda g: (g * alpha,), name="scale")
+    return Tensor(x.value + y.value, (x, y), lambda g: (g, g))
 
 
 def add_const(x: Tensor, arr) -> Tensor:
-    return Tensor(x.value + arr, (x,), lambda g: (g,), name="add_const")
-
-
-def _concat(xs, axis, name):
-    xs = list(xs)
-    value = np.concatenate([t.value for t in xs], axis=axis)
-    splits = np.cumsum([t.value.shape[axis] for t in xs])[:-1]
-    return Tensor(value, tuple(xs), lambda g: tuple(np.split(g, splits, axis=axis)), name=name)
+    return Tensor(x.value + arr, (x,), lambda g: (g,))
 
 
 def concat_channels(xs) -> Tensor:
-    return _concat(xs, 1, "concat")
-
-
-def sum_scalar(x: Tensor) -> Tensor:
-    return Tensor(
-        np.asarray(x.value.sum()),
-        (x,),
-        lambda g: (np.ones_like(x.value) * g,),
-        name="sum",
-    )
-
-
-def sumsq_diff_real(x: Tensor, target) -> Tensor:
-    diff = x.value - target
-    value = np.asarray(np.sum(diff * diff))
-    return Tensor(value, (x,), lambda g: (2.0 * diff * g,), name="sumsq_real")
+    """Join [n][c][h][w] tensors along the channel axis."""
+    xs = tuple(xs)
+    value = np.concatenate([t.value for t in xs], axis=1)
+    splits = np.cumsum([t.value.shape[1] for t in xs])[:-1]
+    return Tensor(value, xs, lambda g: tuple(np.split(g, splits, axis=1)))
 
 
 def sumsq_diff(z: Tensor, target) -> Tensor:
-    """Sum of squared complex-magnitude differences; gradient is 2*(z-t)."""
+    """Sum of squared magnitude differences, real or complex; gradient is 2*(z-t)."""
     diff = z.value - target
     value = np.asarray(np.sum(diff.real**2 + diff.imag**2))
-    return Tensor(value, (z,), lambda g: (2.0 * diff * g,), name="sumsq")
+    return Tensor(value, (z,), lambda g: (2.0 * diff * g,))
 
 
 # ------------------------------------------------------------- complex ops
@@ -358,7 +325,7 @@ def sumsq_diff(z: Tensor, target) -> Tensor:
 def complex_to_channels_image(z: Tensor) -> Tensor:
     """[t][y][x] complex -> [t][2][y][x] real (re, im channels)."""
     value = np.stack([z.value.real, z.value.imag], axis=1)
-    return Tensor(value, (z,), lambda g: (g[:, 0] + 1j * g[:, 1],), name="c2ch_img")
+    return Tensor(value, (z,), lambda g: (g[:, 0] + 1j * g[:, 1],))
 
 
 def channels_to_complex_image(x: Tensor) -> Tensor:
@@ -367,7 +334,7 @@ def channels_to_complex_image(x: Tensor) -> Tensor:
     def vjp(g):
         return (np.stack([g.real, g.imag], axis=1),)
 
-    return Tensor(value, (x,), vjp, name="ch2c_img")
+    return Tensor(value, (x,), vjp)
 
 
 def complex_to_channels_xf(z: Tensor) -> Tensor:
@@ -379,7 +346,7 @@ def complex_to_channels_xf(z: Tensor) -> Tensor:
     def vjp(g):
         return ((g[:, 0] + 1j * g[:, 1]).transpose(1, 0, 2),)
 
-    return Tensor(value, (z,), vjp, name="c2ch_xf")
+    return Tensor(value, (z,), vjp)
 
 
 def channels_to_complex_xf(x: Tensor) -> Tensor:
@@ -389,31 +356,31 @@ def channels_to_complex_xf(x: Tensor) -> Tensor:
         gt = g.transpose(1, 0, 2)
         return (np.stack([gt.real, gt.imag], axis=1),)
 
-    return Tensor(value, (x,), vjp, name="ch2c_xf")
+    return Tensor(value, (x,), vjp)
 
 
-def _unitary_node(z, fwd, inv, name):
-    return Tensor(fwd(z.value), (z,), lambda g: (inv(g),), name=name)
+def _unitary_node(z, fwd, inv):
+    return Tensor(fwd(z.value), (z,), lambda g: (inv(g),))
 
 
 def fft2c(z: Tensor) -> Tensor:
     fwd = lambda a: _fft1c_arr(_fft1c_arr(a, 1), 2)
     inv = lambda a: _ifft1c_arr(_ifft1c_arr(a, 1), 2)
-    return _unitary_node(z, fwd, inv, "fft2c")
+    return _unitary_node(z, fwd, inv)
 
 
 def ifft2c(z: Tensor) -> Tensor:
     fwd = lambda a: _ifft1c_arr(_ifft1c_arr(a, 1), 2)
     inv = lambda a: _fft1c_arr(_fft1c_arr(a, 1), 2)
-    return _unitary_node(z, fwd, inv, "ifft2c")
+    return _unitary_node(z, fwd, inv)
 
 
 def fft_t(z: Tensor) -> Tensor:
-    return _unitary_node(z, lambda a: _fft1c_arr(a, 0), lambda a: _ifft1c_arr(a, 0), "fft_t")
+    return _unitary_node(z, lambda a: _fft1c_arr(a, 0), lambda a: _ifft1c_arr(a, 0))
 
 
 def ifft_t(z: Tensor) -> Tensor:
-    return _unitary_node(z, lambda a: _ifft1c_arr(a, 0), lambda a: _fft1c_arr(a, 0), "ifft_t")
+    return _unitary_node(z, lambda a: _ifft1c_arr(a, 0), lambda a: _fft1c_arr(a, 0))
 
 
 def data_consistency(pred_k: Tensor, m: KtMeasurement, lam: float) -> Tensor:
@@ -431,4 +398,4 @@ def data_consistency(pred_k: Tensor, m: KtMeasurement, lam: float) -> Tensor:
     bits = m.mask.bits[:, None, :].astype(np.float64)
     factor = (1.0 - bits) if math.isinf(lam) else (1.0 - bits) + bits / (1.0 + lam)
     value = dc_array(pred_k.value, m.kspace.data, m.mask.bits, lam)
-    return Tensor(value, (pred_k,), lambda g: (g * factor,), name="dc")
+    return Tensor(value, (pred_k,), lambda g: (g * factor,))

@@ -156,17 +156,19 @@ def cmd_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sampling import generate_phantom, load_mask, save_sequence, undersample
+    from .sampling import generate_phantom, load_mask, load_sequence, save_sequence, undersample
 
+    # every input is checked before the first file is written
+    mask = load_mask(args.mask) if args.mask else None
+    if mask is not None and (mask.t_frames, mask.cols) != (args.frames, args.cols):
+        raise ValueError(f"mask {mask.bits.shape} does not match "
+                         f"{args.frames} frames x {args.cols} columns")
+    gt = generate_phantom(args.seed, args.frames, args.rows, args.cols)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    gt = generate_phantom(args.seed, args.frames, args.rows, args.cols)
     written = {"sequence": str(out / "sequence.ckt")}
     save_sequence(out / "sequence.ckt", gt)
-    if args.mask:
-        from .sampling import load_sequence
-
-        mask = load_mask(args.mask)
+    if mask is not None:
         # measure the stored sequence, not the pre-quantization one, so the
         # file pair stays consistent after the float32 round trip
         meas = undersample(load_sequence(out / "sequence.ckt"), mask)
@@ -317,30 +319,30 @@ def cmd_render(args) -> int:
 
     from .sampling import load_sequence
 
+    # the reconstruction is computed before the first figure is written
+    if args.checkpoint and not args.mask:
+        raise ValueError("rendering a reconstruction needs --mask alongside --checkpoint")
     seq = load_sequence(args.input)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    _render_sequence(out, "", seq)
-    rendered_recon = False
+    sigma = None
     if args.checkpoint:
-        if not args.mask:
-            raise ValueError("rendering a reconstruction needs --mask alongside --checkpoint")
         from .model import ktnext_forward, load_params
         from .sampling import load_mask, undersample
 
         config = _model_config(args)
         params = load_params(args.checkpoint, config)
-        mask = load_mask(args.mask)
-        meas = undersample(seq, mask)
+        meas = undersample(seq, load_mask(args.mask))
         sigma, _, _ = ktnext_forward(meas, params, config)
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
+    _render_sequence(out, "", seq)
+    if sigma is not None:
         _render_sequence(out, "recon_", sigma)
         scale = float(np.abs(seq.data).max()) or 1.0
         for t in range(seq.t_frames):
             err = np.abs(sigma.data[t] - seq.data[t]) / scale
             _write_pgm(out / f"error_{t:03d}.pgm", 6.0 * err)  # x6, as error maps are usually shown
-        rendered_recon = True
     print(f"rendered {seq.t_frames} frames to {out}"
-          + (" (with reconstruction and error maps)" if rendered_recon else ""))
+          + (" (with reconstruction and error maps)" if sigma is not None else ""))
     config = asdict(_model_config(args)) if args.checkpoint else {}
     _write_manifest(
         args, "render",

@@ -175,7 +175,7 @@ def _crnn_apply(img, meas, store, config, hidden):
     new_hidden = []
     for layer in range(CRNN_LAYERS):
         prev = None if hidden is None else hidden[layer]
-        seq, carry = crnn_bidir_layer(
+        seq = crnn_bidir_layer(
             seq,
             store[f"i2h{layer}"],
             store[f"h2h{layer}"],
@@ -184,7 +184,7 @@ def _crnn_apply(img, meas, store, config, hidden):
             hidden_prev=prev,
             dilation=DILATION,
         )
-        new_hidden.append(carry)
+        new_hidden.append(seq)
     out = ad.conv2d(seq, store["out_w"], store["out_b"], DILATION)
     refined = ad.add(img, ad.channels_to_complex_image(out))
     k = ad.data_consistency(ad.fft2c(refined), meas, config.dc_lambda)
@@ -270,8 +270,11 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
     the cascade, backpropagate the joint loss of the final image and x-f
     estimates, and apply one ADAM update.  params, when given, is trained
     in place instead of a fresh init_params draw.  Deterministic for a
-    fixed seed when numpy runs single-threaded.
+    fixed seed when numpy runs single-threaded.  lr must be finite and
+    positive.
     """
+    if not 0.0 < lr < math.inf:  # also rejects nan
+        raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
     dataset = list(dataset)
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -307,11 +310,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
 
 
 def save_params(path, params: KtNextParams) -> None:
-    merged = ParamStore()
-    for prefix, store in (("xfcnn.", params.xfcnn), ("crnn.", params.crnn)):
-        for name, tensor in store.items():
-            merged.add(prefix + name, tensor.value)
-    save_checkpoint(path, merged)
+    save_checkpoint(path, params.snapshot())
 
 
 def load_params(path, config: KtNextConfig) -> KtNextParams:

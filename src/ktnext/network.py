@@ -40,15 +40,12 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         if np.iscomplexobj(value):
             raise ValueError("parameters must be real arrays")
-        tensor = ad.parameter(value, name=name)
+        tensor = ad.parameter(value)
         self._tensors[name] = tensor
         return tensor
 
     def __getitem__(self, name: str) -> ad.Tensor:
         return self._tensors[name]
-
-    def __len__(self):
-        return len(self._tensors)
 
     def names(self):
         return self._tensors.keys()
@@ -142,23 +139,22 @@ def adam_step(store: ParamStore, state: AdamState, lr: float = 1e-4,
 
 def crnn_bidir_layer(seq: ad.Tensor, w_i2h: ad.Tensor, w_h2h: ad.Tensor,
                      w_ih2ih: ad.Tensor, bias: ad.Tensor, hidden_prev=None,
-                     dilation: int = 3):
+                     dilation: int = 3) -> ad.Tensor:
     """Bidirectional convolutional recurrence over the frame axis.
 
     seq is [t][c][h][w] with frames as the batch axis.  Each direction runs
     h_t = relu(conv(x_t) + conv(h_neighbor) + conv(hidden_prev_t) + bias)
     with one shared set of weights; the two streams are summed.  Returns the
-    summed sequence twice: once as the layer output, once as the hidden
-    state to feed the same layer at the next cascade iteration (conv over a
-    zero hidden state contributes nothing, so an absent hidden_prev is
-    simply skipped).  The input terms are one conv2d over all frames; both
-    recurrent sweeps are one tape node, `autodiff.crnn_sweep`.
+    summed sequence, which is both the layer output and the hidden_prev the
+    same layer takes at the next cascade iteration (conv over a zero hidden
+    state contributes nothing, so an absent hidden_prev is simply skipped).
+    The input terms are one conv2d over all frames; both recurrent sweeps
+    are one tape node, `autodiff.crnn_sweep`.
     """
     base = ad.conv2d(seq, w_i2h, bias, dilation)
     if hidden_prev is not None:
         base = ad.add(base, ad.conv2d(hidden_prev, w_ih2ih, None, dilation))
-    out = ad.crnn_sweep(base, w_h2h, dilation)
-    return out, out
+    return ad.crnn_sweep(base, w_h2h, dilation)
 
 
 # --------------------------------------------------------------- gradient check
@@ -216,15 +212,18 @@ def check_gradients(build_loss, leaves, rng, samples: int = 8, step: float = 1e-
 # --------------------------------------------------------------- checkpoints
 
 
-def save_checkpoint(path, store: ParamStore) -> None:
-    """KTNP: magic, u32 record count, then (u16 name len, name, u8 rank,
-    rank*u32 dims, f64 LE payload) per parameter, in store order."""
-    chunks = [b"KTNP", struct.pack("<I", len(store))]
-    for name, tensor in store.items():
+def save_checkpoint(path, arrays) -> None:
+    """Write a name -> array mapping, as load_checkpoint returns, to KTNP.
+
+    KTNP: magic, u32 record count, then (u16 name len, name, u8 rank,
+    rank*u32 dims, f64 LE payload) per record, in mapping order.
+    """
+    chunks = [b"KTNP", struct.pack("<I", len(arrays))]
+    for name, value in arrays.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise DimensionOverflowError(f"parameter name too long: {name!r}")
-        value = tensor.value
+        value = np.asarray(value, dtype="<f8")
         if value.ndim > 0xFF:
             raise DimensionOverflowError(f"rank {value.ndim} exceeds format limit")
         if max(value.shape, default=0) > 0xFFFFFFFF:
@@ -233,7 +232,7 @@ def save_checkpoint(path, store: ParamStore) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<B", value.ndim))
         chunks.append(struct.pack(f"<{value.ndim}I", *value.shape))
-        chunks.append(value.astype("<f8", copy=False).tobytes())
+        chunks.append(value.tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 

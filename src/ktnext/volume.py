@@ -22,11 +22,8 @@ __all__ = [
     "ComplexVolume",
     "Domain",
     "DomainMismatchError",
-    "energy",
-    "fft1c",
     "fft2c",
     "fft_t",
-    "ifft1c",
     "ifft2c",
     "ifft_t",
 ]
@@ -102,9 +99,6 @@ class ComplexVolume:
         return self.data.shape[2]
 
 
-_AXIS_INDEX = {"t": 0, "y": 1, "x": 2}
-
-
 def _fft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
     # ifftshift moves index N//2 to the origin, so the kernel is
     # exp(-2i pi (k - N//2)(n - N//2) / N) / sqrt(N) after the final fftshift.
@@ -119,34 +113,6 @@ def _ifft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
         np.fft.ifft(np.fft.ifftshift(arr, axes=axis), axis=axis, norm="ortho"),
         axes=axis,
     )
-
-
-def fft1c(v: ComplexVolume, axis: str) -> ComplexVolume:
-    """Centered orthonormal forward DFT along one axis ('t', 'y' or 'x').
-
-    The temporal tag flips t -> f when transforming along 't' a volume that
-    is currently in a t space.  A transform along a single spatial axis
-    yields a hybrid space the four-valued tag cannot express; the tag is
-    left unchanged in that case (use fft2c for the tracked spatial pair).
-    """
-    if axis not in _AXIS_INDEX:
-        raise ValueError(f"axis must be one of 't', 'y', 'x', got {axis!r}")
-    out = _fft1c_arr(v.data, _AXIS_INDEX[axis])
-    domain = v.domain
-    if axis == "t" and domain.temporal == "t":
-        domain = _domain_from(domain.spatial, "f")
-    return ComplexVolume(out, domain)
-
-
-def ifft1c(v: ComplexVolume, axis: str) -> ComplexVolume:
-    """Inverse (= adjoint) of :func:`fft1c` along the same axis."""
-    if axis not in _AXIS_INDEX:
-        raise ValueError(f"axis must be one of 't', 'y', 'x', got {axis!r}")
-    out = _ifft1c_arr(v.data, _AXIS_INDEX[axis])
-    domain = v.domain
-    if axis == "t" and domain.temporal == "f":
-        domain = _domain_from(domain.spatial, "t")
-    return ComplexVolume(out, domain)
 
 
 def fft2c(v: ComplexVolume) -> ComplexVolume:
@@ -178,7 +144,3 @@ def ifft_t(v: ComplexVolume) -> ComplexVolume:
         raise DomainMismatchError(f"ifft_t needs an f-domain volume, got {v.domain.value}")
     return ComplexVolume(_ifft1c_arr(v.data, 0), _domain_from(v.domain.spatial, "t"))
 
-
-def energy(v: ComplexVolume) -> float:
-    """Sum of squared magnitudes over the whole volume."""
-    return float(np.vdot(v.data, v.data).real)

@@ -1,4 +1,4 @@
-"""Temporal-average baseline and data consistency.
+"""Temporal-average baseline and the data-consistency map.
 
 One de-aliasing step takes the current image estimate sigma, forms the
 temporal average of the acquired k-space (a motion-blurred but alias-reduced
@@ -7,6 +7,9 @@ The cascade in :mod:`ktnext.model` expresses that baseline and the residual
 (current estimate minus average) in x-f space, where a CNN can separate
 signal from aliasing.  Each readout row y is independent throughout: all
 operations act on (x, f) or (x, t) planes broadcast over y.
+
+:func:`dc_array` is the one data-consistency map; the tape's DC node,
+:func:`ktnext.autodiff.data_consistency`, calls it too.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import math
 import numpy as np
 
 from .sampling import KtMeasurement
-from .volume import ComplexVolume, Domain, DomainMismatchError
+from .volume import ComplexVolume, Domain
 
 __all__ = [
-    "data_consistency",
     "dc_array",
     "dc_baseline_kspace",
     "kspace_temporal_average",
@@ -62,21 +64,4 @@ def dc_baseline_kspace(avg: np.ndarray, m: KtMeasurement) -> ComplexVolume:
     frames = np.broadcast_to(avg, m.kspace.data.shape)
     out = dc_array(frames, m.kspace.data, m.mask.bits, math.inf)
     return ComplexVolume(out, Domain.KSPACE)
-
-
-def data_consistency(pred_k: ComplexVolume, m: KtMeasurement, lam: float) -> ComplexVolume:
-    """Re-impose acquired k-space on a prediction.
-
-    Sampled positions become (pred + lam*acquired) / (1 + lam); lam = inf
-    means hard replacement.  Unsampled positions pass through untouched.
-    """
-    if pred_k.domain.spatial != "k":
-        raise DomainMismatchError(f"data consistency acts in k-space, got {pred_k.domain.value}")
-    if pred_k.data.shape != m.kspace.data.shape:
-        raise ValueError(
-            f"prediction {pred_k.data.shape} does not match measurement {m.kspace.data.shape}"
-        )
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    return ComplexVolume(dc_array(pred_k.data, m.kspace.data, m.mask.bits, lam), pred_k.domain)
 

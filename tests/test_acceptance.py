@@ -38,8 +38,8 @@ from ktnext.sampling import (
     undersample,
     zero_filled,
 )
-from ktnext.volume import ComplexVolume, Domain, fft1c, fft2c, fft_t, ifft2c
-from ktnext.xf import data_consistency, dc_baseline_kspace, kspace_temporal_average
+from ktnext.volume import ComplexVolume, Domain, _fft1c_arr, fft2c, fft_t, ifft2c
+from ktnext.xf import dc_baseline_kspace, kspace_temporal_average
 
 
 def report(n: int, ok: bool, detail: str) -> bool:
@@ -113,15 +113,16 @@ def test_criterion_02_fft_oracle_suite():
     def rel_err(got, oracle):
         return float(np.abs(got - oracle).max() / np.abs(oracle).max())
 
-    # systematic sweep: every axis length 1..8 hit on every axis
-    for axis_name, axis in (("t", 0), ("y", 1), ("x", 2)):
+    # systematic sweep: every axis length 1..8 hit on every axis, through the
+    # one-axis kernel every transform calls
+    for axis in (0, 1, 2):
         for n in range(1, 9):
             shape = [int(rng.integers(1, 9)) for _ in range(3)]
             shape[axis] = n
             vol = random_volume(rng, *shape)
             volumes += 1
             oracle = _apply_oracle(vol.data, axis)
-            worst = max(worst, rel_err(fft1c(vol, axis_name).data, oracle))
+            worst = max(worst, rel_err(_fft1c_arr(vol.data, axis), oracle))
     # random volumes up to the stated count, checking the composed transforms
     while volumes < 1000:
         shape = tuple(int(v) for v in rng.integers(1, 9, size=3))
@@ -192,21 +193,21 @@ def test_criterion_04_data_consistency_properties():
     for _ in range(200):
         t, y, x = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
         meas = undersample(random_volume(rng, t, y, x), random_mask(rng, t, x))
-        pred = random_volume(rng, t, y, x, Domain.KSPACE)
+        pred = random_volume(rng, t, y, x, Domain.KSPACE).data
         bits = meas.mask.bits[:, None, :]
 
-        hard = data_consistency(pred, meas, np.inf)
-        again = data_consistency(hard, meas, np.inf)
-        worst = max(worst, float(np.abs(again.data - hard.data).max()))
-        sampled_err = np.abs((hard.data - meas.kspace.data) * bits).max()
+        hard = ad.data_consistency(ad.constant(pred), meas, np.inf).value
+        again = ad.data_consistency(ad.constant(hard), meas, np.inf).value
+        worst = max(worst, float(np.abs(again - hard).max()))
+        sampled_err = np.abs((hard - meas.kspace.data) * bits).max()
         worst = max(worst, float(sampled_err))
-        passthrough = np.abs((hard.data - pred.data) * (1 - bits)).max()
+        passthrough = np.abs((hard - pred) * (1 - bits)).max()
         worst = max(worst, float(passthrough))
 
-        mid = data_consistency(pred, meas, 1.0)
-        avg_err = np.abs((mid.data - (pred.data + meas.kspace.data) / 2) * bits).max()
+        mid = ad.data_consistency(ad.constant(pred), meas, 1.0).value
+        avg_err = np.abs((mid - (pred + meas.kspace.data) / 2) * bits).max()
         worst = max(worst, float(avg_err))
-        worst = max(worst, float(np.abs((mid.data - pred.data) * (1 - bits)).max()))
+        worst = max(worst, float(np.abs((mid - pred) * (1 - bits)).max()))
     ok = worst <= 1e-12
     assert report(4, ok, f"idempotence, sampled exactness (hard), lambda=1 "
                          f"averaging, off-support pass-through on 200 cases: "
@@ -263,38 +264,33 @@ def _op_cases():
     b = ad.parameter(rng.standard_normal(2))
     tgt = rng.standard_normal((2, 2, 4, 5))
     cases.append(("conv2d", [x, w, b],
-                  lambda: ad.sumsq_diff_real(ad.conv2d(x, w, b, 2), tgt)))
+                  lambda: ad.sumsq_diff(ad.conv2d(x, w, b, 2), tgt)))
 
     r = ad.parameter(rng.standard_normal((2, 2, 3, 3)) + 0.1)
     rt = rng.standard_normal((2, 2, 3, 3))
-    cases.append(("relu", [r], lambda: ad.sumsq_diff_real(ad.relu(r), rt)))
-    cases.append(("leaky_relu", [r], lambda: ad.sumsq_diff_real(ad.leaky_relu(r), rt)))
+    cases.append(("relu", [r], lambda: ad.sumsq_diff(ad.relu(r), rt)))
 
     a1 = ad.parameter(rng.standard_normal((2, 3, 4)))
     a2 = ad.parameter(rng.standard_normal((2, 3, 4)))
     at = rng.standard_normal((2, 3, 4))
-    cases.append(("add", [a1, a2], lambda: ad.sumsq_diff_real(ad.add(a1, a2), at)))
-    cases.append(("scale", [a1], lambda: ad.sumsq_diff_real(ad.scale(a1, -1.7), at)))
+    cases.append(("add", [a1, a2], lambda: ad.sumsq_diff(ad.add(a1, a2), at)))
     cases.append(("add_const", [a1],
-                  lambda: ad.sumsq_diff_real(ad.add_const(a1, at), 2 * at)))
+                  lambda: ad.sumsq_diff(ad.add_const(a1, at), 2 * at)))
 
     c1 = ad.parameter(rng.standard_normal((2, 2, 3, 3)))
     c2 = ad.parameter(rng.standard_normal((2, 1, 3, 3)))
     ct = rng.standard_normal((2, 3, 3, 3))
     cases.append(("concat_channels", [c1, c2],
-                  lambda: ad.sumsq_diff_real(ad.concat_channels([c1, c2]), ct)))
+                  lambda: ad.sumsq_diff(ad.concat_channels([c1, c2]), ct)))
 
     sp = ad.parameter(rng.standard_normal((3, 2, 4, 5)))
     sw = ad.parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4)
     sweep_t = rng.standard_normal((3, 2, 4, 5))
     cases.append(("crnn_sweep", [sp, sw],
-                  lambda: ad.sumsq_diff_real(ad.crnn_sweep(sp, sw, 3), sweep_t)))
+                  lambda: ad.sumsq_diff(ad.crnn_sweep(sp, sw, 3), sweep_t)))
 
     u = ad.parameter(rng.standard_normal((2, 3)))
-    cases.append(("sum_scalar", [u],
-                  lambda: ad.sumsq_diff_real(ad.sum_scalar(u), 1.3)))
-    cases.append(("sumsq_diff_real", [u],
-                  lambda: ad.sumsq_diff_real(u, np.ones((2, 3)))))
+    cases.append(("sumsq_diff(real)", [u], lambda: ad.sumsq_diff(u, np.ones((2, 3)))))
 
     z = ad.parameter(cplx(2, 3, 4))
     zt = cplx(2, 3, 4)
@@ -307,13 +303,13 @@ def _op_cases():
     zi = ad.parameter(cplx(2, 3, 4))
     chan_t = rng.standard_normal((2, 2, 3, 4))
     cases.append(("complex_to_channels_image", [zi],
-                  lambda: ad.sumsq_diff_real(ad.complex_to_channels_image(zi), chan_t)))
+                  lambda: ad.sumsq_diff(ad.complex_to_channels_image(zi), chan_t)))
     ch = ad.parameter(rng.standard_normal((2, 2, 3, 4)))
     cases.append(("channels_to_complex_image", [ch],
                   lambda: ad.sumsq_diff(ad.channels_to_complex_image(ch), zt)))
     xf_t = rng.standard_normal((3, 2, 2, 4))  # [y][2][f][x] for a [2][3][4] input
     cases.append(("complex_to_channels_xf", [zi],
-                  lambda: ad.sumsq_diff_real(ad.complex_to_channels_xf(zi), xf_t)))
+                  lambda: ad.sumsq_diff(ad.complex_to_channels_xf(zi), xf_t)))
     xh = ad.parameter(rng.standard_normal((3, 2, 2, 4)))
     xht = cplx(2, 3, 4)
     cases.append(("channels_to_complex_xf", [xh],
@@ -337,8 +333,8 @@ def _op_cases():
     crnn_t = rng.standard_normal((3, 2, 4, 4))
 
     def crnn_loss():
-        out, _ = crnn_bidir_layer(seq, wi, wh, wih, cb, hidden_prev=hid, dilation=1)
-        return ad.sumsq_diff_real(out, crnn_t)
+        out = crnn_bidir_layer(seq, wi, wh, wih, cb, hidden_prev=hid, dilation=1)
+        return ad.sumsq_diff(out, crnn_t)
 
     cases.append(("crnn_bidir_layer", [seq, wi, wh, wih, cb, hid], crnn_loss))
     return cases

@@ -137,11 +137,9 @@ def test_conv2d_shape_mismatch():
 # ----------------------------------------------------------- activations
 
 
-def test_relu_values_and_leaky():
+def test_relu_values():
     x = ad.constant(np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]]))
     assert np.array_equal(ad.relu(x).value, [[0.0, 0.0, 0.0, 0.5, 2.0]])
-    got = ad.leaky_relu(x).value
-    assert np.allclose(got, [[-0.02, -0.005, 0.0, 0.5, 2.0]])
 
 
 def test_relu_propagates_nan():
@@ -151,7 +149,6 @@ def test_relu_propagates_nan():
     got = ad.relu(x).value
     assert np.isnan(got[0])
     assert np.array_equal(got[1:], [0.0, 0.0, 0.0, np.inf])
-    assert np.isnan(ad.leaky_relu(x).value[0])
 
 
 def test_relu_gradient_indicator():
@@ -159,14 +156,15 @@ def test_relu_gradient_indicator():
     xv = rng.standard_normal((2, 2, 4, 4))
     xv[np.abs(xv) < 1e-2] = 0.1  # keep away from the kink
     x = ad.parameter(xv.copy())
+    t = rng.standard_normal(xv.shape)
 
     def build():
-        return ad.sum_scalar(ad.relu(x))
+        return ad.sumsq_diff(ad.relu(x), t)
 
     loss = build()
     ad.backward(loss)
     assert_close_rel(x.grad, numeric_grad(build, x))
-    assert np.array_equal(x.grad, (xv > 0).astype(float))
+    assert np.array_equal(x.grad, 2.0 * (np.maximum(xv, 0.0) - t) * (xv > 0))
 
 
 # ----------------------------------------------------------- conv backward
@@ -182,7 +180,7 @@ def test_conv_chain_finite_differences():
     def build():
         h = ad.conv2d(x, w, b, dilation=3)
         h = ad.relu(h)
-        return ad.sumsq_diff_real(h, t)
+        return ad.sumsq_diff(h, t)
 
     loss = build()
     ad.backward(loss)
@@ -221,7 +219,7 @@ def test_shared_weight_reuse_accumulates():
     def build():
         h = ad.conv2d(x, w, None, dilation=1)
         h = ad.conv2d(h, w, None, dilation=1)  # same weights twice
-        return ad.sum_scalar(h)
+        return ad.sumsq_diff(h, 0.0)
 
     loss = build()
     ad.backward(loss)
@@ -232,8 +230,8 @@ def test_zero_upstream_gradient_gives_zero_params():
     rng = np.random.default_rng(6)
     x = ad.constant(rng.standard_normal((1, 1, 4, 4)))
     w = ad.parameter(rng.standard_normal((1, 1, 3, 3)))
-    loss = ad.scale(ad.sum_scalar(ad.conv2d(x, w, None, 1)), 0.0)
-    ad.backward(loss)
+    out = ad.conv2d(x, w, None, 1)
+    ad.backward(ad.sumsq_diff(out, out.value))  # zero at its minimum, so g = 0 upstream
     assert np.all(w.grad == 0)
 
 
@@ -248,7 +246,7 @@ def test_backward_consumes_the_graph():
 
     def build():
         h = ad.relu(ad.conv2d(x, w, b, 1))
-        return h, ad.sumsq_diff_real(ad.add(h, ad.scale(h, 0.5)), t)
+        return h, ad.sumsq_diff(ad.add(h, ad.add_const(h, 0.5)), t)
 
     h, loss = build()
     interior, todo = [], [loss]
@@ -257,7 +255,7 @@ def test_backward_consumes_the_graph():
         if node.vjp is not None:
             interior.append(node)
             todo.extend(node.parents)
-    assert len({id(node) for node in interior}) == 5  # sumsq, add, scale, relu, conv2d
+    assert len({id(node) for node in interior}) == 5  # sumsq, add, add_const, relu, conv2d
     ad.backward(loss)
     for node in interior:
         assert node.grad is None and node.vjp is None and node.parents is None
@@ -270,7 +268,7 @@ def test_backward_consumes_the_graph():
         ad.backward(loss)
     # a new loss over a consumed node cannot walk through it either
     with pytest.raises(RuntimeError, match="consumed"):
-        ad.backward(ad.sum_scalar(h))
+        ad.backward(ad.sumsq_diff(h, 0.0))
 
 
 # ----------------------------------------------------------- no_tape scope
@@ -308,7 +306,7 @@ def test_tape_records_again_after_no_tape(raises):
     assert out.parents == (x, w, b)
     assert out.vjp is not None
     assert out.needs_grad is True
-    ad.backward(ad.sum_scalar(out))
+    ad.backward(ad.sumsq_diff(out, 0.0))
     for leaf in (x, w, b):
         assert leaf.grad is not None
         assert np.any(leaf.grad != 0)
@@ -336,14 +334,14 @@ def test_no_tape_is_per_thread():
         worker.join(timeout=60)
     assert out.parents == (x, w, b) and out.vjp is not None
     assert inside[0].parents == () and inside[0].vjp is None
-    ad.backward(ad.sum_scalar(out))
+    ad.backward(ad.sumsq_diff(out, 0.0))
     assert all(leaf.grad is not None for leaf in (x, w, b))
 
 
 # ----------------------------------------------------------- structure ops
 
 
-def test_concat_scale_gradients():
+def test_concat_gradients():
     rng = np.random.default_rng(7)
     a = ad.parameter(rng.standard_normal((3, 2, 4, 4)))
     b = ad.parameter(rng.standard_normal((3, 1, 4, 4)))
@@ -351,7 +349,7 @@ def test_concat_scale_gradients():
 
     def build():
         cat = ad.concat_channels([a, b])
-        return ad.sumsq_diff_real(ad.add(ad.scale(cat, 2.5), ad.relu(cat)), t)
+        return ad.sumsq_diff(ad.add(cat, ad.relu(cat)), t)
 
     loss = build()
     ad.backward(loss)
@@ -359,11 +357,10 @@ def test_concat_scale_gradients():
         assert_close_rel(leaf.grad, numeric_grad(build, leaf))
 
 
-def test_add_and_scale_values():
+def test_add_values():
     a = ad.constant(np.full((2, 2), 3.0))
     b = ad.constant(np.full((2, 2), -1.0))
     assert np.all(ad.add(a, b).value == 2.0)
-    assert np.all(ad.scale(a, 0.5).value == 1.5)
 
 
 # ----------------------------------------------------------- complex plumbing
@@ -496,7 +493,7 @@ def test_loss_values():
     t = np.array([[[0.0 + 0.0j]]])
     assert abs(ad.sumsq_diff(z, t).value.item() - 2.0) < 1e-15
     r = ad.constant(np.array([2.0, -1.0]))
-    assert abs(ad.sumsq_diff_real(r, np.zeros(2)).value.item() - 5.0) < 1e-15
+    assert abs(ad.sumsq_diff(r, np.zeros(2)).value.item() - 5.0) < 1e-15
 
 
 def test_backward_requires_scalar():

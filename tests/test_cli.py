@@ -20,7 +20,7 @@ from ktnext import cli
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
-from ktnext.network import ParamStore, save_checkpoint
+from ktnext.network import save_checkpoint
 from ktnext.sampling import (
     KtMeasurement,
     load_mask,
@@ -68,6 +68,10 @@ def tiny_train(tmp_path, mask_p, seq_p, steps=2):
 
 
 TINY = KtNextConfig(n_cascades=1, channels=2)
+
+
+def written_files(directory):
+    return sorted(p.name for p in directory.rglob("*") if p.is_file())
 
 
 # ----------------------------------------------------------------- mask
@@ -144,6 +148,20 @@ def test_simulate_kspace_respects_mask(tmp_path):
     np.testing.assert_array_equal(kspace.data, stored)
 
 
+@pytest.mark.parametrize("mask, code", [("four_frames", 2), ("missing", 3)])
+def test_simulate_with_bad_mask_writes_nothing(tmp_path, mask, code):
+    """The mask is checked before the phantom is saved."""
+    mask_p = tmp_path / "m.ckm"
+    if mask == "four_frames":
+        assert run_cli("mask", "--accel", 2, "--frames", 4, "--cols", 8,
+                       "--output", mask_p) == 0
+    out = tmp_path / "sim"
+    rc = run_cli("simulate", "--frames", 8, "--rows", 8, "--cols", 8,
+                 "--mask", mask_p, "--output", out)
+    assert rc == code
+    assert written_files(out) == []
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -170,6 +188,17 @@ def test_train_accepts_directory_input(tmp_path):
                  "--checkpoint", ckpt, "--output", tmp_path / "h.csv")
     assert rc == 0
     assert ckpt.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+def test_train_rejects_learning_rate_not_finite_and_positive(tmp_path, lr):
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    out = tmp_path / "run"
+    rc = run_cli("train", "--input", seq_p, "--mask", mask_p, "--steps", 1,
+                 "--cascades", 1, "--channels", 2, "--lr", lr,
+                 "--checkpoint", out / "w.ktnp", "--output", out / "h.csv")
+    assert rc == 2
+    assert written_files(out) == []
 
 
 # ---------------------------------------------------------- reconstruct
@@ -303,9 +332,11 @@ def test_render_with_checkpoint_adds_recon_and_error_maps(tmp_path):
 def test_render_checkpoint_without_mask_is_a_usage_error(tmp_path):
     mask_p, seq_p, _ = tiny_setup(tmp_path)
     ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    out = tmp_path / "figs"
     rc = run_cli("render", "--input", seq_p, "--checkpoint", ckpt,
-                 "--cascades", 1, "--channels", 2, "--output", tmp_path / "figs")
+                 "--cascades", 1, "--channels", 2, "--output", out)
     assert rc == 2
+    assert written_files(out) == []
 
 
 # ----------------------------------------------------------- exit codes
@@ -371,13 +402,11 @@ def test_malformed_payload_exits_4(tmp_path, corrupt):
 def test_checkpoint_with_extra_layer_exits_2(tmp_path, capsys):
     """A KTNP whose records describe another architecture is rejected by name."""
     mask_p, seq_p, _ = tiny_setup(tmp_path)
-    store = ParamStore()
-    for name, value in init_params(TINY, 0).snapshot().items():
-        store.add(name, value)
-    store.add("xfcnn.w5", np.zeros((2, 2, 3, 3)))
-    store.add("xfcnn.b5", np.zeros(2))
+    records = init_params(TINY, 0).snapshot()
+    records["xfcnn.w5"] = np.zeros((2, 2, 3, 3))
+    records["xfcnn.b5"] = np.zeros(2)
     ckpt = tmp_path / "w.ktnp"
-    save_checkpoint(ckpt, store)
+    save_checkpoint(ckpt, records)
     rc = run_cli("evaluate", "--input", seq_p, "--mask", mask_p, "--checkpoint", ckpt,
                  "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv")
     assert rc == 2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ktnext.network import ParamStore, load_checkpoint, save_checkpoint
+from ktnext.network import load_checkpoint, save_checkpoint
 from ktnext.sampling import (
     AcquisitionSpec,
     FileFormatError,
@@ -38,11 +38,9 @@ def valid_files(tmp_path_factory):
     save_sequence(root / "s.ckt", ComplexVolume(
         rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4)), Domain.IMAGE))
     save_mask(root / "m.ckm", make_shear_mask(AcquisitionSpec(accel=6, n_center=0), 4, 6))
-    store = ParamStore()
-    store.add("w0", rng.standard_normal((2, 1, 3, 3)))
-    store.add("b0", rng.standard_normal(2))
-    store.add("gain", rng.standard_normal(()))
-    save_checkpoint(root / "p.ktnp", store)
+    save_checkpoint(root / "p.ktnp", {"w0": rng.standard_normal((2, 1, 3, 3)),
+                                      "b0": rng.standard_normal(2),
+                                      "gain": rng.standard_normal(())})
     return {"CKT1": (root / "s.ckt").read_bytes(), "CKM1": (root / "m.ckm").read_bytes(),
             "KTNP": (root / "p.ktnp").read_bytes()}
 

@@ -18,7 +18,7 @@ from ktnext.model import (
     parameter_count,
     save_params,
 )
-from ktnext.network import ParamStore, save_checkpoint
+from ktnext.network import save_checkpoint
 from ktnext.sampling import (
     AcquisitionSpec,
     generate_phantom,
@@ -27,7 +27,7 @@ from ktnext.sampling import (
     zero_filled,
 )
 from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c, ifft_t
-from ktnext.xf import data_consistency, dc_baseline_kspace, kspace_temporal_average
+from ktnext.xf import dc_baseline_kspace, kspace_temporal_average
 
 
 def small_config(**kw):
@@ -250,7 +250,9 @@ def test_crnn_zero_weights_is_dc_of_input():
         Domain.IMAGE,
     )
     out, hidden = crnn_pass(img.data, meas, params, cfg)
-    want = ifft2c(data_consistency(fft2c(img), meas, np.inf))
+    # hard DC: acquired samples replace the prediction's, the rest pass through
+    k = np.where(meas.mask.bits[:, None, :] == 1, meas.kspace.data, fft2c(img).data)
+    want = ifft2c(ComplexVolume(k, Domain.KSPACE))
     assert np.max(np.abs(out - want.data)) < 1e-12
     assert len(hidden) == 4  # one carry per recurrent layer
 
@@ -553,12 +555,10 @@ _OLD_RECORDS = [
 
 def test_load_params_reads_old_checkpoint(tmp_path):
     rng = np.random.default_rng(42)
-    store = ParamStore()
-    for name, shape in _OLD_RECORDS:
-        store.add(name, rng.standard_normal(shape))
+    records = {name: rng.standard_normal(shape) for name, shape in _OLD_RECORDS}
     path = tmp_path / "old.ktnp"
-    save_checkpoint(path, store)
+    save_checkpoint(path, records)
     loaded = load_params(path, KtNextConfig(n_cascades=2, channels=8)).snapshot()
     assert list(loaded) == [name for name, _ in _OLD_RECORDS]
-    for name, tensor in store.items():
-        assert np.array_equal(loaded[name], tensor.value)
+    for name, value in records.items():
+        assert np.array_equal(loaded[name], value)

@@ -124,18 +124,18 @@ def test_crnn_zero_weights_zero_output():
     rng = np.random.default_rng(1)
     seq = ad.constant(rng.standard_normal((4, 2, 5, 5)))
     zeros = lambda *shape: ad.parameter(np.zeros(shape))
-    out, hidden = crnn_bidir_layer(
+    out = crnn_bidir_layer(
         seq, zeros(3, 2, 3, 3), zeros(3, 3, 3, 3), zeros(3, 3, 3, 3), zeros(3), None, dilation=1
     )
+    assert isinstance(out, ad.Tensor)
     assert np.all(out.value == 0)
-    assert np.all(hidden.value == 0)
 
 
 def test_crnn_single_frame_degenerate():
     rng = np.random.default_rng(2)
     seq = ad.constant(rng.standard_normal((1, 2, 6, 6)))
     w_i2h, w_h2h, w_ih, bias = layer_params(rng, 2, 4)
-    out, _ = crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, None, dilation=1)
+    out = crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, None, dilation=1)
     ref = ad.relu(ad.conv2d(seq, w_i2h, bias, 1))
     assert np.abs(out.value - 2.0 * ref.value).max() < 1e-12
 
@@ -144,9 +144,9 @@ def test_crnn_uses_prev_iteration_hidden():
     rng = np.random.default_rng(3)
     seq = ad.constant(rng.standard_normal((3, 2, 4, 4)))
     params = layer_params(rng, 2, 4)
-    out0, _ = crnn_bidir_layer(seq, *params, None, dilation=1)
+    out0 = crnn_bidir_layer(seq, *params, None, dilation=1)
     hidden_prev = ad.constant(rng.standard_normal((3, 4, 4, 4)))
-    out1, _ = crnn_bidir_layer(seq, *params, hidden_prev, dilation=1)
+    out1 = crnn_bidir_layer(seq, *params, hidden_prev, dilation=1)
     assert np.abs(out0.value - out1.value).max() > 1e-6
 
 
@@ -156,14 +156,14 @@ def test_crnn_temporal_coupling_both_directions():
     rng = np.random.default_rng(4)
     base = rng.standard_normal((3, 1, 4, 4))
     params = layer_params(rng, 1, 3)
-    out_a, _ = crnn_bidir_layer(ad.constant(base), *params, None, dilation=1)
+    out_a = crnn_bidir_layer(ad.constant(base), *params, None, dilation=1)
     bumped = base.copy()
     bumped[2] += 1.0
-    out_b, _ = crnn_bidir_layer(ad.constant(bumped), *params, None, dilation=1)
+    out_b = crnn_bidir_layer(ad.constant(bumped), *params, None, dilation=1)
     assert np.abs(out_b.value[0] - out_a.value[0]).max() > 1e-8
     bumped0 = base.copy()
     bumped0[0] += 1.0
-    out_c, _ = crnn_bidir_layer(ad.constant(bumped0), *params, None, dilation=1)
+    out_c = crnn_bidir_layer(ad.constant(bumped0), *params, None, dilation=1)
     assert np.abs(out_c.value[2] - out_a.value[2]).max() > 1e-8
 
 
@@ -191,7 +191,7 @@ def test_crnn_matches_frame_by_frame_unroll_bitwise(with_prev):
     seq = ad.constant(rng.standard_normal((5, 2, 7, 6)))
     params = layer_params(rng, 2, 4)
     hidden_prev = ad.constant(rng.standard_normal((5, 4, 7, 6))) if with_prev else None
-    out, _ = crnn_bidir_layer(seq, *params, hidden_prev, dilation=3)
+    out = crnn_bidir_layer(seq, *params, hidden_prev, dilation=3)
     assert np.array_equal(out.value, unrolled_layer(seq, *params, hidden_prev, 3))
 
 
@@ -204,8 +204,8 @@ def test_crnn_gradients_finite_differences():
         target = rng.standard_normal((frames, 3, 4, 4))
 
         def build():
-            out, _ = crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation=3)
-            return ad.sumsq_diff_real(out, target)
+            out = crnn_bidir_layer(seq, w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation=3)
+            return ad.sumsq_diff(out, target)
 
         leaves = [seq, w_i2h, w_h2h, w_ih, bias]
         err = check_gradients(build, leaves, np.random.default_rng(6), samples=12)
@@ -219,7 +219,7 @@ def test_crnn_nan_reaches_output():
     seq_v = rng.standard_normal((3, 2, 5, 5))
     params = layer_params(rng, 2, 3)
     seq_v[1, 0, 2, 2] = np.nan
-    out, _ = crnn_bidir_layer(ad.constant(seq_v), *params, None, dilation=1)
+    out = crnn_bidir_layer(ad.constant(seq_v), *params, None, dilation=1)
     assert np.isnan(out.value[1]).any()
     # the neighbours' recurrence carries it on in both directions
     assert np.isnan(out.value[0]).any() and np.isnan(out.value[2]).any()
@@ -241,33 +241,42 @@ def test_crnn_shape_mismatch():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
-    store = ParamStore()
-    store.add("layer0.w", rng.standard_normal((4, 2, 3, 3)))
-    store.add("layer0.b", rng.standard_normal(4))
-    store.add("scalar", rng.standard_normal(()))
+    arrays = {
+        "layer0.w": rng.standard_normal((4, 2, 3, 3)),
+        "layer0.b": rng.standard_normal(4),
+        "scalar": rng.standard_normal(()),
+    }
     path = tmp_path / "params.ktnp"
-    save_checkpoint(path, store)
+    save_checkpoint(path, arrays)
     loaded = load_checkpoint(path)
     assert list(loaded) == ["layer0.w", "layer0.b", "scalar"]
     for name, arr in loaded.items():
         assert arr.dtype == np.float64
-        assert np.array_equal(arr, store[name].value)
+        assert np.array_equal(arr, arrays[name])
 
-    store2 = ParamStore()
-    store2.add("layer0.w", np.zeros((4, 2, 3, 3)))
-    store2.add("layer0.b", np.zeros(4))
-    store2.add("scalar", np.zeros(()))
-    store2.set_values(loaded)
+    # what load_checkpoint returns, save_checkpoint writes back byte for byte
     p2 = tmp_path / "params2.ktnp"
-    save_checkpoint(p2, store2)
+    save_checkpoint(p2, loaded)
     assert path.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_bad_magic_and_truncation(tmp_path):
-    store = ParamStore()
-    store.add("w", np.ones((2, 2)))
+def test_checkpoint_bytes_match_documented_layout(tmp_path):
+    """KTNP: magic, u32 record count, then per record u16 name length, the
+    UTF-8 name, u8 rank, rank u32 dims and the float64 payload, all
+    little-endian, in mapping order."""
     path = tmp_path / "p.ktnp"
-    save_checkpoint(path, store)
+    save_checkpoint(path, {"w": np.array([[1.0, -2.0, 0.5]]), "é": np.array(3.0)})
+    want = (b"KTNP" + struct.pack("<I", 2)
+            + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 1, 3)
+            + struct.pack("<3d", 1.0, -2.0, 0.5)
+            + struct.pack("<H", 2) + "é".encode("utf-8") + struct.pack("<B", 0)
+            + struct.pack("<d", 3.0))
+    assert path.read_bytes() == want
+
+
+def test_checkpoint_bad_magic_and_truncation(tmp_path):
+    path = tmp_path / "p.ktnp"
+    save_checkpoint(path, {"w": np.ones((2, 2))})
     raw = path.read_bytes()
 
     bad = tmp_path / "bad.ktnp"
