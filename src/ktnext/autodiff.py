@@ -7,23 +7,21 @@ walk frees each node once its vjp has run.
 
 Complex arrays follow the 2-channel real embedding convention: the stored
 gradient for a complex tensor z is dL/dRe(z) + 1j*dL/dIm(z).  Under that
-convention the vjp of any complex-linear unitary map (the centered FFTs) is
-its inverse, and real diagonal maps (masking, hard/soft data consistency)
-multiply the gradient by the same real factors.
+convention the vjp of any complex-linear unitary map (the centered FFTs
+along t or x) is its inverse, and real diagonal maps (masking, hard/soft
+data consistency) multiply the gradient by the same real factors.
 
 Shapes follow two fixed layouts: real activation tensors are [n][c][h][w];
-complex volumes are [t][y][x] (or [f][y][x] after a temporal transform).
+complex volumes are [t][y][x] ([f][y][x] after fft_t, [t][y][k_x] after fft_x).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from .sampling import KtMeasurement
 from .volume import _fft1c_arr, _ifft1c_arr
 from .xf import dc_array
 
@@ -41,10 +39,10 @@ __all__ = [
     "conv2d",
     "crnn_sweep",
     "data_consistency",
-    "fft2c",
     "fft_t",
-    "ifft2c",
+    "fft_x",
     "ifft_t",
+    "ifft_x",
     "no_tape",
     "parameter",
     "relu",
@@ -363,18 +361,6 @@ def _unitary_node(z, fwd, inv):
     return Tensor(fwd(z.value), (z,), lambda g: (inv(g),))
 
 
-def fft2c(z: Tensor) -> Tensor:
-    fwd = lambda a: _fft1c_arr(_fft1c_arr(a, 1), 2)
-    inv = lambda a: _ifft1c_arr(_ifft1c_arr(a, 1), 2)
-    return _unitary_node(z, fwd, inv)
-
-
-def ifft2c(z: Tensor) -> Tensor:
-    fwd = lambda a: _ifft1c_arr(_ifft1c_arr(a, 1), 2)
-    inv = lambda a: _fft1c_arr(_fft1c_arr(a, 1), 2)
-    return _unitary_node(z, fwd, inv)
-
-
 def fft_t(z: Tensor) -> Tensor:
     return _unitary_node(z, lambda a: _fft1c_arr(a, 0), lambda a: _ifft1c_arr(a, 0))
 
@@ -383,19 +369,22 @@ def ifft_t(z: Tensor) -> Tensor:
     return _unitary_node(z, lambda a: _ifft1c_arr(a, 0), lambda a: _fft1c_arr(a, 0))
 
 
-def data_consistency(pred_k: Tensor, m: KtMeasurement, lam: float) -> Tensor:
-    """Differentiable DC layer on a [t][y][x] k-space tensor.
+def fft_x(z: Tensor) -> Tensor:
+    return _unitary_node(z, lambda a: _fft1c_arr(a, 2), lambda a: _ifft1c_arr(a, 2))
 
-    The map is affine in the prediction with a real diagonal linear part:
-    factor (1 - bits) at lam = inf, (1 - bits) + bits/(1 + lam) otherwise.
+
+def ifft_x(z: Tensor) -> Tensor:
+    return _unitary_node(z, lambda a: _ifft1c_arr(a, 2), lambda a: _fft1c_arr(a, 2))
+
+
+def data_consistency(pred: Tensor, kdata, bits, lam: float) -> Tensor:
+    """Differentiable DC layer: :func:`ktnext.xf.dc_array` on a [t][y][x] tensor,
+    with kdata on its grid and bits the [t][x] mask.  The map is affine in
+    pred with a real diagonal linear part, dc_array(., 0), which is its vjp.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if pred_k.value.shape != m.kspace.data.shape:
-        raise ValueError(
-            f"prediction {pred_k.value.shape} does not match measurement {m.kspace.data.shape}"
-        )
-    bits = m.mask.bits[:, None, :].astype(np.float64)
-    factor = (1.0 - bits) if math.isinf(lam) else (1.0 - bits) + bits / (1.0 + lam)
-    value = dc_array(pred_k.value, m.kspace.data, m.mask.bits, lam)
-    return Tensor(value, (pred_k,), lambda g: (g * factor,))
+    if pred.value.shape != kdata.shape:
+        raise ValueError(f"prediction {pred.value.shape} does not match measurement {kdata.shape}")
+    return Tensor(dc_array(pred.value, kdata, bits, lam), (pred,),
+                  lambda g: (dc_array(g, 0.0, bits, lam),))

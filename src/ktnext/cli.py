@@ -320,8 +320,8 @@ def cmd_render(args) -> int:
     from .sampling import load_sequence
 
     # the reconstruction is computed before the first figure is written
-    if args.checkpoint and not args.mask:
-        raise ValueError("rendering a reconstruction needs --mask alongside --checkpoint")
+    if bool(args.checkpoint) != bool(args.mask):
+        raise ValueError("rendering a reconstruction needs --mask and --checkpoint together")
     seq = load_sequence(args.input)
     sigma = None
     if args.checkpoint:

@@ -27,7 +27,7 @@ from .network import (
 )
 from .sampling import KtMeasurement, undersample, zero_filled
 from .volume import ComplexVolume, Domain, fft_t, ifft2c
-from .xf import dc_baseline_kspace, kspace_temporal_average
+from .xf import dc_baseline_kspace, hybrid_kspace, kspace_temporal_average
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -152,10 +152,10 @@ def _check_params(params: KtNextParams, config: KtNextConfig) -> None:
 # ------------------------------------------------------------------ forward
 
 
-def _xf_residual(sigma, avg):
-    """The current estimate minus the temporal average of the acquired
-    k-space, expressed in x-f space: F_t F_2^-1 (F_2 sigma - avg)."""
-    return ad.fft_t(ad.ifft2c(ad.add_const(ad.fft2c(sigma), -avg[None, :, :])))
+def _xf_residual(sigma, avg_img):
+    """The current estimate minus the temporal average of the acquired k-space, in
+    x-f space: F_t F_2^-1 (F_2 sigma - avg) = F_t (sigma - avg_img), avg_img = F_2^-1 avg."""
+    return ad.fft_t(ad.add_const(sigma, -avg_img))
 
 
 def _xfcnn_apply(residual, baseline, store):
@@ -170,7 +170,7 @@ def _xfcnn_apply(residual, baseline, store):
     return ad.add(baseline, ad.channels_to_complex_xf(x))
 
 
-def _crnn_apply(img, meas, store, config, hidden):
+def _crnn_apply(img, k_hybrid, bits, store, config, hidden):
     seq = ad.complex_to_channels_image(img)
     new_hidden = []
     for layer in range(CRNN_LAYERS):
@@ -187,28 +187,30 @@ def _crnn_apply(img, meas, store, config, hidden):
         new_hidden.append(seq)
     out = ad.conv2d(seq, store["out_w"], store["out_b"], DILATION)
     refined = ad.add(img, ad.channels_to_complex_image(out))
-    k = ad.data_consistency(ad.fft2c(refined), meas, config.dc_lambda)
-    return ad.ifft2c(k), new_hidden
+    k = ad.data_consistency(ad.fft_x(refined), k_hybrid, bits, config.dc_lambda)
+    return ad.ifft_x(k), new_hidden
 
 
 def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConfig):
     """Build the full differentiable cascade; returns tape tensors.
 
-    The x-f baseline is the data-consistent temporal average of the
-    acquired k-space, which does not depend on the evolving estimate, so it
-    is computed once and reused as a constant by every cascade.
+    The x-f baseline (the data-consistent temporal average of the acquired
+    k-space), the average's image and the acquired samples in (y, k_x) space
+    do not depend on the evolving estimate: each is computed once per sequence.
     """
     _check_params(params, config)
     avg = kspace_temporal_average(meas)
+    avg_img = ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data
+    k_hybrid = hybrid_kspace(meas)
     baseline_xf = fft_t(ifft2c(dc_baseline_kspace(avg, meas)))
     base = ad.constant(baseline_xf.data)
     sigma = ad.constant(zero_filled(meas).data)
     hidden = None
-    rho = None
     traces = []
     for _ in range(config.n_cascades):
-        rho = _xfcnn_apply(_xf_residual(sigma, avg), base, params.xfcnn)
-        sigma, hidden = _crnn_apply(ad.ifft_t(rho), meas, params.crnn, config, hidden)
+        rho = _xfcnn_apply(_xf_residual(sigma, avg_img), base, params.xfcnn)
+        sigma, hidden = _crnn_apply(ad.ifft_t(rho), k_hybrid, meas.mask.bits, params.crnn,
+                                    config, hidden)
         traces.append((rho, sigma))
     return sigma, rho, traces
 

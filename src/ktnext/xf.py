@@ -5,11 +5,13 @@ temporal average of the acquired k-space (a motion-blurred but alias-reduced
 baseline) and re-imposes each frame's own acquired data on that baseline.
 The cascade in :mod:`ktnext.model` expresses that baseline and the residual
 (current estimate minus average) in x-f space, where a CNN can separate
-signal from aliasing.  Each readout row y is independent throughout: all
-operations act on (x, f) or (x, t) planes broadcast over y.
+signal from aliasing; by linearity the residual is F_t (sigma - F_2^-1 avg).
+Each readout row y is independent throughout: all operations act on (x, f)
+or (x, t) planes broadcast over y.
 
 :func:`dc_array` is the one data-consistency map; the tape's DC node,
-:func:`ktnext.autodiff.data_consistency`, calls it too.
+:func:`ktnext.autodiff.data_consistency`, calls it too.  The mask is constant
+over y, so the cascade applies it with y in image space (:func:`hybrid_kspace`).
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import math
 import numpy as np
 
 from .sampling import KtMeasurement
-from .volume import ComplexVolume, Domain
+from .volume import ComplexVolume, Domain, _ifft1c_arr
 
 __all__ = [
     "dc_array",
     "dc_baseline_kspace",
+    "hybrid_kspace",
     "kspace_temporal_average",
 ]
 
@@ -53,6 +56,11 @@ def dc_array(pred: np.ndarray, kdata: np.ndarray, bits: np.ndarray, lam: float) 
     """
     acquired = kdata if math.isinf(lam) else (pred + lam * kdata) / (1.0 + lam)
     return np.where(bits[:, None, :] == 1, acquired, pred)
+
+
+def hybrid_kspace(m: KtMeasurement) -> np.ndarray:
+    """F_y^-1 k on [t][y][k_x]: ifft2c(dc(fft2c(r), k)) = ifft_x(dc(fft_x(r), F_y^-1 k))."""
+    return _ifft1c_arr(m.kspace.data, 1)
 
 
 def dc_baseline_kspace(avg: np.ndarray, m: KtMeasurement) -> ComplexVolume:

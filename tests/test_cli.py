@@ -339,6 +339,15 @@ def test_render_checkpoint_without_mask_is_a_usage_error(tmp_path):
     assert written_files(out) == []
 
 
+def test_render_mask_without_checkpoint_is_a_usage_error(tmp_path):
+    _, seq_p, _ = tiny_setup(tmp_path)
+    out = tmp_path / "figs"
+    rc = run_cli("render", "--input", seq_p, "--mask", tmp_path / "missing.ckm",
+                 "--output", out)
+    assert rc == 2
+    assert written_files(out) == []
+
+
 # ----------------------------------------------------------- exit codes
 
 

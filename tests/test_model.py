@@ -27,7 +27,7 @@ from ktnext.sampling import (
     zero_filled,
 )
 from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c, ifft_t
-from ktnext.xf import dc_baseline_kspace, kspace_temporal_average
+from ktnext.xf import dc_baseline_kspace, hybrid_kspace, kspace_temporal_average
 
 
 def small_config(**kw):
@@ -47,9 +47,14 @@ def xf_inputs(meas):
     """The first cascade's de-aliasing inputs, built as the cascade builds
     them from the zero-filled estimate: (x-f residual, x-f DC'd baseline)."""
     avg = kspace_temporal_average(meas)
-    residual = km._xf_residual(ad.constant(zero_filled(meas).data), avg).value
+    residual = km._xf_residual(ad.constant(zero_filled(meas).data), average_image(avg)).value
     baseline = fft_t(ifft2c(dc_baseline_kspace(avg, meas))).data
     return residual, baseline
+
+
+def average_image(avg):
+    """F_2^-1 of the k-space temporal average, as the cascade subtracts it."""
+    return ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data
 
 
 def xfcnn_pass(meas, params):
@@ -61,7 +66,8 @@ def xfcnn_pass(meas, params):
 
 def crnn_pass(img, meas, params, cfg, hidden=None):
     """One recurrent refinement with data consistency: (sigma, hidden states)."""
-    sigma, new_hidden = km._crnn_apply(ad.constant(img), meas, params.crnn, cfg, hidden)
+    sigma, new_hidden = km._crnn_apply(ad.constant(img), hybrid_kspace(meas), meas.mask.bits,
+                                       params.crnn, cfg, hidden)
     return sigma.value, new_hidden
 
 
@@ -289,9 +295,11 @@ def test_crnn_gradient_check():
     img_arr = rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape)
     target = rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape)
 
+    k_hybrid = hybrid_kspace(meas)
+
     def build_loss():
         img = ad.constant(img_arr)
-        sigma, _ = km._crnn_apply(img, meas, params.crnn, cfg, None)
+        sigma, _ = km._crnn_apply(img, k_hybrid, meas.mask.bits, params.crnn, cfg, None)
         return ad.sumsq_diff(sigma, target)
 
     from ktnext.network import check_gradients
@@ -392,6 +400,31 @@ def test_forward_records_no_tape(monkeypatch):
         assert all(t.grad is None for t in store.tensors())
 
 
+def test_each_cascade_makes_four_fft_passes(monkeypatch):
+    """One more cascade costs exactly four more 1-D FFT calls: the x-f
+    residual's fft_t, the ifft_t back to image space, and the fft_x/ifft_x
+    pair around data consistency."""
+    _, _, meas = make_case(16)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+    counts = []
+    for n in (1, 2):
+        cfg = small_config(n_cascades=n)
+        params = init_params(cfg, 16)
+        calls.clear()
+        ktnext_forward(meas, params, cfg)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 4
+
+
 def test_forward_hidden_carry_toggle_matters():
     """N=2 equals a manual unroll that hands cascade 1's hidden states to
     cascade 2, and differs from one that starts cascade 2 afresh."""
@@ -401,7 +434,7 @@ def test_forward_hidden_carry_toggle_matters():
     sigma, rho, _ = ktnext_forward(meas, params, cfg)
     rho1, baseline = xfcnn_pass(meas, params)
     sigma1, hidden1 = crnn_pass(ifft_t(ComplexVolume(rho1, Domain.XF)).data, meas, params, cfg)
-    residual2 = km._xf_residual(ad.constant(sigma1), kspace_temporal_average(meas))
+    residual2 = km._xf_residual(ad.constant(sigma1), average_image(kspace_temporal_average(meas)))
     rho2 = km._xfcnn_apply(residual2, ad.constant(baseline), params.xfcnn).value
     img2 = ifft_t(ComplexVolume(rho2, Domain.XF)).data
     carried, _ = crnn_pass(img2, meas, params, cfg, hidden1)
