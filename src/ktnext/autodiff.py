@@ -51,6 +51,7 @@ __all__ = [
 
 
 _tape = threading.local()  # .off is True inside no_tape() in this thread
+_BLOCK = 3072  # output columns per block of _taps_forward
 
 
 @contextmanager
@@ -147,10 +148,25 @@ def _taps(k: int, dilation: int, row: int):
 
 
 def _taps_forward(wv, flat, taps, span):
-    """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window."""
-    out = np.zeros((wv.shape[0], span))
-    for i, j, off in taps:
-        out += wv[:, :, i, j] @ flat[:, off : off + span]
+    """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window.
+
+    All taps run on one block of _BLOCK output columns before the next, so the
+    accumulator stays in cache.  The first tap is written into it and the rest
+    are added in tap order: each element is the same sum, in the same order, as
+    with one GEMM per tap over the span.  The BLAS may round the last 1-4
+    columns of a narrow last block unlike those of a wide GEMM; conv2d and
+    crnn_sweep cut them away when 2p >= 4.
+    """
+    out = np.empty((wv.shape[0], span))
+    tmp = np.empty((wv.shape[0], min(span, _BLOCK)))
+    (i0, j0, off0), rest = taps[0], taps[1:]
+    for lo in range(0, span, _BLOCK):
+        hi = min(lo + _BLOCK, span)
+        acc, prod = out[:, lo:hi], tmp[:, : hi - lo]
+        np.matmul(wv[:, :, i0, j0], flat[:, off0 + lo : off0 + hi], out=acc)
+        for i, j, off in rest:
+            np.matmul(wv[:, :, i, j], flat[:, off + lo : off + hi], out=prod)
+            acc += prod
     return out
 
 
@@ -181,7 +197,8 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     j*d columns, so forward and vjp are one 2-D GEMM per tap on a view, with
     the batch folded into the GEMM's column axis.  The output is computed on
     the grid [co][h][n][w+2p]; its last 2p columns read past the row's end
-    (into the next row, or the tail) and are cut away.
+    (into the next row, or the tail) and are cut away.  The forward runs the
+    taps one block of columns at a time, with the same bits (_taps_forward).
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -255,10 +272,11 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
         for s, f in enumerate(frames):
             x = pv[f]
             if s:
-                conv = _taps_forward(wv, flat[:, (s - 1) * block :], taps, span)
-                x = x + conv.reshape(c, h, wp)[..., :wid]
-            # selecting 0 where x <= 0 rather than x where x > 0 lets NaN through
-            hs[:, s] = np.where(x <= 0, 0.0, x)
+                x = _taps_forward(wv, flat[:, (s - 1) * block :], taps, span)
+                x = x.reshape(c, h, wp)[..., :wid]
+                x += pv[f]
+            # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
+            np.maximum(x, 0.0, out=hs[:, s])
     out = np.empty_like(pv)
     np.add(states[0].transpose(1, 0, 2, 3), states[1][:, ::-1].transpose(1, 0, 2, 3), out=out)
 
@@ -287,9 +305,9 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0
-    # selecting 0 where x <= 0 rather than x where x > 0 lets NaN through
-    return Tensor(np.where(x.value <= 0, 0.0, x.value), (x,), lambda g: (g * mask,))
+    # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
+    out = np.maximum(x.value, 0.0)
+    return Tensor(out, (x,), lambda g: (g * (out > 0),))
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:

@@ -97,11 +97,23 @@ def _ensure_parent(path) -> None:
 
 
 def _model_config(args):
+    """The network a command trains or reads.  Without --channels, train is 16
+    wide and a command that reads a checkpoint takes xfcnn.w0's output width."""
     from .model import KtNextConfig
 
+    channels = args.channels
+    if channels is None and args.command == "train":
+        channels = 16
+    elif channels is None:
+        from .network import load_checkpoint
+
+        w0 = load_checkpoint(args.checkpoint).get("xfcnn.w0")
+        if w0 is None or w0.ndim == 0:
+            raise ValueError(f"{args.checkpoint} has no xfcnn.w0 to take --channels from")
+        channels = w0.shape[0]
     return KtNextConfig(
         n_cascades=args.cascades,
-        channels=args.channels,
+        channels=channels,
         dc_lambda=args.dc_lambda,
     )
 
@@ -323,15 +335,16 @@ def cmd_render(args) -> int:
     if bool(args.checkpoint) != bool(args.mask):
         raise ValueError("rendering a reconstruction needs --mask and --checkpoint together")
     seq = load_sequence(args.input)
-    sigma = None
+    sigma, config = None, {}
     if args.checkpoint:
         from .model import ktnext_forward, load_params
         from .sampling import load_mask, undersample
 
-        config = _model_config(args)
-        params = load_params(args.checkpoint, config)
+        model_config = _model_config(args)
+        params = load_params(args.checkpoint, model_config)
         meas = undersample(seq, load_mask(args.mask))
-        sigma, _, _ = ktnext_forward(meas, params, config)
+        sigma, _, _ = ktnext_forward(meas, params, model_config)
+        config = asdict(model_config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     _render_sequence(out, "", seq)
@@ -343,7 +356,6 @@ def cmd_render(args) -> int:
             _write_pgm(out / f"error_{t:03d}.pgm", 6.0 * err)  # x6, as error maps are usually shown
     print(f"rendered {seq.t_frames} frames to {out}"
           + (" (with reconstruction and error maps)" if sigma is not None else ""))
-    config = asdict(_model_config(args)) if args.checkpoint else {}
     _write_manifest(
         args, "render",
         config=config,
@@ -363,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # the architecture of the checkpoint a command writes or reads
     arch = argparse.ArgumentParser(add_help=False)
     arch.add_argument("--cascades", type=int, default=4)
-    arch.add_argument("--channels", type=int, default=16)
+    arch.add_argument("--channels", type=int,
+                      help="network width (train: 16; otherwise the checkpoint's)")
     arch.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
 
     parser = argparse.ArgumentParser(

@@ -111,7 +111,8 @@ def test_conv2d_ones_kernel_interior():
 
 
 ORACLE_SHAPES = [((1, 1, 5, 5), 3), ((2, 3, 8, 8), 3), ((1, 2, 8, 6), 3),
-                 ((2, 3, 7, 5), 1), ((2, 2, 6, 9), 5)]
+                 ((2, 3, 7, 5), 1), ((2, 2, 6, 9), 5),
+                 ((3, 4, 40, 37), 3)]  # span 4,680 / 5,160 columns: more than one block
 
 
 @pytest.mark.parametrize("dilation", [1, 3])
@@ -125,6 +126,37 @@ def test_conv2d_matches_nested_loop_oracle(dilation, shape, k, request):
     got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), dilation).value
     want = conv2d_oracle(x, w, b, dilation)
     assert np.abs(got - want).max() < 1e-12
+
+
+def unblocked_taps(wv, flat, taps, span):
+    """The tap sum as one GEMM per tap over the whole span, in tap order."""
+    out = np.zeros((wv.shape[0], span))
+    for i, j, off in taps:
+        out += wv[:, :, i, j] @ flat[:, off : off + span]
+    return out
+
+
+# (n, h, w) at dilation 3: grid spans of 1,720, 3,072 and 5,160 columns, and
+# 5,329, whose last block is 2,257 columns (1 mod 8) wide
+BLOCK_GRIDS = [(1, 40, 37), (1, 48, 58), (3, 40, 37), (1, 73, 67)]
+
+
+@pytest.mark.parametrize("n, h, wid", BLOCK_GRIDS)
+def test_taps_forward_blocks_keep_the_bits(n, h, wid):
+    """Column blocking gives each output element the same tap sum, in the
+    same order, as one GEMM per tap over the whole span."""
+    pad, k, dilation = 3, 3, 3
+    wp = wid + 2 * pad
+    span = h * n * wp
+    assert [h * n * (w + 2 * pad) for n, h, w in BLOCK_GRIDS[:3]] == [1720, ad._BLOCK, 5160]
+    rng = np.random.default_rng(span)
+    flat = rng.standard_normal((16, (h + 2 * pad) * n * wp + 2 * pad))
+    wv = rng.standard_normal((16, 16, k, k))
+    taps = ad._taps(k, dilation, n * wp)
+    got = ad._taps_forward(wv, flat, taps, span).reshape(16, h, n, wp)
+    want = unblocked_taps(wv, flat, taps, span).reshape(16, h, n, wp)
+    # the columns conv2d keeps; the cut-away ones read past each row's end
+    assert np.array_equal(got[..., :wid], want[..., :wid])
 
 
 def test_conv2d_shape_mismatch():
@@ -149,6 +181,21 @@ def test_relu_propagates_nan():
     got = ad.relu(x).value
     assert np.isnan(got[0])
     assert np.array_equal(got[1:], [0.0, 0.0, 0.0, np.inf])
+    assert not np.signbit(got[1:4]).any()  # -0.0 too becomes +0.0
+
+
+def test_crnn_sweep_relu_maps_signed_zero_and_nan():
+    """The recurrent ReLU maps as relu does: a -0.0 pre-activation gives a
+    +0.0 state and a NaN one a NaN state.  At one frame each direction's
+    state is relu(pre), and the output is the sum of the two."""
+    pre = np.full((1, 2, 4, 4), -0.0)
+    pre[0, 1, 2, 2] = np.nan
+    w = np.ones((2, 2, 3, 3))
+    got = ad.crnn_sweep(ad.constant(pre), ad.constant(w), 3).value
+    assert np.isnan(got[0, 1, 2, 2])
+    got[0, 1, 2, 2] = 0.0
+    assert np.array_equal(got, np.zeros_like(pre))
+    assert not np.signbit(got).any()
 
 
 def test_relu_gradient_indicator():
@@ -195,6 +242,7 @@ def test_conv_chain_finite_differences():
     ((2, 3, 7, 9), 2, 5, 1, True),
     ((1, 2, 9, 8), 3, 5, 3, False),
     ((2, 2, 3, 2), 3, 3, 3, True),  # every off-centre tap lands in the padding
+    ((3, 4, 40, 37), 4, 3, 3, True),  # a forward span of 5,160: more than one block
 ])
 def test_conv2d_vjp_matches_nested_loop_oracle(shape, co, k, dilation, bias):
     rng = np.random.default_rng(7)

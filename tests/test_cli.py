@@ -408,6 +408,43 @@ def test_malformed_payload_exits_4(tmp_path, corrupt):
     assert rc == 4
 
 
+@pytest.mark.parametrize("command, output", [("reconstruct", "r.ckt"),
+                                             ("evaluate", "e.csv"), ("render", "figs")])
+def test_channels_default_to_the_checkpoint(tmp_path, command, output):
+    """Without --channels, a command that reads a checkpoint takes its width
+    and writes the bytes that --channels 2 writes, manifest included; a
+    --channels that does not match the checkpoint exits 2."""
+    mask_p, seq_p, k_p = tiny_setup(tmp_path)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    out = tmp_path / "out"
+    argv = [command, "--input", k_p if command == "reconstruct" else seq_p, "--mask", mask_p,
+            "--checkpoint", ckpt, "--cascades", 1, "--output", out / output, "--deterministic"]
+    written = []
+    for width in ([], ["--channels", 2]):
+        assert run_cli(*argv, *width) == 0
+        written.append({p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        for p in out.rglob("*"):
+            if p.is_file():
+                p.unlink()
+    assert written[0] == written[1]
+    manifest = next(v for k, v in written[0].items() if k.endswith("manifest.json"))
+    assert json.loads(manifest)["config"]["channels"] == 2
+    assert run_cli(*argv, "--channels", 3) == 2
+
+
+def test_checkpoint_without_first_layer_needs_channels(tmp_path, capsys):
+    """A checkpoint with no xfcnn.w0 has no width to default to: exit 2."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    records = init_params(TINY, 0).snapshot()
+    del records["xfcnn.w0"]
+    ckpt = tmp_path / "w.ktnp"
+    save_checkpoint(ckpt, records)
+    rc = run_cli("evaluate", "--input", seq_p, "--mask", mask_p, "--checkpoint", ckpt,
+                 "--cascades", 1, "--output", tmp_path / "e.csv")
+    assert rc == 2
+    assert "no xfcnn.w0" in capsys.readouterr().err
+
+
 def test_checkpoint_with_extra_layer_exits_2(tmp_path, capsys):
     """A KTNP whose records describe another architecture is rejected by name."""
     mask_p, seq_p, _ = tiny_setup(tmp_path)

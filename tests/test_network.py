@@ -187,12 +187,14 @@ def unrolled_layer(seq, w_i2h, w_h2h, w_ih, bias, hidden_prev, dilation):
 
 @pytest.mark.parametrize("with_prev", [False, True])
 def test_crnn_matches_frame_by_frame_unroll_bitwise(with_prev):
-    rng = np.random.default_rng(9)
-    seq = ad.constant(rng.standard_normal((5, 2, 7, 6)))
-    params = layer_params(rng, 2, 4)
-    hidden_prev = ad.constant(rng.standard_normal((5, 4, 7, 6))) if with_prev else None
-    out = crnn_bidir_layer(seq, *params, hidden_prev, dilation=3)
-    assert np.array_equal(out.value, unrolled_layer(seq, *params, hidden_prev, 3))
+    # 41x83 frames: a sweep span of 41 * 89 = 3,649 columns, more than one block
+    for h, w in ((7, 6), (41, 83)):
+        rng = np.random.default_rng(9)
+        seq = ad.constant(rng.standard_normal((5, 2, h, w)))
+        params = layer_params(rng, 2, 4)
+        hidden_prev = ad.constant(rng.standard_normal((5, 4, h, w))) if with_prev else None
+        out = crnn_bidir_layer(seq, *params, hidden_prev, dilation=3)
+        assert np.array_equal(out.value, unrolled_layer(seq, *params, hidden_prev, 3)), (h, w)
 
 
 def test_crnn_gradients_finite_differences():
