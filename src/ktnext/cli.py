@@ -72,10 +72,10 @@ def _manifest_path(output) -> Path:
     return Path(str(out) + ".manifest.json")
 
 
-def _write_manifest(args, command: str, config: dict, inputs: dict, outputs: dict,
+def _write_manifest(args, config: dict, inputs: dict, outputs: dict,
                     extra: dict | None = None) -> None:
     doc = {
-        "command": command,
+        "command": args.command,
         "config": {k: _jsonable(v) for k, v in config.items()},
         "seed": getattr(args, "seed", None),
         "inputs": inputs,
@@ -96,26 +96,31 @@ def _ensure_parent(path) -> None:
         parent.mkdir(parents=True, exist_ok=True)
 
 
-def _model_config(args):
-    """The network a command trains or reads.  Without --channels, train is 16
-    wide and a command that reads a checkpoint takes xfcnn.w0's output width."""
+def _model_config(args, channels):
     from .model import KtNextConfig
 
-    channels = args.channels
-    if channels is None and args.command == "train":
-        channels = 16
-    elif channels is None:
-        from .network import load_checkpoint
+    return KtNextConfig(n_cascades=args.cascades, channels=channels, dc_lambda=args.dc_lambda)
 
-        w0 = load_checkpoint(args.checkpoint).get("xfcnn.w0")
-        if w0 is None or w0.ndim == 0:
-            raise ValueError(f"{args.checkpoint} has no xfcnn.w0 to take --channels from")
-        channels = w0.shape[0]
-    return KtNextConfig(
-        n_cascades=args.cascades,
-        channels=channels,
-        dc_lambda=args.dc_lambda,
-    )
+
+def _load_model(args):
+    """The network and weights of the checkpoint a command reads, parsing the
+    KTNP once.  An omitted --channels takes the checkpoint's width."""
+    from .model import params_from, record_width
+    from .network import load_checkpoint
+
+    # bad flag values exit 2 before the file is read
+    config = None if args.channels is None else _model_config(args, args.channels)
+    records = load_checkpoint(args.checkpoint)
+    width = record_width(records)
+    if config is None:
+        if not width:
+            raise ValueError(f"{args.checkpoint} has no xfcnn.w0 of nonzero width "
+                             "to take --channels from")
+        config = _model_config(args, width)
+    elif width is not None and width != config.channels:
+        raise ValueError(f"--channels {config.channels} does not match {args.checkpoint}, "
+                         f"whose network is {width} channels wide")
+    return config, params_from(records, config)
 
 
 def _sequence_files(path):
@@ -157,7 +162,7 @@ def cmd_mask(args) -> int:
     print(f"wrote {args.output}: {args.frames} frames x {args.cols} columns, "
           f"{sampled} sampled, effective acceleration {effective!r}")
     _write_manifest(
-        args, "mask",
+        args,
         config={"accel": args.accel, "center": args.center,
                 "frames": args.frames, "cols": args.cols, "shear_step": 1},
         inputs={},
@@ -188,7 +193,7 @@ def cmd_simulate(args) -> int:
         written["kspace"] = str(out / "kspace.ckt")
     print(f"wrote {', '.join(sorted(written.values()))}")
     _write_manifest(
-        args, "simulate",
+        args,
         config={"seed": args.seed, "frames": args.frames,
                 "rows": args.rows, "cols": args.cols},
         inputs={"mask": args.mask},
@@ -201,7 +206,7 @@ def cmd_train(args) -> int:
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
-    config = _model_config(args)
+    config = _model_config(args, 16 if args.channels is None else args.channels)
     mask = load_mask(args.mask)
     files = _sequence_files(args.input)
     dataset = [load_sequence(f) for f in files]
@@ -218,7 +223,7 @@ def cmd_train(args) -> int:
     print(f"trained {args.steps} steps on {len(dataset)} sequences; "
           f"loss {history[0].loss!r} -> {history[-1].loss!r}")
     _write_manifest(
-        args, "train",
+        args,
         config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask)},
         outputs={"checkpoint": str(args.checkpoint), "history": str(args.output)},
@@ -228,12 +233,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    from .model import ktnext_forward, load_params
+    from .model import ktnext_forward
     from .sampling import KtMeasurement, load_mask, load_sequence, save_sequence
     from .volume import Domain
 
-    config = _model_config(args)
-    params = load_params(args.checkpoint, config)
+    config, params = _load_model(args)
     mask = load_mask(args.mask)
     kspace = load_sequence(args.input, domain=Domain.KSPACE)
     meas = KtMeasurement(kspace=kspace, mask=mask)
@@ -255,7 +259,7 @@ def cmd_reconstruct(args) -> int:
             written[f"cascade_{n:02d}"] = str(out / name)
     print(f"reconstructed {args.input} -> {written['reconstruction']}")
     _write_manifest(
-        args, "reconstruct",
+        args,
         config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask),
                 "checkpoint": str(args.checkpoint)},
@@ -270,11 +274,10 @@ def cmd_evaluate(args) -> int:
     import numpy as np
 
     from .metrics import compute_metrics
-    from .model import ktnext_forward, load_params
+    from .model import ktnext_forward
     from .sampling import load_mask, load_sequence, undersample, zero_filled
 
-    config = _model_config(args)
-    params = load_params(args.checkpoint, config)
+    config, params = _load_model(args)
     mask = load_mask(args.mask)
     files = _sequence_files(args.input)
 
@@ -301,7 +304,7 @@ def cmd_evaluate(args) -> int:
                              repr(zf_m.psnr), repr(zf_m.ssim), repr(zf_m.hfen)])
     print(f"evaluated {len(files)} sequences -> {args.output}")
     _write_manifest(
-        args, "evaluate",
+        args,
         config=asdict(config),
         inputs={"input": str(args.input), "mask": str(args.mask),
                 "checkpoint": str(args.checkpoint)},
@@ -337,11 +340,10 @@ def cmd_render(args) -> int:
     seq = load_sequence(args.input)
     sigma, config = None, {}
     if args.checkpoint:
-        from .model import ktnext_forward, load_params
+        from .model import ktnext_forward
         from .sampling import load_mask, undersample
 
-        model_config = _model_config(args)
-        params = load_params(args.checkpoint, model_config)
+        model_config, params = _load_model(args)
         meas = undersample(seq, load_mask(args.mask))
         sigma, _, _ = ktnext_forward(meas, params, model_config)
         config = asdict(model_config)
@@ -357,7 +359,7 @@ def cmd_render(args) -> int:
     print(f"rendered {seq.t_frames} frames to {out}"
           + (" (with reconstruction and error maps)" if sigma is not None else ""))
     _write_manifest(
-        args, "render",
+        args,
         config=config,
         inputs={"input": str(args.input), "mask": args.mask, "checkpoint": args.checkpoint},
         outputs={"directory": str(out)},

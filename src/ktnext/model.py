@@ -66,6 +66,59 @@ class KtNextConfig:
             raise ValueError("dc_lambda must be nonnegative (inf = hard replacement)")
 
 
+def _layout(channels: int):
+    """Every parameter of the one architecture at this width, in draw and
+    checkpoint order: (record name, shape, He fan-in, or None for a zero bias).
+
+    The first de-aliasing layer takes 4 channels: the real and imaginary
+    parts of the x-f residual and of the x-f baseline.  A de-aliasing layer
+    or the output projection forms its pre-activation from one convolution,
+    so it uses the kernel's own fan-in.  In the recurrent block the i2h,
+    h2h and ih2ih convolutions are summed into one pre-activation, and the
+    two sweep directions are summed again; those kernels share the fan-in
+    of the whole sum, 2*(c_in + 2*channels)*k*k.
+    """
+    k = KERNEL
+    ch = channels
+    for i in range(XF_LAYERS):
+        ci = 4 if i == 0 else ch
+        co = 2 if i == XF_LAYERS - 1 else ch
+        yield f"xfcnn.w{i}", (co, ci, k, k), ci * k * k
+        yield f"xfcnn.b{i}", (co,), None
+    for layer in range(CRNN_LAYERS):
+        ci = 2 if layer == 0 else ch
+        fan_in = 2 * (ci + 2 * ch) * k * k
+        yield f"crnn.i2h{layer}", (ch, ci, k, k), fan_in
+        yield f"crnn.h2h{layer}", (ch, ch, k, k), fan_in
+        yield f"crnn.ih2ih{layer}", (ch, ch, k, k), fan_in
+        yield f"crnn.bias{layer}", (ch,), None
+    yield "crnn.out_w", (2, ch, k, k), ch * k * k
+    yield "crnn.out_b", (2,), None
+
+
+def _check_shapes(shapes: dict, channels: int) -> None:
+    """Raise ValueError unless a record name -> shape mapping is the layout at this width."""
+    want = {name: shape for name, shape, _ in _layout(channels)}
+    if shapes.keys() != want.keys():
+        missing = sorted(want.keys() - shapes.keys())[:4]
+        surplus = sorted(shapes.keys() - want.keys())[:4]
+        raise ValueError(f"parameters do not match the architecture "
+                         f"(missing {missing}, unexpected {surplus})")
+    for i, (name, shape) in enumerate(want.items()):
+        if shapes[name] != shape:
+            what = "first de-aliasing layer " if i == 0 else ""
+            raise ValueError(f"{what}{name} has shape {shapes[name]}, "
+                             f"expected {shape} at {channels} channels")
+
+
+def record_width(records: dict):
+    """The width a checkpoint's records were written at: the output width of
+    the layout's first record, or None when it is missing or rank 0."""
+    name, _, _ = next(_layout(1))
+    first = records.get(name)
+    return first.shape[0] if first is not None and first.ndim else None
+
+
 @dataclass
 class KtNextParams:
     """Trainable weights, split into the two sub-networks."""
@@ -80,73 +133,38 @@ class KtNextParams:
         for store in self.stores():
             store.zero_grads()
 
+    def records(self):
+        """(record name, leaf) per parameter: the store's field, a dot, the name in it."""
+        for field in ("xfcnn", "crnn"):
+            for name, tensor in getattr(self, field).items():
+                yield f"{field}.{name}", tensor
+
     def snapshot(self) -> dict:
-        out = {}
-        for prefix, store in (("xfcnn.", self.xfcnn), ("crnn.", self.crnn)):
-            for name, value in store.snapshot().items():
-                out[prefix + name] = value
-        return out
-
-
-def parameter_count(params: KtNextParams) -> int:
-    return params.xfcnn.total_count + params.crnn.total_count
+        return {name: tensor.value.copy() for name, tensor in self.records()}
 
 
 def init_params(config: KtNextConfig, seed) -> KtNextParams:
     """He-initialized conv weights, zero biases, deterministic per seed.
 
-    One set of weights serves every cascade; its shapes follow XF_LAYERS,
-    CRNN_LAYERS, KERNEL and config.channels.  The first de-aliasing layer
-    takes 4 channels: the real and imaginary parts of the x-f residual and
-    of the x-f baseline.
-
-    The de-aliasing layers and the output projection each form their
-    pre-activation from one convolution, so they use the kernel's own fan-in.
-    In the recurrent block the i2h, h2h and ih2ih convolutions are summed
-    into one pre-activation, and the two sweep directions are summed again;
-    those kernels therefore share the fan-in of the whole sum,
-    2*(c_in + 2*channels)*k*k, giving std = sqrt(1 / ((c_in + 2*channels)*k*k)).
-
-    Draw order is fixed (de-aliasing layers, then recurrent layers, then
-    the output projection) so identical seeds give identical weights
-    regardless of platform.
+    One set of weights serves every cascade.  `_layout` gives each shape and
+    fan-in, and its order is the draw order, so identical seeds give
+    identical weights regardless of platform.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    k = KERNEL
-    ch = config.channels
-    xfcnn = ParamStore()
-    crnn = ParamStore()
-    for i in range(XF_LAYERS):
-        ci = 4 if i == 0 else ch
-        co = 2 if i == XF_LAYERS - 1 else ch
-        xfcnn.add(f"w{i}", he_conv_weights(rng, co, ci, k))
-        xfcnn.add(f"b{i}", np.zeros(co))
-    for layer in range(CRNN_LAYERS):
-        ci = 2 if layer == 0 else ch
-        fan_in = 2 * (ci + 2 * ch) * k * k
-        crnn.add(f"i2h{layer}", he_conv_weights(rng, ch, ci, k, fan_in))
-        crnn.add(f"h2h{layer}", he_conv_weights(rng, ch, ch, k, fan_in))
-        crnn.add(f"ih2ih{layer}", he_conv_weights(rng, ch, ch, k, fan_in))
-        crnn.add(f"bias{layer}", np.zeros(ch))
-    crnn.add("out_w", he_conv_weights(rng, 2, ch, k))
-    crnn.add("out_b", np.zeros(2))
-    return KtNextParams(xfcnn=xfcnn, crnn=crnn)
+    drawn = {name: np.zeros(shape) if fan_in is None else he_conv_weights(rng, *shape[:3], fan_in)
+             for name, shape, fan_in in _layout(config.channels)}
+    return params_from(drawn, config)
 
 
-def _check_params(params: KtNextParams, config: KtNextConfig) -> None:
-    want_xf, want_cr = set(), {"out_w", "out_b"}
-    for i in range(XF_LAYERS):
-        want_xf.update((f"w{i}", f"b{i}"))
-    for layer in range(CRNN_LAYERS):
-        want_cr.update((f"i2h{layer}", f"h2h{layer}", f"ih2ih{layer}", f"bias{layer}"))
-    if set(params.xfcnn.names()) != want_xf or set(params.crnn.names()) != want_cr:
-        raise ValueError("parameter names do not match the configured architecture")
-    w0 = params.xfcnn["w0"].value
-    if w0.shape != (config.channels, 4, KERNEL, KERNEL):
-        raise ValueError(
-            f"first de-aliasing layer has shape {w0.shape}, expected "
-            f"{(config.channels, 4, KERNEL, KERNEL)}; check channels"
-        )
+def params_from(records: dict, config: KtNextConfig) -> KtNextParams:
+    """Parameters holding name -> array records, such as a checkpoint's; they
+    must be the layout at config.channels, and the stores keep its order."""
+    _check_shapes({name: value.shape for name, value in records.items()}, config.channels)
+    params = KtNextParams(xfcnn=ParamStore(), crnn=ParamStore())
+    for name, _, _ in _layout(config.channels):
+        field, _, short = name.partition(".")
+        getattr(params, field).add(short, records[name])
+    return params
 
 
 # ------------------------------------------------------------------ forward
@@ -198,7 +216,7 @@ def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConf
     k-space), the average's image and the acquired samples in (y, k_x) space
     do not depend on the evolving estimate: each is computed once per sequence.
     """
-    _check_params(params, config)
+    _check_shapes({name: t.value.shape for name, t in params.records()}, config.channels)
     avg = kspace_temporal_average(meas)
     avg_img = ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data
     k_hybrid = hybrid_kspace(meas)
@@ -285,7 +303,6 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_params(config, rng)
-    _check_params(params, config)
     adam_xf = init_adam(params.xfcnn)
     adam_cr = init_adam(params.crnn)
     history = []
@@ -316,18 +333,5 @@ def save_params(path, params: KtNextParams) -> None:
 
 
 def load_params(path, config: KtNextConfig) -> KtNextParams:
-    """Read a checkpoint into freshly shaped parameters; shapes must agree."""
-    values = load_checkpoint(path)
-    params = init_params(config, 0)
-    expected = {"xfcnn." + n for n in params.xfcnn.names()}
-    expected |= {"crnn." + n for n in params.crnn.names()}
-    if set(values) != expected:
-        missing = sorted(expected - set(values))[:4]
-        surplus = sorted(set(values) - expected)[:4]
-        raise ValueError(
-            f"checkpoint does not match the configuration (missing {missing}, unexpected {surplus})"
-        )
-    params.xfcnn.set_values({n: values["xfcnn." + n] for n in params.xfcnn.names()})
-    params.crnn.set_values({n: values["crnn." + n] for n in params.crnn.names()})
-    return params
-
+    """Read a KTNP checkpoint written at config's width (see `params_from`)."""
+    return params_from(load_checkpoint(path), config)

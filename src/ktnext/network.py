@@ -47,18 +47,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> ad.Tensor:
         return self._tensors[name]
 
-    def names(self):
-        return self._tensors.keys()
-
     def items(self):
         return self._tensors.items()
-
-    def tensors(self):
-        return self._tensors.values()
-
-    @property
-    def total_count(self) -> int:
-        return sum(t.value.size for t in self._tensors.values())
 
     def zero_grads(self) -> None:
         for t in self._tensors.values():
@@ -76,9 +66,6 @@ class ParamStore:
                     f"parameter {name!r} has shape {tensor.value.shape}, got {arr.shape}"
                 )
             tensor.value[...] = arr
-
-    def snapshot(self) -> dict:
-        return {name: t.value.copy() for name, t in self._tensors.items()}
 
 
 def he_conv_weights(rng, c_out: int, c_in: int, k: int, fan_in: int | None = None) -> np.ndarray:

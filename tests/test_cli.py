@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from ktnext import cli
+from ktnext import cli, model, network
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
@@ -169,7 +169,7 @@ def test_train_writes_checkpoint_and_history(tmp_path):
     mask_p, seq_p, _ = tiny_setup(tmp_path)
     ckpt, hist = tiny_train(tmp_path, mask_p, seq_p, steps=3)
     params = load_params(ckpt, TINY)
-    assert params.xfcnn.total_count > 0
+    assert sum(v.size for v in params.snapshot().values()) > 0
     with open(hist, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "loss", "psnr_train"]
@@ -458,6 +458,56 @@ def test_checkpoint_with_extra_layer_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "unexpected ['xfcnn.b5', 'xfcnn.w5']" in err
+
+
+@pytest.mark.parametrize("width", [[], ["--channels", 2]])
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "render"])
+def test_checkpoint_is_read_once(tmp_path, monkeypatch, command, width):
+    """A command that reads a checkpoint parses the KTNP once, whether it
+    takes the width from the flag or from the file."""
+    mask_p, seq_p, k_p = tiny_setup(tmp_path)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    calls = []
+
+    def counting(path, _load=network.load_checkpoint):
+        calls.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(network, "load_checkpoint", counting)
+    monkeypatch.setattr(model, "load_checkpoint", counting)
+    outputs = {"reconstruct": "r.ckt", "evaluate": "e.csv", "render": "figs"}
+    rc = run_cli(command, "--input", k_p if command == "reconstruct" else seq_p,
+                 "--mask", mask_p, "--checkpoint", ckpt, "--cascades", 1, *width,
+                 "--output", tmp_path / outputs[command])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_checkpoint_errors_name_their_cause(tmp_path, capsys):
+    """Each checkpoint mismatch exits 2 and names what is wrong: the flag
+    against the checkpoint's width, a width-0 checkpoint without a flag, and
+    a wrong-shaped record by its full name."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    ckpt = tmp_path / "w.ktnp"
+    argv = ["evaluate", "--input", seq_p, "--mask", mask_p, "--checkpoint", ckpt,
+            "--cascades", 1, "--output", tmp_path / "e.csv"]
+    save_params(ckpt, init_params(TINY, 0))
+    assert run_cli(*argv, "--channels", 3) == 2
+    err = capsys.readouterr().err
+    assert "--channels 3" in err and "2 channels wide" in err, err
+
+    records = init_params(TINY, 0).snapshot()
+    records["xfcnn.w0"] = np.zeros((0, 4, 3, 3))
+    save_checkpoint(ckpt, records)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "no xfcnn.w0 of nonzero width" in err and "at least 1" not in err, err
+
+    records = init_params(TINY, 0).snapshot()
+    records["crnn.h2h2"] = np.zeros((2, 2, 3, 1))
+    save_checkpoint(ckpt, records)
+    assert run_cli(*argv) == 2
+    assert "crnn.h2h2 has shape (2, 2, 3, 1)" in capsys.readouterr().err
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

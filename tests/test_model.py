@@ -1,6 +1,7 @@
 """End-to-end model: cascade assembly, collapse identities, gradients, training."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ktnext.model import (
     init_params,
     ktnext_forward,
     load_params,
-    parameter_count,
     save_params,
 )
 from ktnext.network import save_checkpoint
@@ -129,14 +129,27 @@ def test_init_params_deterministic():
     a = init_params(cfg, 7)
     b = init_params(cfg, 7)
     c = init_params(cfg, 8)
-    for sa, sb in zip(a.stores(), b.stores()):
-        for name in sa.names():
-            assert np.array_equal(sa[name].value, sb[name].value)
-    assert any(
-        not np.array_equal(sa[name].value, sc[name].value)
-        for sa, sc in zip(a.stores(), c.stores())
-        for name in sa.names()
-    )
+    sa, sb, sc = a.snapshot(), b.snapshot(), c.snapshot()
+    for name in sa:
+        assert np.array_equal(sa[name], sb[name])
+    assert any(not np.array_equal(sa[name], sc[name]) for name in sa)
+
+
+def test_init_params_draw_order_is_pinned():
+    """Values drawn at seed 0, width 2, pinned so that any change in draw
+    order or scaling shows up."""
+    p = init_params(KtNextConfig(channels=2), 0).snapshot()
+    pins = {
+        "xfcnn.w0": (0.029634897311740765, 0.16114638056722905),
+        "xfcnn.w4": (-0.06817416279988694, 0.1886059489426977),
+        "crnn.i2h0": (-0.000981341750869136, -0.005284779367144751),
+        "crnn.h2h2": (-0.040520068948537914, -0.09909479169157538),
+        "crnn.ih2ih3": (-0.02612696796380449, -0.17198620819146104),
+        "crnn.out_w": (-0.035756373556092465, 0.050425073949054405),
+    }
+    for name, (first, last) in pins.items():
+        assert (p[name].flat[0], p[name].flat[-1]) == (first, last), name
+    assert len(p) == 28 and list(p)[:3] == ["xfcnn.w0", "xfcnn.b0", "xfcnn.w1"]
 
 
 def count_audit(cfg):
@@ -162,7 +175,8 @@ def count_audit(cfg):
 
 def test_parameter_count_matches_hand_audit():
     for cfg in (KtNextConfig(), small_config()):
-        assert parameter_count(init_params(cfg, 0)) == count_audit(cfg)
+        sizes = [v.size for v in init_params(cfg, 0).snapshot().values()]
+        assert sum(sizes) == count_audit(cfg)
     assert count_audit(KtNextConfig()) == 33828  # pinned so drift is visible
 
 
@@ -239,7 +253,7 @@ def test_xfcnn_gradient_check():
 
     from ktnext.network import check_gradients
 
-    err = check_gradients(build_loss, list(params.xfcnn.tensors()), rng, samples=4)
+    err = check_gradients(build_loss, [t for _, t in params.xfcnn.items()], rng, samples=4)
     assert err < 1e-4
 
 
@@ -304,7 +318,7 @@ def test_crnn_gradient_check():
 
     from ktnext.network import check_gradients
 
-    err = check_gradients(build_loss, list(params.crnn.tensors()), rng, samples=4)
+    err = check_gradients(build_loss, [t for _, t in params.crnn.items()], rng, samples=4)
     assert err < 1e-4
 
 
@@ -396,8 +410,7 @@ def test_forward_records_no_tape(monkeypatch):
     for rho, sigma in built:
         for node in (rho, sigma):
             assert node.parents == () and node.vjp is None and not node.needs_grad
-    for store in params.stores():
-        assert all(t.grad is None for t in store.tensors())
+    assert all(t.grad is None for _, t in params.records())
 
 
 def test_each_cascade_makes_four_fft_passes(monkeypatch):
@@ -456,7 +469,7 @@ def test_full_model_gradient_check():
 
     from ktnext.network import check_gradients
 
-    leaves = [t for store in params.stores() for t in store.tensors()]
+    leaves = [t for _, t in params.records()]
     rng = np.random.default_rng(15)
     err = check_gradients(build_loss, leaves, rng, samples=2)
     assert err < 1e-4
@@ -595,3 +608,28 @@ def test_load_params_reads_old_checkpoint(tmp_path):
     assert list(loaded) == [name for name, _ in _OLD_RECORDS]
     for name, value in records.items():
         assert np.array_equal(loaded[name], value)
+
+
+def test_load_params_names_a_wrong_shaped_record(tmp_path):
+    """A record other than xfcnn.w0 with the wrong shape is named with its prefix."""
+    cfg = small_config()
+    records = init_params(cfg, 43).snapshot()
+    records["crnn.h2h2"] = np.zeros((3, 3, 3, 1))
+    path = tmp_path / "w.ktnp"
+    save_checkpoint(path, records)
+    with pytest.raises(ValueError, match=r"crnn\.h2h2 has shape \(3, 3, 3, 1\)"):
+        load_params(path, cfg)
+
+
+def test_perfbench_writes_checkpoints_the_model_loads(tmp_path, monkeypatch):
+    """The benchmark builds each workload's checkpoint from init_params'
+    stores and reads it back with load_params: that API must keep working."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for w in workloads.WORKLOADS.values():
+        path = tmp_path / f"{w.name}.ktnp"
+        workloads.write_checkpoint(w, 3, path)
+        values = load_params(path, workloads.config_of(w)).snapshot().values()
+        assert len(values) == 28
+        assert all(np.isfinite(v).all() for v in values)
