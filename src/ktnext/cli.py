@@ -153,7 +153,7 @@ def _write_pgm(path, image) -> None:
 def cmd_mask(args) -> int:
     from .sampling import AcquisitionSpec, make_shear_mask, save_mask
 
-    spec = AcquisitionSpec(accel=args.accel, n_center=args.center, pe_lines=args.cols)
+    spec = AcquisitionSpec(accel=args.accel, n_center=args.center)
     mask = make_shear_mask(spec, args.frames, args.cols)
     _ensure_parent(args.output)
     save_mask(args.output, mask)

@@ -25,9 +25,9 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .sampling import KtMeasurement, undersample, zero_filled
-from .volume import ComplexVolume, Domain, fft_t, ifft2c
-from .xf import dc_baseline_kspace, hybrid_kspace, kspace_temporal_average
+from .sampling import KtMeasurement, undersample
+from .volume import ComplexVolume, Domain, fft_t
+from .xf import cascade_inputs
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -212,17 +212,17 @@ def _crnn_apply(img, k_hybrid, bits, store, config, hidden):
 def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConfig):
     """Build the full differentiable cascade; returns tape tensors.
 
-    The x-f baseline (the data-consistent temporal average of the acquired
-    k-space), the average's image and the acquired samples in (y, k_x) space
-    do not depend on the evolving estimate: each is computed once per sequence.
+    The zero-filled start, the x-f baseline, the average's image and the
+    acquired samples in (y, k_x) space do not depend on the evolving
+    estimate: `xf.cascade_inputs` builds them once per sequence from one
+    y-transform of the data and one of the average.  The mask is constant
+    along y, so F_y^-1 commutes with it and with hard DC, and each input
+    keeps the bits of its 2-D k-space form.
     """
     _check_shapes({name: t.value.shape for name, t in params.records()}, config.channels)
-    avg = kspace_temporal_average(meas)
-    avg_img = ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data
-    k_hybrid = hybrid_kspace(meas)
-    baseline_xf = fft_t(ifft2c(dc_baseline_kspace(avg, meas)))
-    base = ad.constant(baseline_xf.data)
-    sigma = ad.constant(zero_filled(meas).data)
+    zero_img, avg_img, k_hybrid, baseline_xf = cascade_inputs(meas)
+    base = ad.constant(baseline_xf)
+    sigma = ad.constant(zero_img)
     hidden = None
     traces = []
     for _ in range(config.n_cascades):

@@ -116,22 +116,18 @@ class BinaryReader:
 class AcquisitionSpec:
     """Nominal acquisition protocol.
 
-    accel is the nominal acceleration factor stated against pe_lines
-    phase-encode lines; n_center lines around the k-space center are always
-    acquired on top of the shear lattice.
+    accel is the nominal acceleration factor; n_center lines around the
+    k-space center are always acquired on top of the shear lattice.
     """
 
     accel: int
     n_center: int = 4
-    pe_lines: int = 190
 
     def __post_init__(self):
         if self.accel < 1:
             raise ValueError(f"accel must be >= 1, got {self.accel}")
         if self.n_center < 0:
             raise ValueError(f"n_center must be >= 0, got {self.n_center}")
-        if self.n_center > self.pe_lines:
-            raise ValueError("n_center cannot exceed pe_lines")
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,8 @@ class KtMeasurement:
     mask: SamplingMask
 
     def __post_init__(self):
-        if self.kspace.domain.spatial != "k":
-            raise DomainMismatchError("measurement k-space must carry a k domain tag")
+        if self.kspace.domain is not Domain.KSPACE:
+            raise DomainMismatchError("measurement k-space must carry the k-space domain tag")
         if (self.kspace.t_frames, self.kspace.cols) != (self.mask.t_frames, self.mask.cols):
             raise ValueError(
                 f"k-space {self.kspace.data.shape} does not match "
@@ -305,7 +301,8 @@ def load_sequence(path, domain: Domain = Domain.IMAGE) -> ComplexVolume:
         raise DimensionOverflowError(f"{path}: declared shape {(t, y, x)} out of range")
     arr = reader.array("<f4", (t, y, x, 2), "the payload")
     reader.finish()
-    data = arr[..., 0].astype(np.float64) + 1j * arr[..., 1].astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN warns here; ComplexVolume rejects it
+        data = arr[..., 0].astype(np.float64) + 1j * arr[..., 1].astype(np.float64)
     try:
         return ComplexVolume(data, domain)
     except ValueError as exc:

@@ -1,8 +1,8 @@
 """Complex dynamic volumes and centered orthonormal Fourier transforms.
 
-A dynamic sequence lives on a [t][y][x] grid and moves between four spaces:
-image (x-t), k-space (k-t), x-f, and k-f.  The spatial pair is connected by a
-2D transform over (y, x), the temporal pair by a 1D transform over t.  All
+A dynamic sequence lives on a [t][y][x] grid, and the program visits three
+spaces: image (x-t), k-space (k-t) and x-f.  A 2D transform over (y, x)
+connects image and k-space, a 1D transform over t takes image to x-f.  All
 transforms here are centered (zero frequency at index ``N // 2`` for even and
 odd N alike) and orthonormal (``1/sqrt(N)`` on both directions), so the
 inverse is the adjoint and Parseval holds exactly up to rounding.
@@ -25,35 +25,15 @@ __all__ = [
     "fft2c",
     "fft_t",
     "ifft2c",
-    "ifft_t",
 ]
 
 
 class Domain(Enum):
-    """Which of the four k-t/x-f spaces a volume's values live in."""
+    """Which of the three spaces a volume's values live in."""
 
     IMAGE = "image"
     KSPACE = "k-space"
     XF = "x-f"
-    KF = "k-f"
-
-    @property
-    def spatial(self) -> str:
-        return "image" if self in (Domain.IMAGE, Domain.XF) else "k"
-
-    @property
-    def temporal(self) -> str:
-        return "t" if self in (Domain.IMAGE, Domain.KSPACE) else "f"
-
-
-def _domain_from(spatial: str, temporal: str) -> Domain:
-    table = {
-        ("image", "t"): Domain.IMAGE,
-        ("k", "t"): Domain.KSPACE,
-        ("image", "f"): Domain.XF,
-        ("k", "f"): Domain.KF,
-    }
-    return table[(spatial, temporal)]
 
 
 class DomainMismatchError(ValueError):
@@ -116,31 +96,21 @@ def _ifft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def fft2c(v: ComplexVolume) -> ComplexVolume:
-    """Per-frame 2D transform over (y, x): image spatial tag -> k."""
-    if v.domain.spatial != "image":
-        raise DomainMismatchError(f"fft2c needs an image-space volume, got {v.domain.value}")
-    out = _fft1c_arr(_fft1c_arr(v.data, 1), 2)
-    return ComplexVolume(out, _domain_from("k", v.domain.temporal))
+    """Per-frame 2D transform over (y, x): image -> k-space."""
+    if v.domain is not Domain.IMAGE:
+        raise DomainMismatchError(f"fft2c needs an image volume, got {v.domain.value}")
+    return ComplexVolume(_fft1c_arr(_fft1c_arr(v.data, 1), 2), Domain.KSPACE)
 
 
 def ifft2c(v: ComplexVolume) -> ComplexVolume:
-    """Per-frame inverse 2D transform over (y, x): k spatial tag -> image."""
-    if v.domain.spatial != "k":
+    """Per-frame inverse 2D transform over (y, x): k-space -> image."""
+    if v.domain is not Domain.KSPACE:
         raise DomainMismatchError(f"ifft2c needs a k-space volume, got {v.domain.value}")
-    out = _ifft1c_arr(_ifft1c_arr(v.data, 1), 2)
-    return ComplexVolume(out, _domain_from("image", v.domain.temporal))
+    return ComplexVolume(_ifft1c_arr(_ifft1c_arr(v.data, 1), 2), Domain.IMAGE)
 
 
 def fft_t(v: ComplexVolume) -> ComplexVolume:
-    """Temporal transform t -> f; image sequences land in x-f space."""
-    if v.domain.temporal != "t":
-        raise DomainMismatchError(f"fft_t needs a t-domain volume, got {v.domain.value}")
-    return ComplexVolume(_fft1c_arr(v.data, 0), _domain_from(v.domain.spatial, "f"))
-
-
-def ifft_t(v: ComplexVolume) -> ComplexVolume:
-    """Temporal transform f -> t, inverse of :func:`fft_t`."""
-    if v.domain.temporal != "f":
-        raise DomainMismatchError(f"ifft_t needs an f-domain volume, got {v.domain.value}")
-    return ComplexVolume(_ifft1c_arr(v.data, 0), _domain_from(v.domain.spatial, "t"))
-
+    """Temporal transform t -> f: image -> x-f."""
+    if v.domain is not Domain.IMAGE:
+        raise DomainMismatchError(f"fft_t needs an image volume, got {v.domain.value}")
+    return ComplexVolume(_fft1c_arr(v.data, 0), Domain.XF)

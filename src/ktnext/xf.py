@@ -1,4 +1,5 @@
-"""Temporal-average baseline and the data-consistency map.
+"""Temporal-average baseline, the cascade's per-sequence inputs, and the
+data-consistency map.
 
 One de-aliasing step takes the current image estimate sigma, forms the
 temporal average of the acquired k-space (a motion-blurred but alias-reduced
@@ -6,12 +7,17 @@ baseline) and re-imposes each frame's own acquired data on that baseline.
 The cascade in :mod:`ktnext.model` expresses that baseline and the residual
 (current estimate minus average) in x-f space, where a CNN can separate
 signal from aliasing; by linearity the residual is F_t (sigma - F_2^-1 avg).
-Each readout row y is independent throughout: all operations act on (x, f)
-or (x, t) planes broadcast over y.
+
+The Cartesian mask is constant along the readout y, so the y-transform
+commutes with it and with hard data consistency:
+F_2^-1 dc(p, k) = F_x^-1 dc(F_y^-1 p, F_y^-1 k).  :func:`cascade_inputs`
+therefore transforms the data and the average along y once each and builds
+every per-sequence input from those two arrays with one x- or t-pass.  Each
+1-D pass acts on every line alone, and DC only selects values, so each input
+keeps the bits of the 2-D form it replaces.
 
 :func:`dc_array` is the one data-consistency map; the tape's DC node,
-:func:`ktnext.autodiff.data_consistency`, calls it too.  The mask is constant
-over y, so the cascade applies it with y in image space (:func:`hybrid_kspace`).
+:func:`ktnext.autodiff.data_consistency`, calls it too.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ import math
 import numpy as np
 
 from .sampling import KtMeasurement
-from .volume import ComplexVolume, Domain, _ifft1c_arr
+from .volume import _fft1c_arr, _ifft1c_arr
 
 __all__ = [
+    "cascade_inputs",
     "dc_array",
-    "dc_baseline_kspace",
-    "hybrid_kspace",
     "kspace_temporal_average",
 ]
 
@@ -58,18 +63,17 @@ def dc_array(pred: np.ndarray, kdata: np.ndarray, bits: np.ndarray, lam: float) 
     return np.where(bits[:, None, :] == 1, acquired, pred)
 
 
-def hybrid_kspace(m: KtMeasurement) -> np.ndarray:
-    """F_y^-1 k on [t][y][k_x]: ifft2c(dc(fft2c(r), k)) = ifft_x(dc(fft_x(r), F_y^-1 k))."""
-    return _ifft1c_arr(m.kspace.data, 1)
+def cascade_inputs(m: KtMeasurement):
+    """The arrays a cascade needs that do not depend on its estimate.
 
-
-def dc_baseline_kspace(avg: np.ndarray, m: KtMeasurement) -> ComplexVolume:
-    """Replicate the average over frames, hard-replacing each frame's own
-    acquired samples."""
-    rows, cols = m.kspace.rows, m.kspace.cols
-    if avg.shape != (rows, cols):
-        raise ValueError(f"average plane {avg.shape} does not match k-space ({rows}, {cols})")
-    frames = np.broadcast_to(avg, m.kspace.data.shape)
-    out = dc_array(frames, m.kspace.data, m.mask.bits, math.inf)
-    return ComplexVolume(out, Domain.KSPACE)
-
+    Returns (zero-filled image F_2^-1 k, the average's image F_2^-1 avg as a
+    [1][y][x] array, k_hybrid = F_y^-1 k on [t][y][k_x], and the x-f
+    baseline F_t F_2^-1 of the average with each frame's own samples put
+    back).  avg is :func:`kspace_temporal_average`.
+    """
+    k_hybrid = _ifft1c_arr(m.kspace.data, 1)
+    avg_hybrid = _ifft1c_arr(kspace_temporal_average(m)[None], 1)
+    baseline = dc_array(np.broadcast_to(avg_hybrid, k_hybrid.shape), k_hybrid, m.mask.bits,
+                        math.inf)
+    return (_ifft1c_arr(k_hybrid, 2), _ifft1c_arr(avg_hybrid, 2), k_hybrid,
+            _fft1c_arr(_ifft1c_arr(baseline, 2), 0))

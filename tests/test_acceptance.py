@@ -11,6 +11,7 @@ the analysis. The other ten criteria pass.
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -39,7 +40,7 @@ from ktnext.sampling import (
     zero_filled,
 )
 from ktnext.volume import ComplexVolume, Domain, _fft1c_arr, fft2c, fft_t, ifft2c
-from ktnext.xf import dc_baseline_kspace, kspace_temporal_average
+from ktnext.xf import dc_array, kspace_temporal_average
 
 
 def report(n: int, ok: bool, detail: str) -> bool:
@@ -227,10 +228,10 @@ def test_criterion_05_zero_weight_collapse():
         meas = undersample(random_volume(rng, t, y, x), random_mask(rng, t, x))
         params = zero_all(init_params(config, case))
         sigma, _, _ = ktnext_forward(meas, params, config)
-        baseline = ComplexVolume(
-            dc_baseline_kspace(kspace_temporal_average(meas), meas).data, Domain.KSPACE
-        )
-        expected = ifft2c(baseline)
+        k = meas.kspace.data
+        avg = np.broadcast_to(kspace_temporal_average(meas), k.shape)
+        baseline = dc_array(avg, k, meas.mask.bits, math.inf)
+        expected = ifft2c(ComplexVolume(baseline, Domain.KSPACE))
         worst = max(worst, float(np.abs(sigma.data - expected.data).max()))
 
     full_worst = 0.0
@@ -356,7 +357,7 @@ def test_criterion_06_gradient_suite():
 
     config = KtNextConfig(n_cascades=2, channels=8)
     gt = generate_phantom(6, 4, 8, 8)
-    mask = make_shear_mask(AcquisitionSpec(accel=2, n_center=2, pe_lines=8), 4, 8)
+    mask = make_shear_mask(AcquisitionSpec(accel=2, n_center=2), 4, 8)
     meas = undersample(gt, mask)
     params = randomize_biases(init_params(config, 6), 66)
     rho_gt = fft_t(gt)
@@ -392,7 +393,7 @@ def test_criterion_07_aliasing_replica_superposition():
             img = np.zeros((t_n, rows, cols), dtype=np.complex128)
             img[:, y0, x0] = 1.0  # static point object
             vol = ComplexVolume(img, Domain.IMAGE)
-            spec = AcquisitionSpec(accel=accel, n_center=0, pe_lines=cols)
+            spec = AcquisitionSpec(accel=accel, n_center=0)
             meas = undersample(vol, make_shear_mask(spec, t_n, cols))
             got = fft_t(zero_filled(meas)).data
 
@@ -420,7 +421,7 @@ def test_criterion_07_aliasing_replica_superposition():
 def test_criterion_08_overfit_benchmark():
     t0 = time.monotonic()
     gt = generate_phantom(0, 8, 32, 32)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4, pe_lines=32), 8, 32)
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 32)
     config = KtNextConfig(n_cascades=2, channels=8)
     params, history = fit([gt], mask, config, steps=500, seed=0, lr=1e-4)
     dt = time.monotonic() - t0
@@ -453,7 +454,7 @@ def test_criterion_08_overfit_benchmark():
 def test_criterion_09_generalization_smoke():
     t_n, rows, cols = 4, 16, 16
     config = KtNextConfig(n_cascades=1, channels=4)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=2, pe_lines=cols), t_n, cols)
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=2), t_n, cols)
     train_set = [generate_phantom(seed, t_n, rows, cols) for seed in range(8)]
     params, _ = fit(train_set, mask, config, steps=400, seed=0, lr=1e-3)
 

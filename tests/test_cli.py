@@ -107,6 +107,15 @@ def test_mask_accel_one_samples_everything(tmp_path):
     assert (load_mask(out).bits == 1).all()
 
 
+def test_mask_center_wider_than_columns_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.ckm"
+    assert run_cli("mask", "--accel", 4, "--center", 40, "--frames", 6,
+                   "--cols", 32, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cols=32" in err and "n_center=40" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mask_manifest_contents(tmp_path):
     out = tmp_path / "m.ckm"
     assert run_cli("mask", "--accel", 3, "--center", 2, "--frames", 6,

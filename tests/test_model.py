@@ -1,5 +1,6 @@
 """End-to-end model: cascade assembly, collapse identities, gradients, training."""
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from ktnext.sampling import (
     undersample,
     zero_filled,
 )
-from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c, ifft_t
-from ktnext.xf import dc_baseline_kspace, hybrid_kspace, kspace_temporal_average
+from ktnext.volume import ComplexVolume, Domain, _ifft1c_arr, fft2c, fft_t, ifft2c
+from ktnext.xf import dc_array, kspace_temporal_average
 
 
 def small_config(**kw):
@@ -48,8 +49,15 @@ def xf_inputs(meas):
     them from the zero-filled estimate: (x-f residual, x-f DC'd baseline)."""
     avg = kspace_temporal_average(meas)
     residual = km._xf_residual(ad.constant(zero_filled(meas).data), average_image(avg)).value
-    baseline = fft_t(ifft2c(dc_baseline_kspace(avg, meas))).data
+    baseline = fft_t(ifft2c(baseline_kspace(meas))).data
     return residual, baseline
+
+
+def baseline_kspace(meas):
+    """The temporal average on every frame, each frame's own samples put back."""
+    k = meas.kspace.data
+    avg = np.broadcast_to(kspace_temporal_average(meas), k.shape)
+    return ComplexVolume(dc_array(avg, k, meas.mask.bits, math.inf), Domain.KSPACE)
 
 
 def average_image(avg):
@@ -66,7 +74,8 @@ def xfcnn_pass(meas, params):
 
 def crnn_pass(img, meas, params, cfg, hidden=None):
     """One recurrent refinement with data consistency: (sigma, hidden states)."""
-    sigma, new_hidden = km._crnn_apply(ad.constant(img), hybrid_kspace(meas), meas.mask.bits,
+    k_hybrid = _ifft1c_arr(meas.kspace.data, 1)
+    sigma, new_hidden = km._crnn_apply(ad.constant(img), k_hybrid, meas.mask.bits,
                                        params.crnn, cfg, hidden)
     return sigma.value, new_hidden
 
@@ -199,7 +208,7 @@ def test_init_params_keeps_unit_gain_at_overfit_shape():
     fan-in.  Counting each kernel's own fan-in instead amplifies it about
     200-fold."""
     gt = generate_phantom(0, 8, 32, 32)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4, pe_lines=32), 8, 32)
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 32)
     cfg = KtNextConfig(n_cascades=2, channels=8)
     meas = undersample(gt, mask)
     sigma, _, _ = ktnext_forward(meas, init_params(cfg, 0), cfg)
@@ -294,7 +303,7 @@ def test_crnn_hidden_carry_changes_output():
     cfg = small_config()
     params = init_params(cfg, 7)
     _, baseline = xf_inputs(meas)
-    img = ifft_t(ComplexVolume(baseline, Domain.XF)).data
+    img = _ifft1c_arr(baseline, 0)
     out0, hidden = crnn_pass(img, meas, params, cfg)
     out1, _ = crnn_pass(img, meas, params, cfg, hidden)
     # hard DC pins sampled k-space, so compare where the network can act
@@ -309,7 +318,7 @@ def test_crnn_gradient_check():
     img_arr = rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape)
     target = rng.standard_normal(gt.data.shape) + 1j * rng.standard_normal(gt.data.shape)
 
-    k_hybrid = hybrid_kspace(meas)
+    k_hybrid = _ifft1c_arr(meas.kspace.data, 1)
 
     def build_loss():
         img = ad.constant(img_arr)
@@ -331,8 +340,7 @@ def test_forward_zero_weights_matches_hand_pipeline():
         cfg = small_config()
         params = zero_all(init_params(cfg, seed))
         sigma, rho, inter = ktnext_forward(meas, params, cfg)
-        baseline_k = dc_baseline_kspace(kspace_temporal_average(meas), meas)
-        want_img = ifft2c(baseline_k)
+        want_img = ifft2c(baseline_kspace(meas))
         want_xf = fft_t(want_img)
         assert np.max(np.abs(sigma.data - want_img.data)) < 1e-10
         assert np.max(np.abs(rho.data - want_xf.data)) < 1e-10
@@ -346,7 +354,7 @@ def test_forward_n1_equals_manual_unroll():
     params = init_params(cfg, 9)
     sigma, rho, inter = ktnext_forward(meas, params, cfg)
     rho_hand, _ = xfcnn_pass(meas, params)
-    sigma_hand, _ = crnn_pass(ifft_t(ComplexVolume(rho_hand, Domain.XF)).data, meas, params, cfg)
+    sigma_hand, _ = crnn_pass(_ifft1c_arr(rho_hand, 0), meas, params, cfg)
     assert np.max(np.abs(sigma.data - sigma_hand)) < 1e-13
     assert np.max(np.abs(rho.data - rho_hand)) < 1e-13
     assert len(inter) == 1
@@ -416,7 +424,10 @@ def test_forward_records_no_tape(monkeypatch):
 def test_each_cascade_makes_four_fft_passes(monkeypatch):
     """One more cascade costs exactly four more 1-D FFT calls: the x-f
     residual's fft_t, the ifft_t back to image space, and the fft_x/ifft_x
-    pair around data consistency."""
+    pair around data consistency.  On top of those, each sequence makes six:
+    F_y^-1 of the data and of the average, then an x-pass each for the
+    zero-filled start and the average's image, and an x-pass and a t-pass for
+    the x-f baseline."""
     _, _, meas = make_case(16)
     calls = []
 
@@ -436,6 +447,7 @@ def test_each_cascade_makes_four_fft_passes(monkeypatch):
         ktnext_forward(meas, params, cfg)
         counts.append(len(calls))
     assert counts[1] - counts[0] == 4
+    assert counts == [10, 14]
 
 
 def test_forward_hidden_carry_toggle_matters():
@@ -446,10 +458,10 @@ def test_forward_hidden_carry_toggle_matters():
     params = init_params(cfg, 14)
     sigma, rho, _ = ktnext_forward(meas, params, cfg)
     rho1, baseline = xfcnn_pass(meas, params)
-    sigma1, hidden1 = crnn_pass(ifft_t(ComplexVolume(rho1, Domain.XF)).data, meas, params, cfg)
+    sigma1, hidden1 = crnn_pass(_ifft1c_arr(rho1, 0), meas, params, cfg)
     residual2 = km._xf_residual(ad.constant(sigma1), average_image(kspace_temporal_average(meas)))
     rho2 = km._xfcnn_apply(residual2, ad.constant(baseline), params.xfcnn).value
-    img2 = ifft_t(ComplexVolume(rho2, Domain.XF)).data
+    img2 = _ifft1c_arr(rho2, 0)
     carried, _ = crnn_pass(img2, meas, params, cfg, hidden1)
     fresh, _ = crnn_pass(img2, meas, params, cfg)
     assert np.max(np.abs(rho.data - rho2)) < 1e-13

@@ -12,6 +12,7 @@ import pytest
 from ktnext.sampling import (
     AcquisitionSpec,
     BadMagicError,
+    BadPayloadError,
     DimensionOverflowError,
     KtMeasurement,
     SamplingMask,
@@ -108,10 +109,11 @@ def test_acquisition_spec_validation():
         AcquisitionSpec(accel=0)
     with pytest.raises(ValueError):
         AcquisitionSpec(accel=4, n_center=-1)
-    with pytest.raises(ValueError):
-        AcquisitionSpec(accel=4, n_center=200, pe_lines=190)
+    # the center block is checked against the real column count
+    with pytest.raises(ValueError, match="cols=190 is smaller than n_center=200"):
+        make_shear_mask(AcquisitionSpec(accel=4, n_center=200), t_frames=2, cols=190)
     spec = AcquisitionSpec(accel=9)
-    assert spec.n_center == 4 and spec.pe_lines == 190
+    assert spec.n_center == 4
 
 
 def test_sampling_mask_validation():
@@ -317,6 +319,17 @@ def test_sequence_dimension_overflow(tmp_path):
     header = b"CKT1" + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
     path.write_bytes(header)
     with pytest.raises(DimensionOverflowError):
+        load_sequence(path)
+
+
+def test_sequence_signaling_nan_is_a_bad_payload(tmp_path):
+    """A float32 signaling NaN warns when cast to float64; the reader must
+    still report it as a bad payload, warning-free."""
+    import struct
+
+    path = tmp_path / "snan.ckt"
+    path.write_bytes(b"CKT1" + struct.pack("<III", 1, 1, 1) + bytes([1, 0, 0x80, 0x7F]) + bytes(4))
+    with pytest.raises(BadPayloadError, match="NaN"):
         load_sequence(path)
 
 

@@ -5,8 +5,11 @@ k-position in ascending t, one pass counting sampled frames, then an
 element-wise divide by max(1, count).  Running both passes as plain Python
 loops keeps the oracle independent of the vectorized code under test; the
 comparison is exact equality in doubles.  Data consistency is tested on the
-tape's DC node, the one the cascade runs.
+tape's DC node, the one the cascade runs.  The cascade's per-sequence inputs
+are compared bit for bit with the 2-D k-space forms they replace.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ import pytest
 from ktnext import autodiff as ad
 from ktnext.model import _xf_residual
 from ktnext.sampling import AcquisitionSpec, KtMeasurement, SamplingMask, make_shear_mask, undersample
-from ktnext.volume import ComplexVolume, Domain, fft2c, fft_t, ifft2c, ifft_t
-from ktnext.xf import dc_array, dc_baseline_kspace, hybrid_kspace, kspace_temporal_average
+from ktnext.volume import ComplexVolume, Domain, _ifft1c_arr, fft2c, fft_t, ifft2c
+from ktnext.xf import cascade_inputs, dc_array, kspace_temporal_average
 
 
 def temporal_average_oracle(kdata, bits):
@@ -55,8 +58,21 @@ def xf_inputs(sigma, meas):
     avg = kspace_temporal_average(meas)
     avg_img = ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data
     residual = _xf_residual(ad.constant(sigma.data), avg_img).value
-    baseline = fft_t(ifft2c(dc_baseline_kspace(avg, meas))).data
+    baseline = fft_t(ifft2c(ComplexVolume(baseline_kspace(meas), Domain.KSPACE))).data
     return residual, baseline
+
+
+def baseline_kspace(meas):
+    """The temporal average on every frame, each frame's own samples put back."""
+    k = meas.kspace.data
+    avg = np.broadcast_to(kspace_temporal_average(meas), k.shape)
+    return dc_array(avg, k, meas.mask.bits, math.inf)
+
+
+def baseline_back_to_kspace(meas):
+    """cascade_inputs' x-f baseline taken back to k-space: F_2 F_t^-1."""
+    baseline_xf = cascade_inputs(meas)[3]
+    return fft2c(ComplexVolume(_ifft1c_arr(baseline_xf, 0), Domain.IMAGE)).data
 
 
 def centered_dft_matrix(n):
@@ -115,23 +131,22 @@ def test_average_matches_two_pass_oracle_bitwise(seed):
 
 def test_dc_baseline_full_mask_returns_acquired():
     meas, _ = random_measurement(2, accel=1, n_center=0)
-    avg = kspace_temporal_average(meas)
-    out = dc_baseline_kspace(avg, meas)
-    assert np.array_equal(out.data, meas.kspace.data)
-    assert out.domain is Domain.KSPACE
+    out = baseline_back_to_kspace(meas)
+    assert np.abs(out - meas.kspace.data).max() <= 1e-13 * np.abs(meas.kspace.data).max()
 
 
 def test_dc_baseline_positionwise_oracle():
     meas, _ = random_measurement(3, t_frames=4, rows=5, cols=8, accel=3, n_center=2)
-    avg = kspace_temporal_average(meas)
-    out = dc_baseline_kspace(avg, meas)
+    avg = temporal_average_oracle(meas.kspace.data, meas.mask.bits)
+    out = baseline_back_to_kspace(meas)
+    tol = 1e-13 * np.abs(meas.kspace.data).max()
     for t in range(4):
         for y in range(5):
             for x in range(8):
                 if meas.mask.bits[t, x]:
-                    assert out.data[t, y, x] == meas.kspace.data[t, y, x]
+                    assert abs(out[t, y, x] - meas.kspace.data[t, y, x]) <= tol
                 else:
-                    assert out.data[t, y, x] == avg[y, x]
+                    assert abs(out[t, y, x] - avg[y, x]) <= tol
 
 
 def test_dc_baseline_empty_mask_hypothetical():
@@ -144,6 +159,34 @@ def test_dc_baseline_empty_mask_hypothetical():
     out = dc_array(avg[None].repeat(2, axis=0), k, bits, np.inf)
     assert np.array_equal(out[0], avg)
     assert np.array_equal(out[1], avg)
+
+
+# ------------------------------------------------------- cascade inputs
+
+
+@pytest.mark.parametrize("mask_seed", [1, 2, None], ids=["random1", "random2", "full"])
+@pytest.mark.parametrize("shape", [(8, 32, 32), (8, 64, 64), (1, 6, 8), (5, 7, 9), (6, 12, 20)])
+def test_cascade_inputs_match_2d_forms_bitwise(shape, mask_seed):
+    """Each of the four arrays equals, bit for bit, the 2-D k-space form it
+    replaces: the y-transform commutes with a y-constant mask and with DC."""
+    t_frames, rows, cols = shape
+    rng = np.random.default_rng([*shape, mask_seed or 0])
+    if mask_seed is None:
+        bits = np.ones((t_frames, cols), dtype=np.uint8)
+    else:
+        bits = rng.integers(0, 2, size=(t_frames, cols))
+        bits[np.arange(t_frames), rng.integers(cols, size=t_frames)] = 1
+    mask = SamplingMask(bits)
+    k = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask.bits[:, None, :]
+    meas = KtMeasurement(ComplexVolume(k, Domain.KSPACE), mask)
+    avg = kspace_temporal_average(meas)
+
+    zero_img, avg_img, k_hybrid, baseline_xf = cascade_inputs(meas)
+    assert np.array_equal(zero_img, ifft2c(meas.kspace).data)
+    assert np.array_equal(avg_img, ifft2c(ComplexVolume(avg[None], Domain.KSPACE)).data)
+    assert np.array_equal(k_hybrid, _ifft1c_arr(k, 1))
+    want = fft_t(ifft2c(ComplexVolume(baseline_kspace(meas), Domain.KSPACE))).data
+    assert np.array_equal(baseline_xf, want)
 
 
 # ------------------------------------------------------- data consistency
@@ -247,7 +290,7 @@ def test_one_axis_forms_match_composed_2d_forms(t_frames):
     for lam in (np.inf, 1.5):
         dc_k = dc_array(k_r, meas.kspace.data, meas.mask.bits, lam)
         old = ifft2c(ComplexVolume(dc_k, Domain.KSPACE)).data
-        dc_x = ad.data_consistency(ad.fft_x(ad.constant(r)), hybrid_kspace(meas),
+        dc_x = ad.data_consistency(ad.fft_x(ad.constant(r)), cascade_inputs(meas)[2],
                                    meas.mask.bits, lam)
         assert rel_err(ad.ifft_x(dc_x).value, old) <= 1e-14
 
@@ -297,20 +340,15 @@ def test_xf_to_image_round_trip():
         rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6)),
         Domain.IMAGE,
     )
-    back = ifft_t(fft_t(img))
-    assert np.abs(back.data - img.data).max() < 1e-10
-    assert back.domain is Domain.IMAGE
+    back = _ifft1c_arr(fft_t(img).data, 0)
+    assert np.abs(back - img.data).max() < 1e-10
 
 
 def test_xf_to_image_zero_and_oracle():
-    zero = ComplexVolume(np.zeros((3, 4, 4), dtype=complex), Domain.XF)
-    assert np.all(ifft_t(zero).data == 0)
+    assert np.all(_ifft1c_arr(np.zeros((3, 4, 4), dtype=complex), 0) == 0)
 
     rng = np.random.default_rng(18)
-    rho = ComplexVolume(
-        rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4)),
-        Domain.XF,
-    )
+    rho = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
     wt = centered_dft_matrix(6)
-    expect = np.einsum("tf,fyx->tyx", wt.conj().T, rho.data)
-    assert np.abs(ifft_t(rho).data - expect).max() < 1e-10
+    expect = np.einsum("tf,fyx->tyx", wt.conj().T, rho)
+    assert np.abs(_ifft1c_arr(rho, 0) - expect).max() < 1e-10
