@@ -6,7 +6,7 @@ Subpackage layout:
 * :mod:`ktnext.sampling`  k-t sampling masks, phantom simulation, sequence files
 * :mod:`ktnext.xf`        temporal-average baseline and data consistency
 * :mod:`ktnext.autodiff`  reverse-mode tape over real arrays with FFT-aware nodes
-* :mod:`ktnext.network`   parameter stores, ADAM, recurrent layers, checkpoints
+* :mod:`ktnext.network`   the parameter store, ADAM, recurrent layers, checkpoints
 * :mod:`ktnext.model`     the cascaded reconstruction network and its trainer
 * :mod:`ktnext.metrics`   PSNR / SSIM / HFEN on magnitude sequences
 * :mod:`ktnext.cli`       command line entry points

@@ -20,7 +20,6 @@ from .network import (
     ParamStore,
     adam_step,
     crnn_bidir_layer,
-    he_conv_weights,
     init_adam,
     load_checkpoint,
     save_checkpoint,
@@ -119,31 +118,7 @@ def record_width(records: dict):
     return first.shape[0] if first is not None and first.ndim else None
 
 
-@dataclass
-class KtNextParams:
-    """Trainable weights, split into the two sub-networks."""
-
-    xfcnn: ParamStore
-    crnn: ParamStore
-
-    def stores(self):
-        return (self.xfcnn, self.crnn)
-
-    def zero_grads(self) -> None:
-        for store in self.stores():
-            store.zero_grads()
-
-    def records(self):
-        """(record name, leaf) per parameter: the store's field, a dot, the name in it."""
-        for field in ("xfcnn", "crnn"):
-            for name, tensor in getattr(self, field).items():
-                yield f"{field}.{name}", tensor
-
-    def snapshot(self) -> dict:
-        return {name: tensor.value.copy() for name, tensor in self.records()}
-
-
-def init_params(config: KtNextConfig, seed) -> KtNextParams:
+def init_params(config: KtNextConfig, seed) -> ParamStore:
     """He-initialized conv weights, zero biases, deterministic per seed.
 
     One set of weights serves every cascade.  `_layout` gives each shape and
@@ -151,20 +126,17 @@ def init_params(config: KtNextConfig, seed) -> KtNextParams:
     identical weights regardless of platform.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    drawn = {name: np.zeros(shape) if fan_in is None else he_conv_weights(rng, *shape[:3], fan_in)
+    drawn = {name: np.zeros(shape) if fan_in is None
+             else rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
              for name, shape, fan_in in _layout(config.channels)}
     return params_from(drawn, config)
 
 
-def params_from(records: dict, config: KtNextConfig) -> KtNextParams:
+def params_from(records: dict, config: KtNextConfig) -> ParamStore:
     """Parameters holding name -> array records, such as a checkpoint's; they
-    must be the layout at config.channels, and the stores keep its order."""
+    must be the layout at config.channels, and the store keeps its order."""
     _check_shapes({name: value.shape for name, value in records.items()}, config.channels)
-    params = KtNextParams(xfcnn=ParamStore(), crnn=ParamStore())
-    for name, _, _ in _layout(config.channels):
-        field, _, short = name.partition(".")
-        getattr(params, field).add(short, records[name])
-    return params
+    return ParamStore({name: records[name] for name, _, _ in _layout(config.channels)})
 
 
 # ------------------------------------------------------------------ forward
@@ -176,40 +148,40 @@ def _xf_residual(sigma, avg_img):
     return ad.fft_t(ad.add_const(sigma, -avg_img))
 
 
-def _xfcnn_apply(residual, baseline, store):
+def _xfcnn_apply(residual, baseline, params):
     # residual and baseline are complex x-f tape tensors [F, Y, X]
     x = ad.concat_channels(
         [ad.complex_to_channels_xf(residual), ad.complex_to_channels_xf(baseline)]
     )
     for i in range(XF_LAYERS):
-        x = ad.conv2d(x, store[f"w{i}"], store[f"b{i}"], DILATION)
+        x = ad.conv2d(x, params[f"xfcnn.w{i}"], params[f"xfcnn.b{i}"], DILATION)
         if i < XF_LAYERS - 1:
             x = ad.relu(x)
     return ad.add(baseline, ad.channels_to_complex_xf(x))
 
 
-def _crnn_apply(img, k_hybrid, bits, store, config, hidden):
+def _crnn_apply(img, k_hybrid, bits, params, config, hidden):
     seq = ad.complex_to_channels_image(img)
     new_hidden = []
     for layer in range(CRNN_LAYERS):
         prev = None if hidden is None else hidden[layer]
         seq = crnn_bidir_layer(
             seq,
-            store[f"i2h{layer}"],
-            store[f"h2h{layer}"],
-            store[f"ih2ih{layer}"],
-            store[f"bias{layer}"],
+            params[f"crnn.i2h{layer}"],
+            params[f"crnn.h2h{layer}"],
+            params[f"crnn.ih2ih{layer}"],
+            params[f"crnn.bias{layer}"],
             hidden_prev=prev,
             dilation=DILATION,
         )
         new_hidden.append(seq)
-    out = ad.conv2d(seq, store["out_w"], store["out_b"], DILATION)
+    out = ad.conv2d(seq, params["crnn.out_w"], params["crnn.out_b"], DILATION)
     refined = ad.add(img, ad.channels_to_complex_image(out))
     k = ad.data_consistency(ad.fft_x(refined), k_hybrid, bits, config.dc_lambda)
     return ad.ifft_x(k), new_hidden
 
 
-def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConfig):
+def _forward_graph(meas: KtMeasurement, params: ParamStore, config: KtNextConfig):
     """Build the full differentiable cascade; returns tape tensors.
 
     The zero-filled start, the x-f baseline, the average's image and the
@@ -219,16 +191,16 @@ def _forward_graph(meas: KtMeasurement, params: KtNextParams, config: KtNextConf
     along y, so F_y^-1 commutes with it and with hard DC, and each input
     keeps the bits of its 2-D k-space form.
     """
-    _check_shapes({name: t.value.shape for name, t in params.records()}, config.channels)
+    _check_shapes({name: t.value.shape for name, t in params.items()}, config.channels)
     zero_img, avg_img, k_hybrid, baseline_xf = cascade_inputs(meas)
     base = ad.constant(baseline_xf)
     sigma = ad.constant(zero_img)
     hidden = None
     traces = []
     for _ in range(config.n_cascades):
-        rho = _xfcnn_apply(_xf_residual(sigma, avg_img), base, params.xfcnn)
-        sigma, hidden = _crnn_apply(ad.ifft_t(rho), k_hybrid, meas.mask.bits, params.crnn,
-                                    config, hidden)
+        rho = _xfcnn_apply(_xf_residual(sigma, avg_img), base, params)
+        sigma, hidden = _crnn_apply(ad.ifft_t(rho), k_hybrid, meas.mask.bits, params, config,
+                                    hidden)
         traces.append((rho, sigma))
     return sigma, rho, traces
 
@@ -241,7 +213,7 @@ class CascadeOutput:
     sigma: ComplexVolume
 
 
-def ktnext_forward(m: KtMeasurement, params: KtNextParams, config: KtNextConfig):
+def ktnext_forward(m: KtMeasurement, params: ParamStore, config: KtNextConfig):
     """Run the full cascade from the zero-filled estimate.
 
     Returns (final image sequence, final x-f estimate, per-cascade
@@ -303,8 +275,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_params(config, rng)
-    adam_xf = init_adam(params.xfcnn)
-    adam_cr = init_adam(params.crnn)
+    adam = init_adam(params)
     history = []
     for step in range(1, steps + 1):
         params.zero_grads()
@@ -319,8 +290,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
             )
         ad.backward(node)
         psnr_train = psnr(ComplexVolume(sigma.value, Domain.IMAGE), img)
-        adam_step(params.xfcnn, adam_xf, lr=lr)
-        adam_step(params.crnn, adam_cr, lr=lr)
+        adam_step(params, adam, lr=lr)
         history.append(TrainRecord(step=step, loss=loss, psnr_train=psnr_train))
     return params, history
 
@@ -328,10 +298,10 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
 # ------------------------------------------------------------------ persistence
 
 
-def save_params(path, params: KtNextParams) -> None:
+def save_params(path, params: ParamStore) -> None:
     save_checkpoint(path, params.snapshot())
 
 
-def load_params(path, config: KtNextConfig) -> KtNextParams:
+def load_params(path, config: KtNextConfig) -> ParamStore:
     """Read a KTNP checkpoint written at config's width (see `params_from`)."""
     return params_from(load_checkpoint(path), config)

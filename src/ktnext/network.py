@@ -1,9 +1,9 @@
-"""Parameter store, ADAM, weight init, the recurrent layer, checkpoints.
+"""Parameter store, ADAM, the recurrent layer, checkpoints.
 
-Parameters are tape leaves (see :mod:`ktnext.autodiff`) held by name in a
-:class:`ParamStore`; shapes are fixed at registration and all updates happen
-in place, so the same leaves can be reused across training steps and
-cascades.
+Parameters are tape leaves (see :mod:`ktnext.autodiff`) held by record name
+in one :class:`ParamStore`; shapes are fixed when the store is built and all
+updates happen in place, so the same leaves can be reused across training
+steps and cascades.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "adam_step",
     "check_gradients",
     "crnn_bidir_layer",
-    "he_conv_weights",
     "init_adam",
     "load_checkpoint",
     "save_checkpoint",
@@ -30,19 +29,10 @@ __all__ = [
 
 
 class ParamStore:
-    """Ordered, uniquely named collection of real trainable arrays."""
+    """Real trainable arrays as tape leaves, by name, in the order given."""
 
-    def __init__(self):
-        self._tensors: dict[str, ad.Tensor] = {}
-
-    def add(self, name: str, value) -> ad.Tensor:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if np.iscomplexobj(value):
-            raise ValueError("parameters must be real arrays")
-        tensor = ad.parameter(value)
-        self._tensors[name] = tensor
-        return tensor
+    def __init__(self, records):
+        self._tensors = {name: ad.parameter(value) for name, value in records.items()}
 
     def __getitem__(self, name: str) -> ad.Tensor:
         return self._tensors[name]
@@ -50,9 +40,16 @@ class ParamStore:
     def items(self):
         return self._tensors.items()
 
+    def stores(self):
+        """This store alone; `perfbench/workloads.py::write_checkpoint` iterates it."""
+        return (self,)
+
     def zero_grads(self) -> None:
         for t in self._tensors.values():
             t.grad = None
+
+    def snapshot(self) -> dict:
+        return {name: tensor.value.copy() for name, tensor in self._tensors.items()}
 
     def set_values(self, mapping) -> None:
         """Copy new values into existing parameters; shapes must match."""
@@ -66,21 +63,6 @@ class ParamStore:
                     f"parameter {name!r} has shape {tensor.value.shape}, got {arr.shape}"
                 )
             tensor.value[...] = arr
-
-
-def he_conv_weights(rng, c_out: int, c_in: int, k: int, fan_in: int | None = None) -> np.ndarray:
-    """He normal init for a conv kernel [c_out][c_in][k][k]: std = sqrt(2 / fan_in).
-
-    fan_in defaults to the kernel's own c_in*k*k, which keeps unit gain when
-    the convolution alone makes a pre-activation.  When several convolutions
-    are summed into one pre-activation, pass the fan-in of the whole sum (the
-    total of every summand's c_in*k*k), so that the sum keeps unit gain rather
-    than each term.
-    """
-    if fan_in is None:
-        fan_in = c_in * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return rng.standard_normal((c_out, c_in, k, k)) * std
 
 
 # --------------------------------------------------------------- ADAM

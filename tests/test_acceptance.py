@@ -61,19 +61,17 @@ def random_mask(rng, t, x) -> SamplingMask:
 
 
 def zero_all(params):
-    for store in params.stores():
-        for _, tensor in store.items():
-            tensor.value = np.zeros_like(tensor.value)
+    for _, tensor in params.items():
+        tensor.value = np.zeros_like(tensor.value)
     return params
 
 
 def randomize_biases(params, seed):
     """Move biases off zero so no ReLU input sits at the kink during FD probes."""
     rng = np.random.default_rng(seed)
-    for store in params.stores():
-        for _, tensor in store.items():
-            if tensor.value.ndim == 1:
-                tensor.value = rng.standard_normal(tensor.value.shape) * 0.1
+    for _, tensor in params.items():
+        if tensor.value.ndim == 1:
+            tensor.value = rng.standard_normal(tensor.value.shape) * 0.1
     return params
 
 
@@ -369,12 +367,11 @@ def test_criterion_06_gradient_suite():
     rng = np.random.default_rng(666)
     worst_model = 0.0
     probed = 0
-    for store in params.stores():
-        for _, tensor in store.items():
-            n = max(1, round(0.01 * tensor.value.size))
-            probed += min(n, tensor.value.size)
-            err = check_gradients(model_loss, [tensor], rng, samples=n)
-            worst_model = max(worst_model, err)
+    for _, tensor in params.items():
+        n = max(1, round(0.01 * tensor.value.size))
+        probed += min(n, tensor.value.size)
+        err = check_gradients(model_loss, [tensor], rng, samples=n)
+        worst_model = max(worst_model, err)
     dt = time.monotonic() - t0
     ok = worst_op < 1e-4 and worst_model < 1e-4 and dt < 300.0
     assert report(6, ok, f"{len(cases)} op checks (worst {worst_op:.2e}) and full "

@@ -600,9 +600,8 @@ def test_diverging_training_exits_5(tmp_path):
 def overflowing_checkpoint(tmp_path):
     """A finite TINY checkpoint whose x-f weights, all 1e200, overflow the forward pass."""
     params = init_params(TINY, 0)
-    params.xfcnn.set_values(
-        {name: np.full_like(t.value, 1e200) for name, t in params.xfcnn.items()}
-    )
+    params.set_values({name: np.full_like(t.value, 1e200)
+                       for name, t in params.items() if name.startswith("xfcnn.")})
     ckpt = tmp_path / "w.ktnp"
     save_params(ckpt, params)
     return ckpt

@@ -1,5 +1,6 @@
 """End-to-end model: cascade assembly, collapse identities, gradients, training."""
 
+import hashlib
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,6 @@ from ktnext import autodiff as ad
 from ktnext import model as km
 from ktnext.model import (
     KtNextConfig,
-    KtNextParams,
     NonFiniteLossError,
     fit,
     init_params,
@@ -68,7 +68,7 @@ def average_image(avg):
 def xfcnn_pass(meas, params):
     """One de-aliasing pass on the zero-filled estimate: (rho, baseline)."""
     residual, baseline = xf_inputs(meas)
-    rho = km._xfcnn_apply(ad.constant(residual), ad.constant(baseline), params.xfcnn)
+    rho = km._xfcnn_apply(ad.constant(residual), ad.constant(baseline), params)
     return rho.value, baseline
 
 
@@ -76,7 +76,7 @@ def crnn_pass(img, meas, params, cfg, hidden=None):
     """One recurrent refinement with data consistency: (sigma, hidden states)."""
     k_hybrid = _ifft1c_arr(meas.kspace.data, 1)
     sigma, new_hidden = km._crnn_apply(ad.constant(img), k_hybrid, meas.mask.bits,
-                                       params.crnn, cfg, hidden)
+                                       params, cfg, hidden)
     return sigma.value, new_hidden
 
 
@@ -85,23 +85,26 @@ def loss_value(sigma, rho, sigma_gt, rho_gt):
     return float(km._loss_node(ad.constant(sigma), ad.constant(rho), sigma_gt, rho_gt).value)
 
 
-def zero_all(params: KtNextParams):
-    for store in params.stores():
-        store.set_values({name: np.zeros_like(t.value) for name, t in store.items()})
+def zero_all(params):
+    params.set_values({name: np.zeros_like(t.value) for name, t in params.items()})
     return params
 
 
-def randomize_biases(params: KtNextParams, seed):
+def randomize_biases(params, seed):
     """Move biases off zero so no ReLU input sits at the kink during FD probes."""
     rng = np.random.default_rng(seed)
-    for store in params.stores():
-        store.set_values(
-            {
-                name: 0.1 * rng.standard_normal(t.value.shape) if t.value.ndim == 1 else t.value
-                for name, t in store.items()
-            }
-        )
+    params.set_values(
+        {
+            name: 0.1 * rng.standard_normal(t.value.shape) if t.value.ndim == 1 else t.value
+            for name, t in params.items()
+        }
+    )
     return params
+
+
+def leaves(params, prefix=""):
+    """The parameters whose record names start with prefix, in layout order."""
+    return [t for name, t in params.items() if name.startswith(prefix)]
 
 
 # --------------------------------------------------------------- config
@@ -192,13 +195,26 @@ def test_parameter_count_matches_hand_audit():
 def test_init_params_shapes():
     cfg = KtNextConfig()
     p = init_params(cfg, 0)
-    assert p.xfcnn["w0"].value.shape == (16, 4, 3, 3)
-    assert p.xfcnn["w4"].value.shape == (2, 16, 3, 3)
-    assert p.crnn["i2h0"].value.shape == (16, 2, 3, 3)
-    assert p.crnn["h2h3"].value.shape == (16, 16, 3, 3)
-    assert p.crnn["out_w"].value.shape == (2, 16, 3, 3)
-    assert np.all(p.xfcnn["b0"].value == 0.0)
-    assert np.all(p.crnn["bias0"].value == 0.0)
+    assert p["xfcnn.w0"].value.shape == (16, 4, 3, 3)
+    assert p["xfcnn.w4"].value.shape == (2, 16, 3, 3)
+    assert p["crnn.i2h0"].value.shape == (16, 2, 3, 3)
+    assert p["crnn.h2h3"].value.shape == (16, 16, 3, 3)
+    assert p["crnn.out_w"].value.shape == (2, 16, 3, 3)
+    assert np.all(p["xfcnn.b0"].value == 0.0)
+    assert np.all(p["crnn.bias0"].value == 0.0)
+
+
+def test_init_params_he_scaled():
+    """Every wide kernel's std is within 10% of sqrt(2 / fan_in) for the
+    fan-in `_layout` gives it (test_init_params_deterministic covers seeds)."""
+    cfg = KtNextConfig(channels=32)
+    a = init_params(cfg, 1).snapshot()
+    wide = [(name, fan_in) for name, shape, fan_in in km._layout(cfg.channels)
+            if fan_in is not None and np.prod(shape) >= 4096]
+    assert {name for name, _ in wide} >= {"xfcnn.w1", "crnn.h2h1"}
+    for name, fan_in in wide:
+        expect_std = np.sqrt(2.0 / fan_in)
+        assert abs(a[name].std() - expect_std) < 0.1 * expect_std, name
 
 
 def test_init_params_keeps_unit_gain_at_overfit_shape():
@@ -257,12 +273,12 @@ def test_xfcnn_gradient_check():
     def build_loss():
         residual = ad.constant(residual_arr)
         base = ad.constant(baseline_arr)
-        rho = km._xfcnn_apply(residual, base, params.xfcnn)
+        rho = km._xfcnn_apply(residual, base, params)
         return ad.sumsq_diff(rho, target)
 
     from ktnext.network import check_gradients
 
-    err = check_gradients(build_loss, [t for _, t in params.xfcnn.items()], rng, samples=4)
+    err = check_gradients(build_loss, leaves(params, "xfcnn."), rng, samples=4)
     assert err < 1e-4
 
 
@@ -322,12 +338,12 @@ def test_crnn_gradient_check():
 
     def build_loss():
         img = ad.constant(img_arr)
-        sigma, _ = km._crnn_apply(img, k_hybrid, meas.mask.bits, params.crnn, cfg, None)
+        sigma, _ = km._crnn_apply(img, k_hybrid, meas.mask.bits, params, cfg, None)
         return ad.sumsq_diff(sigma, target)
 
     from ktnext.network import check_gradients
 
-    err = check_gradients(build_loss, [t for _, t in params.crnn.items()], rng, samples=4)
+    err = check_gradients(build_loss, leaves(params, "crnn."), rng, samples=4)
     assert err < 1e-4
 
 
@@ -418,7 +434,7 @@ def test_forward_records_no_tape(monkeypatch):
     for rho, sigma in built:
         for node in (rho, sigma):
             assert node.parents == () and node.vjp is None and not node.needs_grad
-    assert all(t.grad is None for _, t in params.records())
+    assert all(t.grad is None for _, t in params.items())
 
 
 def test_each_cascade_makes_four_fft_passes(monkeypatch):
@@ -460,7 +476,7 @@ def test_forward_hidden_carry_toggle_matters():
     rho1, baseline = xfcnn_pass(meas, params)
     sigma1, hidden1 = crnn_pass(_ifft1c_arr(rho1, 0), meas, params, cfg)
     residual2 = km._xf_residual(ad.constant(sigma1), average_image(kspace_temporal_average(meas)))
-    rho2 = km._xfcnn_apply(residual2, ad.constant(baseline), params.xfcnn).value
+    rho2 = km._xfcnn_apply(residual2, ad.constant(baseline), params).value
     img2 = _ifft1c_arr(rho2, 0)
     carried, _ = crnn_pass(img2, meas, params, cfg, hidden1)
     fresh, _ = crnn_pass(img2, meas, params, cfg)
@@ -481,9 +497,8 @@ def test_full_model_gradient_check():
 
     from ktnext.network import check_gradients
 
-    leaves = [t for _, t in params.records()]
     rng = np.random.default_rng(15)
-    err = check_gradients(build_loss, leaves, rng, samples=2)
+    err = check_gradients(build_loss, leaves(params), rng, samples=2)
     assert err < 1e-4
 
 
@@ -560,9 +575,8 @@ def test_fit_nonfinite_loss_aborts_with_step():
     dataset, mask = fit_setup(33)
     cfg = small_config()
     params = init_params(cfg, 33)
-    params.xfcnn.set_values(
-        {name: np.full_like(t.value, 1e200) for name, t in params.xfcnn.items()}
-    )
+    params.set_values({name: np.full_like(t.value, 1e200)
+                       for name, t in params.items() if name.startswith("xfcnn.")})
     with pytest.raises(NonFiniteLossError, match="step 1"):
         fit(dataset, mask, cfg, steps=3, seed=0, params=params)
 
@@ -633,15 +647,24 @@ def test_load_params_names_a_wrong_shaped_record(tmp_path):
         load_params(path, cfg)
 
 
+PERFBENCH_CHECKPOINT_SHA256 = {
+    "train_c8": "533e44a9dac9aa46df678bc55256bc560169f5fd6187a67d47a9c8ff98865daf",
+    "eval_wide": "3bfd5acf35c2a6bb114b88603e2a47fe03b84d216d9459cfb20aa2455a5a7c49",
+    "eval_toy": "7b38307fa9dc48f745b9941361e4e570b316c6ff94d3256e8f52dc0aa30d3a35",
+}
+
+
 def test_perfbench_writes_checkpoints_the_model_loads(tmp_path, monkeypatch):
     """The benchmark builds each workload's checkpoint from init_params'
-    stores and reads it back with load_params: that API must keep working."""
+    store and reads it back with load_params: that API must keep working,
+    and the checkpoint bytes the benchmark measures must not move."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
     for w in workloads.WORKLOADS.values():
         path = tmp_path / f"{w.name}.ktnp"
         workloads.write_checkpoint(w, 3, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PERFBENCH_CHECKPOINT_SHA256[w.name]
         values = load_params(path, workloads.config_of(w)).snapshot().values()
         assert len(values) == 28
         assert all(np.isfinite(v).all() for v in values)

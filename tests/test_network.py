@@ -1,4 +1,4 @@
-"""Parameter store, ADAM, He init, the bidirectional recurrent layer, KTNP files."""
+"""Parameter store, ADAM, the bidirectional recurrent layer, KTNP files."""
 
 import struct
 
@@ -12,7 +12,6 @@ from ktnext.network import (
     adam_step,
     check_gradients,
     crnn_bidir_layer,
-    he_conv_weights,
     init_adam,
     load_checkpoint,
     save_checkpoint,
@@ -24,18 +23,19 @@ from ktnext.sampling import BadMagicError, DimensionOverflowError, TruncatedPayl
 
 
 def test_param_store_basics():
-    store = ParamStore()
-    w = store.add("w", np.zeros((4, 2, 3, 3)))
-    store.add("b", np.zeros(4))
-    assert w.needs_grad
-    assert [name for name, _ in store.items()] == ["w", "b"]
-    with pytest.raises(ValueError):
-        store.add("w", np.zeros(3))
+    w0 = np.zeros((4, 2, 3, 3))
+    store = ParamStore({"w": w0, "b": np.zeros(4), "a": np.ones(1)})
+    assert [name for name, _ in store.items()] == ["w", "b", "a"]  # given order, not sorted
+    assert all(t.needs_grad and t.value.dtype == np.float64 for _, t in store.items())
+    store["w"].value += 1.0  # the store owns its leaves, and a snapshot owns its arrays
+    snap = store.snapshot()
+    snap["w"] += 1.0
+    assert np.all(w0 == 0.0) and np.all(store["w"].value == 1.0)
+    assert list(snap) == ["w", "b", "a"]
 
 
 def test_param_store_set_values_shape_guard():
-    store = ParamStore()
-    store.add("w", np.ones((2, 2)))
+    store = ParamStore({"w": np.ones((2, 2))})
     with pytest.raises(ValueError):
         store.set_values({"w": np.ones((3, 3))})
     with pytest.raises(KeyError):
@@ -44,21 +44,12 @@ def test_param_store_set_values_shape_guard():
     assert np.all(store["w"].value == 5.0)
 
 
-def test_he_init_deterministic_and_scaled():
-    a = he_conv_weights(np.random.default_rng(1), 8, 4, 3)
-    b = he_conv_weights(np.random.default_rng(1), 8, 4, 3)
-    assert np.array_equal(a, b)
-    big = he_conv_weights(np.random.default_rng(2), 64, 32, 3)
-    expect_std = np.sqrt(2.0 / (32 * 9))
-    assert abs(big.std() - expect_std) < 0.1 * expect_std
-
-
 # ------------------------------------------------------------ adam
 
 
 def test_adam_zero_gradient_leaves_params():
-    store = ParamStore()
-    w = store.add("w", np.full((2, 2), 3.0))
+    store = ParamStore({"w": np.full((2, 2), 3.0)})
+    w = store["w"]
     state = init_adam(store)
     w.grad = np.zeros((2, 2))
     adam_step(store, state, lr=0.1)
@@ -67,8 +58,8 @@ def test_adam_zero_gradient_leaves_params():
 
 
 def test_adam_none_gradient_treated_as_zero():
-    store = ParamStore()
-    w = store.add("w", np.full(3, 1.0))
+    store = ParamStore({"w": np.full(3, 1.0)})
+    w = store["w"]
     state = init_adam(store)
     adam_step(store, state, lr=0.1)
     assert np.all(w.value == 1.0)
@@ -76,8 +67,8 @@ def test_adam_none_gradient_treated_as_zero():
 
 def test_adam_quadratic_converges():
     # scalar f(x) = x^2; |x| shrinks monotonically once moments warm up
-    store = ParamStore()
-    x = store.add("x", np.array([3.0]))
+    store = ParamStore({"x": np.array([3.0])})
+    x = store["x"]
     state = init_adam(store)
     trace = []
     for _ in range(300):
@@ -94,8 +85,8 @@ def test_adam_quadratic_converges():
 
 
 def test_adam_matches_reference_formula():
-    store = ParamStore()
-    x = store.add("x", np.array([1.0, -2.0]))
+    store = ParamStore({"x": np.array([1.0, -2.0])})
+    x = store["x"]
     state = init_adam(store)
     g = np.array([0.5, 1.5])
     x.grad = g.copy()
