@@ -1,6 +1,9 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Nodes hold dense float64 or complex128 values.  A real scalar loss is
+Nodes hold dense arrays in one of two precisions: float64/complex128, or
+float32/complex64 when the leaves are float32.  Each op allocates in its
+inputs' dtype, so the graph computes in the precision of the weights it is
+given (numpy >= 2 keeps complex64 through np.fft).  A real scalar loss is
 differentiated by walking the tape once in reverse topological order; each
 node's vjp maps the upstream gradient to one gradient per parent, and the
 walk frees each node once its vjp has run.
@@ -79,10 +82,11 @@ class Tensor:
 
 
 def _coerce(value):
+    """float32 and complex64 arrays as they are; anything else as float64 or complex128."""
     arr = np.asarray(value)
-    if np.iscomplexobj(arr):
-        return arr.astype(np.complex128, copy=False)
-    return arr.astype(np.float64, copy=False)
+    if arr.dtype in (np.float32, np.complex64):
+        return arr
+    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
 
 
 def constant(value) -> Tensor:
@@ -90,8 +94,7 @@ def constant(value) -> Tensor:
 
 
 def parameter(value) -> Tensor:
-    arr = np.array(value, dtype=np.complex128 if np.iscomplexobj(value) else np.float64)
-    return Tensor(arr, needs_grad=True)
+    return Tensor(np.array(_coerce(value)), needs_grad=True)
 
 
 def backward(loss: Tensor) -> None:
@@ -157,8 +160,8 @@ def _taps_forward(wv, flat, taps, span):
     columns of a narrow last block unlike those of a wide GEMM; conv2d and
     crnn_sweep cut them away when 2p >= 4.
     """
-    out = np.empty((wv.shape[0], span))
-    tmp = np.empty((wv.shape[0], min(span, _BLOCK)))
+    out = np.empty((wv.shape[0], span), dtype=flat.dtype)
+    tmp = np.empty((wv.shape[0], min(span, _BLOCK)), dtype=flat.dtype)
     (i0, j0, off0), rest = taps[0], taps[1:]
     for lo in range(0, span, _BLOCK):
         hi = min(lo + _BLOCK, span)
@@ -213,7 +216,7 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     hp, wp = h + 2 * pad, wid + 2 * pad
     span, body = h * n * wp, hp * n * wp
     taps = _taps(k, dilation, n * wp)
-    flat = np.zeros((ci, body + 2 * pad))
+    flat = np.zeros((ci, body + 2 * pad), dtype=np.result_type(xv, wv))
     grid = flat[:, :body].reshape(ci, hp, n, wp)
     grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
     outp = _taps_forward(wv, flat, taps, span)
@@ -263,7 +266,7 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     hp, wp = h + 2 * pad, wid + 2 * pad
     block, span = hp * wp, h * wp
     taps = _taps(k, dilation, wp)
-    flats = [np.zeros((c, t_n * block + 2 * pad)) for _ in range(2)]
+    flats = [np.zeros((c, t_n * block + 2 * pad), dtype=np.result_type(pv, wv)) for _ in range(2)]
     states = [f[:, : t_n * block].reshape(c, t_n, hp, wp)[..., pad : pad + h, pad : pad + wid]
               for f in flats]
     sweeps = (range(t_n), range(t_n - 1, -1, -1))  # the frame at each sweep position

@@ -190,9 +190,16 @@ def _forward_graph(meas: KtMeasurement, params: ParamStore, config: KtNextConfig
     y-transform of the data and one of the average.  The mask is constant
     along y, so F_y^-1 commutes with it and with hard DC, and each input
     keeps the bits of its 2-D k-space form.
+
+    The graph computes in the weights' precision: the inputs are built in
+    complex128 and cast once to the complex dtype of the weights, so float32
+    weights give a complex64/float32 graph and float64 weights leave every
+    bit as it was.
     """
     _check_shapes({name: t.value.shape for name, t in params.items()}, config.channels)
-    zero_img, avg_img, k_hybrid, baseline_xf = cascade_inputs(meas)
+    cdtype = np.result_type(params["xfcnn.w0"].value, np.complex64)
+    zero_img, avg_img, k_hybrid, baseline_xf = (a.astype(cdtype, copy=False)
+                                                for a in cascade_inputs(meas))
     base = ad.constant(baseline_xf)
     sigma = ad.constant(zero_img)
     hidden = None
@@ -214,12 +221,14 @@ class CascadeOutput:
 
 
 def ktnext_forward(m: KtMeasurement, params: ParamStore, config: KtNextConfig):
-    """Run the full cascade from the zero-filled estimate.
+    """Run the full cascade from the zero-filled estimate, in the weights'
+    precision (see `_forward_graph`).
 
     Returns (final image sequence, final x-f estimate, per-cascade
-    CascadeOutput list); the last list entry holds the same arrays as the
-    first two return values.  Raises FloatingPointError when an estimate
-    holds NaN or Inf, as weights that overflow the forward pass produce.
+    CascadeOutput list), all complex128; the last list entry holds the same
+    arrays as the first two return values.  Raises FloatingPointError when
+    an estimate holds NaN or Inf, as weights that overflow the forward pass
+    produce.
     """
     with ad.no_tape():
         _, _, traces = _forward_graph(m, params, config)

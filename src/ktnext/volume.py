@@ -7,8 +7,9 @@ transforms here are centered (zero frequency at index ``N // 2`` for even and
 odd N alike) and orthonormal (``1/sqrt(N)`` on both directions), so the
 inverse is the adjoint and Parseval holds exactly up to rounding.
 
-Everything is double precision and purely functional: no operation mutates
-its input.
+A ComplexVolume holds complex128; the array transforms keep their input's
+precision, so the tape's float32 graph runs them on complex64.  Nothing here
+mutates its input.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from ktnext.model import (
     init_params,
     ktnext_forward,
 )
-from ktnext.network import check_gradients, crnn_bidir_layer
+from ktnext.network import crnn_bidir_layer
 from ktnext.sampling import (
     AcquisitionSpec,
     KtMeasurement,
@@ -41,6 +41,8 @@ from ktnext.sampling import (
 )
 from ktnext.volume import ComplexVolume, Domain, _fft1c_arr, fft2c, fft_t, ifft2c
 from ktnext.xf import dc_array, kspace_temporal_average
+
+from gradcheck import check_gradients
 
 
 def report(n: int, ok: bool, detail: str) -> bool:

@@ -91,6 +91,23 @@ def assert_close_rel(got, want, tol=1e-4):
 # ----------------------------------------------------------- conv forward
 
 
+@pytest.mark.parametrize("value, dtype", [
+    (np.ones(3, np.float32), np.float32),
+    (np.ones(3, np.complex64), np.complex64),
+    (np.ones(3, np.float16), np.float64),
+    (np.arange(3), np.float64),
+    ([1.0, 2.0], np.float64),
+    (np.ones(3, np.complex128), np.complex128),
+])
+def test_leaves_keep_single_precision_and_coerce_the_rest(value, dtype):
+    """float32 and complex64 stay as they are, so a float32 store gives a
+    float32 graph; anything else becomes float64 or complex128."""
+    for make in (ad.constant, ad.parameter):
+        assert make(value).value.dtype == dtype
+    leaf = ad.parameter(value)
+    assert not np.shares_memory(leaf.value, np.asarray(value))  # a leaf owns its array
+
+
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(1)
     x = ad.constant(rng.standard_normal((2, 3, 6, 6)))

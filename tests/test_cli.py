@@ -28,7 +28,7 @@ from ktnext.sampling import (
     undersample,
     zero_filled,
 )
-from ktnext.volume import Domain
+from ktnext.volume import Domain, fft2c
 
 
 def run_cli(*argv) -> int:
@@ -55,6 +55,12 @@ def tiny_setup(tmp_path, frames=3, rows=8, cols=8):
     assert run_cli("simulate", "--seed", 1, "--frames", frames, "--rows", rows,
                    "--cols", cols, "--mask", mask_p, "--output", sim) == 0
     return mask_p, sim / "sequence.ckt", sim / "kspace.ckt"
+
+
+def inference_params(ckpt, config):
+    """The store `reconstruct`, `evaluate` and `render` run: the KTNP records cast to float32."""
+    records = network.load_checkpoint(ckpt)
+    return model.params_from({name: v.astype(np.float32) for name, v in records.items()}, config)
 
 
 def tiny_train(tmp_path, mask_p, seq_p, steps=2):
@@ -252,9 +258,24 @@ def test_reconstruct_matches_library_forward(tmp_path):
     # feed the forward pass exactly what the CLI read from disk
     mask = load_mask(mask_p)
     meas = KtMeasurement(kspace=load_sequence(ksp_p, domain=Domain.KSPACE), mask=mask)
-    sigma, _, _ = ktnext_forward(meas, load_params(ckpt, TINY), TINY)
+    sigma, _, _ = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)
     expected = sigma.data.astype(np.complex64).astype(np.complex128)
     np.testing.assert_array_equal(load_sequence(out).data, expected)
+
+
+def test_reconstruct_keeps_the_measured_samples(tmp_path):
+    """The float32 forward ends in hard data consistency: the stored output's
+    sampled k-space is the measurement to within float32 roundoff."""
+    mask_p, seq_p, ksp_p = tiny_setup(tmp_path, frames=8, rows=16, cols=16)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    out = tmp_path / "rec.ckt"
+    assert run_cli("reconstruct", "--input", ksp_p, "--mask", mask_p, "--checkpoint", ckpt,
+                   "--cascades", 2, "--output", out) == 0
+    k = fft2c(load_sequence(out)).data
+    meas = load_sequence(ksp_p, domain=Domain.KSPACE).data
+    sampled = np.broadcast_to(load_mask(mask_p).bits[:, None, :] == 1, k.shape)
+    err = np.abs(k[sampled] - meas[sampled]).max()
+    assert err <= 4 * np.finfo(np.float32).eps * np.abs(meas).max()
 
 
 # ------------------------------------------------------------- evaluate
@@ -278,7 +299,7 @@ def test_evaluate_csv_matches_library_metrics(tmp_path):
     gt = load_sequence(seq_p)
     mask = load_mask(mask_p)
     meas = undersample(gt, mask)
-    sigma, _, _ = ktnext_forward(meas, load_params(ckpt, TINY), TINY)
+    sigma, _, _ = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)
     model_m = compute_metrics(sigma, gt)
     zf_m = compute_metrics(zero_filled(meas), gt)
     assert rows[1][1:] == [repr(model_m.psnr), repr(model_m.ssim), repr(model_m.hfen),
@@ -620,6 +641,26 @@ def test_overflowing_forward_exits_5(tmp_path, command):
                  "--checkpoint", ckpt, "--cascades", 1, "--channels", 2,
                  "--output", tmp_path / outputs[command])
     assert rc == 5
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "render"])
+def test_checkpoint_beyond_float32_exits_5(tmp_path, capsys, command):
+    """A record that is finite in float64 but overflows float32, where
+    inference runs, is a numeric failure named in one error line, although
+    the float64 forward of the same weights is finite."""
+    mask_p, seq_p, kspace_p = tiny_setup(tmp_path)
+    params = init_params(TINY, 0)
+    params["crnn.out_b"].value[0] = 1e39
+    ckpt = tmp_path / "w.ktnp"
+    save_params(ckpt, params)
+    ktnext_forward(undersample(load_sequence(seq_p), load_mask(mask_p)), params, TINY)
+    inputs = {"reconstruct": kspace_p, "evaluate": seq_p, "render": seq_p}
+    rc = run_cli(command, "--input", inputs[command], "--mask", mask_p, "--checkpoint", ckpt,
+                 "--output", tmp_path / "out")
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err == f"error: numeric failure: {ckpt}: record 'crnn.out_b' overflows float32\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

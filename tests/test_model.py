@@ -30,6 +30,8 @@ from ktnext.sampling import (
 from ktnext.volume import ComplexVolume, Domain, _ifft1c_arr, fft2c, fft_t, ifft2c
 from ktnext.xf import dc_array, kspace_temporal_average
 
+from gradcheck import check_gradients
+
 
 def small_config(**kw):
     base = dict(n_cascades=2, channels=3)
@@ -276,8 +278,6 @@ def test_xfcnn_gradient_check():
         rho = km._xfcnn_apply(residual, base, params)
         return ad.sumsq_diff(rho, target)
 
-    from ktnext.network import check_gradients
-
     err = check_gradients(build_loss, leaves(params, "xfcnn."), rng, samples=4)
     assert err < 1e-4
 
@@ -340,8 +340,6 @@ def test_crnn_gradient_check():
         img = ad.constant(img_arr)
         sigma, _ = km._crnn_apply(img, k_hybrid, meas.mask.bits, params, cfg, None)
         return ad.sumsq_diff(sigma, target)
-
-    from ktnext.network import check_gradients
 
     err = check_gradients(build_loss, leaves(params, "crnn."), rng, samples=4)
     assert err < 1e-4
@@ -495,11 +493,103 @@ def test_full_model_gradient_check():
         sigma_T, rho_T, _ = km._forward_graph(meas, params, cfg)
         return ad.add(ad.sumsq_diff(sigma_T, gt.data), ad.sumsq_diff(rho_T, rho_gt.data))
 
-    from ktnext.network import check_gradients
-
     rng = np.random.default_rng(15)
     err = check_gradients(build_loss, leaves(params), rng, samples=2)
     assert err < 1e-4
+
+
+# --------------------------------------------------------------- precision
+
+
+def as_float32(params, cfg):
+    """The store the CLI runs inference with: the same records, cast to float32."""
+    return km.params_from({name: v.astype(np.float32) for name, v in params.snapshot().items()},
+                          cfg)
+
+
+def graph_dtypes(*outputs):
+    """The dtype of every node the outputs' tape reaches, leaves included."""
+    seen, stack, dtypes = set(), list(outputs), set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            dtypes.add(node.value.dtype)
+            stack.extend(node.parents)
+    return dtypes
+
+
+@pytest.mark.parametrize("lam", [math.inf, 0.5])
+@pytest.mark.parametrize("single", [True, False])
+def test_graph_computes_in_the_weights_dtype(single, lam):
+    """Float32 weights give a graph of float32 and complex64 nodes alone, and
+    float64 weights one of float64 and complex128 alone: no op up- or
+    downcasts, soft or hard data consistency alike."""
+    _, _, meas = make_case(17)
+    cfg = small_config(dc_lambda=lam)
+    params = init_params(cfg, 17)
+    if single:
+        params = as_float32(params, cfg)
+    sigma, rho, _ = km._forward_graph(meas, params, cfg)
+    want = (np.float32, np.complex64) if single else (np.float64, np.complex128)
+    assert graph_dtypes(sigma, rho) == {np.dtype(d) for d in want}
+
+
+# name: (n_cascades, channels, size), the benchmark's three workload shapes
+WORKLOAD_SHAPES = {"train_c8": (2, 8, 32), "eval_wide": (4, 16, 64), "eval_toy": (1, 4, 32)}
+
+
+def workload_case(name):
+    n, ch, size = WORKLOAD_SHAPES[name]
+    cfg = KtNextConfig(n_cascades=n, channels=ch)
+    _, _, meas = make_case(5, t_frames=8, rows=size, cols=size, accel=4, n_center=4)
+    return meas, init_params(cfg, 5), cfg
+
+
+@pytest.mark.parametrize("name", ["train_c8", "eval_toy"])
+def test_float32_forward_matches_float64(name):
+    """The float32 forward is the float64 one to within 1e-5 of each output's
+    peak, at every cascade (measured: under 1e-6)."""
+    meas, params, cfg = workload_case(name)
+    _, _, double = ktnext_forward(meas, params, cfg)
+    _, _, single = ktnext_forward(meas, as_float32(params, cfg), cfg)
+    for d, s in zip(double, single):
+        for want, got in ((d.sigma.data, s.sigma.data), (d.rho.data, s.rho.data)):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+# sha256 of the float64 forward's final (sigma, rho) at each workload shape,
+# with OpenBLAS 0.3.31 and numpy 2.4 on x86-64; a BLAS that rounds the
+# fingerprint below differently may round the forward differently too
+FORWARD_SHA256 = {
+    "train_c8": ("54a73b9a70067509b0f34439995aae4a3bfd55f41a4f133016f69439c084413c",
+                 "d7c78c935fddc4ad685b914fa34dde934570365918cebc03ccd2135ae819b7a9"),
+    "eval_wide": ("c1a88506f6c16cf05fa2a06ae60da3932c643ce52c961ccd312f51430aa706f6",
+                  "3d4626644a32f38b8081fdef44639883341f103c3065c7cc88ca11990c225e13"),
+    "eval_toy": ("1cdada6537781c15ed8522efaa89491729c22fee99f23e67930b58086465ba83",
+                 "16ac962bd191838d10a1cb7d7630a6022406ce5b26b020ea5bd962796a9cd5ba"),
+}
+BLAS_FINGERPRINT = "78fd619721713ed9"
+
+
+def blas_fingerprint():
+    """sha256 prefix of one GEMM at a tap block's width and one FFT on fixed inputs."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((16, 144)), rng.standard_normal((144, 3075))
+    z = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
+    return hashlib.sha256((a @ b).tobytes() + np.fft.fft(z, axis=0).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
+def test_float64_forward_bits_are_pinned(name):
+    """The float64 forward keeps its bits: float32 inference must not move
+    the precision training and the oracle tests run in."""
+    if blas_fingerprint() != BLAS_FINGERPRINT:
+        pytest.skip("the pins were taken with a BLAS that rounds differently")
+    meas, params, cfg = workload_case(name)
+    sigma, rho, _ = ktnext_forward(meas, params, cfg)
+    got = tuple(hashlib.sha256(v.data.tobytes()).hexdigest() for v in (sigma, rho))
+    assert got == FORWARD_SHA256[name]
 
 
 # --------------------------------------------------------------- joint loss

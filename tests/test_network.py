@@ -10,13 +10,14 @@ from ktnext.network import (
     AdamState,
     ParamStore,
     adam_step,
-    check_gradients,
     crnn_bidir_layer,
     init_adam,
     load_checkpoint,
     save_checkpoint,
 )
 from ktnext.sampling import BadMagicError, DimensionOverflowError, TruncatedPayloadError
+
+from gradcheck import check_gradients
 
 
 # ------------------------------------------------------------ param store
@@ -301,3 +302,11 @@ def test_check_gradients_flags_broken_vjp():
 
     err = check_gradients(build, [x], np.random.default_rng(0), samples=2)
     assert err > 1e-2
+
+
+def test_check_gradients_rejects_single_precision_leaves():
+    # at step 1e-6 a float32 difference is mostly roundoff, so it proves nothing
+    x = ad.parameter(np.array([1.0, 2.0], dtype=np.float32))
+    assert x.value.dtype == np.float32
+    with pytest.raises(TypeError, match="float64"):
+        check_gradients(lambda: ad.sumsq_diff(x, 0.0), [x], np.random.default_rng(0))
