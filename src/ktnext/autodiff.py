@@ -1,9 +1,9 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Nodes hold dense arrays in one of two precisions: float64/complex128, or
-float32/complex64 when the leaves are float32.  Each op allocates in its
-inputs' dtype, so the graph computes in the precision of the weights it is
-given (numpy >= 2 keeps complex64 through np.fft).  A real scalar loss is
+float32/complex64 when the leaves are float32.  Each op and its vjp allocate
+in their inputs' dtype, so the graph computes in the precision of the weights
+it is given (numpy >= 2 keeps complex64 through np.fft).  A real scalar loss is
 differentiated by walking the tape once in reverse topological order; each
 node's vjp maps the upstream gradient to one gradient per parent, and the
 walk frees each node once its vjp has run.
@@ -14,8 +14,9 @@ convention the vjp of any complex-linear unitary map (the centered FFTs
 along t or x) is its inverse, and real diagonal maps (masking, hard/soft
 data consistency) multiply the gradient by the same real factors.
 
-Shapes follow two fixed layouts: real activation tensors are [n][c][h][w];
-complex volumes are [t][y][x] ([f][y][x] after fft_t, [t][y][k_x] after fft_x).
+Real activation tensors are [n][c][h][w]; complex volumes are [t][y][x]
+([f][y][x] after fft_t, [t][y][k_x] after fft_x).  complex_to_channels and its
+inverse map between the two, with the frames (axis 0) or rows (axis 1) as n.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ __all__ = [
     "add",
     "add_const",
     "backward",
-    "channels_to_complex_image",
-    "channels_to_complex_xf",
-    "complex_to_channels_image",
-    "complex_to_channels_xf",
-    "concat_channels",
+    "channels_to_complex",
+    "complex_to_channels",
     "constant",
     "conv2d",
     "crnn_sweep",
@@ -175,7 +173,7 @@ def _taps_forward(wv, flat, taps, span):
 
 def _taps_weight_grad(gp, flat, taps, shape):
     """Weight gradient of _taps_forward for the grid gradient gp [co][span]."""
-    gw = np.empty(shape)
+    gw = np.empty(shape, dtype=flat.dtype)
     span = gp.shape[1]
     for i, j, off in taps:
         gw[:, :, i, j] = gp @ flat[:, off : off + span].T
@@ -227,7 +225,7 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         parents = (x, w, b)
 
     def vjp(g):
-        gp = np.zeros((co, h, n, wp))
+        gp = np.zeros((co, h, n, wp), dtype=flat.dtype)
         gp[..., :wid] = g.transpose(1, 2, 0, 3)
         gp = gp.reshape(co, span)
         gw = _taps_weight_grad(gp, flat, taps, wv.shape)
@@ -285,10 +283,10 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
 
     def vjp(g):
         gpre = np.zeros_like(pv)
-        gw = np.zeros(wv.shape)
+        gw = np.zeros_like(wv)
         for flat, hs, frames in zip(flats, states, sweeps):
             # gradient of each h2h conv's output on its grid, at its input's block
-            ggrid = np.zeros((c, t_n * block))
+            ggrid = np.zeros((c, t_n * block), dtype=flat.dtype)
             carry = None
             for s in reversed(range(t_n)):
                 f = frames[s]
@@ -298,7 +296,8 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
                 if s:
                     ggrid.reshape(c, t_n, hp, wp)[:, s - 1, :h, :wid] = gx
                     gp = ggrid[:, (s - 1) * block :][:, :span]
-                    gh_prev = _taps_input_grad(wv, gp, taps, np.zeros((c, block + 2 * pad)))
+                    gh_prev = _taps_input_grad(wv, gp, taps,
+                                               np.zeros((c, block + 2 * pad), flat.dtype))
                     carry = gh_prev[:, :block].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
             # the last state feeds no conv (and at t=1 no state does)
             gw += _taps_weight_grad(ggrid[:, : (t_n - 1) * block], flat, taps, wv.shape)
@@ -323,14 +322,6 @@ def add_const(x: Tensor, arr) -> Tensor:
     return Tensor(x.value + arr, (x,), lambda g: (g,))
 
 
-def concat_channels(xs) -> Tensor:
-    """Join [n][c][h][w] tensors along the channel axis."""
-    xs = tuple(xs)
-    value = np.concatenate([t.value for t in xs], axis=1)
-    splits = np.cumsum([t.value.shape[1] for t in xs])[:-1]
-    return Tensor(value, xs, lambda g: tuple(np.split(g, splits, axis=1)))
-
-
 def sumsq_diff(z: Tensor, target) -> Tensor:
     """Sum of squared magnitude differences, real or complex; gradient is 2*(z-t)."""
     diff = z.value - target
@@ -341,41 +332,28 @@ def sumsq_diff(z: Tensor, target) -> Tensor:
 # ------------------------------------------------------------- complex ops
 
 
-def complex_to_channels_image(z: Tensor) -> Tensor:
-    """[t][y][x] complex -> [t][2][y][x] real (re, im channels)."""
-    value = np.stack([z.value.real, z.value.imag], axis=1)
-    return Tensor(value, (z,), lambda g: (g[:, 0] + 1j * g[:, 1],))
+def _pack(zs, axis):
+    return np.stack([np.moveaxis(p, axis, 0) for z in zs for p in (z.real, z.imag)], axis=1)
 
 
-def channels_to_complex_image(x: Tensor) -> Tensor:
-    value = x.value[:, 0] + 1j * x.value[:, 1]
-
-    def vjp(g):
-        return (np.stack([g.real, g.imag], axis=1),)
-
-    return Tensor(value, (x,), vjp)
+def _unpack(x, axis):  # the inverse of _pack for x's first channel pair
+    return np.moveaxis(x[:, 0] + 1j * x[:, 1], 0, axis)
 
 
-def complex_to_channels_xf(z: Tensor) -> Tensor:
-    """[f][y][x] complex -> [y][2][f][x] real: rows batched, (x, f) planes."""
-    re = z.value.real.transpose(1, 0, 2)
-    im = z.value.imag.transpose(1, 0, 2)
-    value = np.stack([re, im], axis=1)
+def complex_to_channels(zs, axis: int) -> Tensor:
+    """Complex [t][y][x] tensors as consecutive (re, im) channel pairs, with
+    volume axis `axis` as the batch: 0 gives [t][2k][y][x], 1 gives [y][2k][t][x]."""
+    zs = tuple(zs)
 
     def vjp(g):
-        return ((g[:, 0] + 1j * g[:, 1]).transpose(1, 0, 2),)
+        return tuple(_unpack(g[:, 2 * i :], axis) for i in range(len(zs)))
 
-    return Tensor(value, (z,), vjp)
+    return Tensor(_pack([z.value for z in zs], axis), zs, vjp)
 
 
-def channels_to_complex_xf(x: Tensor) -> Tensor:
-    value = (x.value[:, 0] + 1j * x.value[:, 1]).transpose(1, 0, 2)
-
-    def vjp(g):
-        gt = g.transpose(1, 0, 2)
-        return (np.stack([gt.real, gt.imag], axis=1),)
-
-    return Tensor(value, (x,), vjp)
+def channels_to_complex(x: Tensor, axis: int) -> Tensor:
+    """Inverse of complex_to_channels for one tensor: [b][2][.][.] -> [t][y][x]."""
+    return Tensor(_unpack(x.value, axis), (x,), lambda g: (_pack([g], axis),))
 
 
 def _unitary_node(z, fwd, inv):

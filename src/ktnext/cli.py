@@ -251,21 +251,21 @@ def cmd_reconstruct(args) -> int:
     mask = load_mask(args.mask)
     kspace = load_sequence(args.input, domain=Domain.KSPACE)
     meas = KtMeasurement(kspace=kspace, mask=mask)
-    sigma, _, inter = ktnext_forward(meas, params, config)
+    stages = ktnext_forward(meas, params, config)
     # a .ckt path gets only the final volume; anything else is a directory
     # that also receives the per-cascade intermediates
     if str(args.output).endswith(".ckt"):
         _ensure_parent(args.output)
-        save_sequence(args.output, sigma)
+        save_sequence(args.output, stages[-1])
         written = {"reconstruction": str(args.output)}
     else:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        save_sequence(out / "reconstruction.ckt", sigma)
+        save_sequence(out / "reconstruction.ckt", stages[-1])
         written = {"reconstruction": str(out / "reconstruction.ckt")}
-        for n, stage in enumerate(inter):
+        for n, stage in enumerate(stages):
             name = f"cascade_{n:02d}.ckt"
-            save_sequence(out / name, stage.sigma)
+            save_sequence(out / name, stage)
             written[f"cascade_{n:02d}"] = str(out / name)
     print(f"reconstructed {args.input} -> {written['reconstruction']}")
     _write_manifest(
@@ -295,7 +295,7 @@ def cmd_evaluate(args) -> int:
         with np.errstate(all="ignore"):  # pool threads do not inherit main's
             gt = load_sequence(path)
             meas = undersample(gt, mask)
-            sigma, _, _ = ktnext_forward(meas, params, config)
+            sigma = ktnext_forward(meas, params, config)[-1]
             return compute_metrics(sigma, gt), compute_metrics(zero_filled(meas), gt)
 
     if args.workers > 1:
@@ -355,7 +355,7 @@ def cmd_render(args) -> int:
 
         model_config, params = _load_model(args)
         meas = undersample(seq, load_mask(args.mask))
-        sigma, _, _ = ktnext_forward(meas, params, model_config)
+        sigma = ktnext_forward(meas, params, model_config)[-1]
         config = asdict(model_config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

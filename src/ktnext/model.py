@@ -4,9 +4,9 @@ Each cascade alternates two refinements: a small CNN de-aliases the signal
 in the x-f domain (working on the residual around a data-consistent
 temporal-average baseline), then a bidirectional convolutional-recurrent
 block refines the image sequence frame by frame and re-imposes the acquired
-k-space samples.  The whole stack is differentiable through the tape in
-`autodiff`, so training is plain backprop + ADAM on the joint image/x-f
-squared error.
+k-space samples; both see complex estimates as (re, im) channels.  The whole
+stack is differentiable through the tape in `autodiff`, so training is plain
+backprop + ADAM on the joint image/x-f squared error of the last cascade.
 """
 
 import math
@@ -149,19 +149,17 @@ def _xf_residual(sigma, avg_img):
 
 
 def _xfcnn_apply(residual, baseline, params):
-    # residual and baseline are complex x-f tape tensors [F, Y, X]
-    x = ad.concat_channels(
-        [ad.complex_to_channels_xf(residual), ad.complex_to_channels_xf(baseline)]
-    )
+    # residual and baseline are complex x-f tape tensors [F, Y, X]; rows are the batch
+    x = ad.complex_to_channels([residual, baseline], 1)
     for i in range(XF_LAYERS):
         x = ad.conv2d(x, params[f"xfcnn.w{i}"], params[f"xfcnn.b{i}"], DILATION)
         if i < XF_LAYERS - 1:
             x = ad.relu(x)
-    return ad.add(baseline, ad.channels_to_complex_xf(x))
+    return ad.add(baseline, ad.channels_to_complex(x, 1))
 
 
 def _crnn_apply(img, k_hybrid, bits, params, config, hidden):
-    seq = ad.complex_to_channels_image(img)
+    seq = ad.complex_to_channels([img], 0)
     new_hidden = []
     for layer in range(CRNN_LAYERS):
         prev = None if hidden is None else hidden[layer]
@@ -176,13 +174,13 @@ def _crnn_apply(img, k_hybrid, bits, params, config, hidden):
         )
         new_hidden.append(seq)
     out = ad.conv2d(seq, params["crnn.out_w"], params["crnn.out_b"], DILATION)
-    refined = ad.add(img, ad.channels_to_complex_image(out))
+    refined = ad.add(img, ad.channels_to_complex(out, 0))
     k = ad.data_consistency(ad.fft_x(refined), k_hybrid, bits, config.dc_lambda)
     return ad.ifft_x(k), new_hidden
 
 
 def _forward_graph(meas: KtMeasurement, params: ParamStore, config: KtNextConfig):
-    """Build the full differentiable cascade; returns tape tensors.
+    """Build the full differentiable cascade: each cascade's (rho, sigma) tape tensors.
 
     The zero-filled start, the x-f baseline, the average's image and the
     acquired samples in (y, k_x) space do not depend on the evolving
@@ -209,40 +207,24 @@ def _forward_graph(meas: KtMeasurement, params: ParamStore, config: KtNextConfig
         sigma, hidden = _crnn_apply(ad.ifft_t(rho), k_hybrid, meas.mask.bits, params, config,
                                     hidden)
         traces.append((rho, sigma))
-    return sigma, rho, traces
-
-
-@dataclass(frozen=True)
-class CascadeOutput:
-    """Per-cascade estimates kept for inspection."""
-
-    rho: ComplexVolume
-    sigma: ComplexVolume
+    return traces
 
 
 def ktnext_forward(m: KtMeasurement, params: ParamStore, config: KtNextConfig):
     """Run the full cascade from the zero-filled estimate, in the weights'
     precision (see `_forward_graph`).
 
-    Returns (final image sequence, final x-f estimate, per-cascade
-    CascadeOutput list), all complex128; the last list entry holds the same
-    arrays as the first two return values.  Raises FloatingPointError when
-    an estimate holds NaN or Inf, as weights that overflow the forward pass
-    produce.
+    Returns the image estimate after each cascade, as complex128 image
+    volumes in cascade order; the last one is the reconstruction.  Raises
+    FloatingPointError when an x-f or image estimate holds NaN or Inf, as
+    weights that overflow the forward pass produce.
     """
     with ad.no_tape():
-        _, _, traces = _forward_graph(m, params, config)
+        traces = _forward_graph(m, params, config)
     for n, (r, s) in enumerate(traces):
         if not (np.isfinite(r.value).all() and np.isfinite(s.value).all()):
             raise FloatingPointError(f"cascade {n} produced a non-finite estimate")
-    inter = [
-        CascadeOutput(
-            rho=ComplexVolume(r.value, Domain.XF),
-            sigma=ComplexVolume(s.value, Domain.IMAGE),
-        )
-        for r, s in traces
-    ]
-    return inter[-1].sigma, inter[-1].rho, inter
+    return [ComplexVolume(s.value, Domain.IMAGE) for _, s in traces]
 
 
 # ------------------------------------------------------------------ loss
@@ -289,7 +271,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
     for step in range(1, steps + 1):
         params.zero_grads()
         img = dataset[int(rng.integers(len(dataset)))]
-        sigma, rho, _ = _forward_graph(undersample(img, mask), params, config)
+        rho, sigma = _forward_graph(undersample(img, mask), params, config)[-1]
         node = _loss_node(sigma, rho, img.data, fft_t(img).data)
         loss = float(node.value)
         if not math.isfinite(loss):

@@ -407,19 +407,22 @@ def test_no_tape_is_per_thread():
 
 
 def test_concat_gradients():
+    """Two volumes packed side by side, frames or rows batched: each gets
+    its own channel pair's gradient."""
     rng = np.random.default_rng(7)
-    a = ad.parameter(rng.standard_normal((3, 2, 4, 4)))
-    b = ad.parameter(rng.standard_normal((3, 1, 4, 4)))
-    t = rng.standard_normal((3, 3, 4, 4))
+    a = ad.parameter(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    b = ad.parameter(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    for axis, shape in ((0, (3, 4, 4, 4)), (1, (4, 4, 3, 4))):
+        t = rng.standard_normal(shape)
 
-    def build():
-        cat = ad.concat_channels([a, b])
-        return ad.sumsq_diff(ad.add(cat, ad.relu(cat)), t)
+        def build():
+            cat = ad.complex_to_channels([a, b], axis)
+            return ad.sumsq_diff(ad.add(cat, ad.relu(cat)), t)
 
-    loss = build()
-    ad.backward(loss)
-    for leaf in (a, b):
-        assert_close_rel(leaf.grad, numeric_grad(build, leaf))
+        a.grad = b.grad = None
+        ad.backward(build())
+        for leaf in (a, b):
+            assert_close_rel(leaf.grad, numeric_grad(build, leaf))
 
 
 def test_add_values():
@@ -435,14 +438,16 @@ def test_channel_embedding_round_trips():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     zc = ad.constant(z)
-    img_ch = ad.complex_to_channels_image(zc)
+    img_ch = ad.complex_to_channels([zc], 0)
     assert img_ch.value.shape == (3, 2, 4, 5)
-    back = ad.channels_to_complex_image(img_ch)
+    assert np.array_equal(img_ch.value[:, 1], z.imag)
+    back = ad.channels_to_complex(img_ch, 0)
     assert np.array_equal(back.value, z)
 
-    xf_ch = ad.complex_to_channels_xf(zc)
+    xf_ch = ad.complex_to_channels([zc], 1)
     assert xf_ch.value.shape == (4, 2, 3, 5)  # rows become the batch axis
-    back2 = ad.channels_to_complex_xf(xf_ch)
+    assert np.array_equal(xf_ch.value[:, 0], z.real.transpose(1, 0, 2))
+    back2 = ad.channels_to_complex(xf_ch, 1)
     assert np.array_equal(back2.value, z)
 
 
@@ -532,9 +537,9 @@ def test_embedding_chain_finite_differences():
     target = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
 
     def build():
-        ch = ad.complex_to_channels_image(z)
+        ch = ad.complex_to_channels([z], 0)
         h = ad.conv2d(ch, w, None, dilation=1)
-        out = ad.channels_to_complex_image(h)
+        out = ad.channels_to_complex(h, 0)
         return ad.sumsq_diff(out, target)
 
     loss = build()

@@ -258,7 +258,7 @@ def test_reconstruct_matches_library_forward(tmp_path):
     # feed the forward pass exactly what the CLI read from disk
     mask = load_mask(mask_p)
     meas = KtMeasurement(kspace=load_sequence(ksp_p, domain=Domain.KSPACE), mask=mask)
-    sigma, _, _ = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)
+    sigma = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)[-1]
     expected = sigma.data.astype(np.complex64).astype(np.complex128)
     np.testing.assert_array_equal(load_sequence(out).data, expected)
 
@@ -299,7 +299,7 @@ def test_evaluate_csv_matches_library_metrics(tmp_path):
     gt = load_sequence(seq_p)
     mask = load_mask(mask_p)
     meas = undersample(gt, mask)
-    sigma, _, _ = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)
+    sigma = ktnext_forward(meas, inference_params(ckpt, TINY), TINY)[-1]
     model_m = compute_metrics(sigma, gt)
     zf_m = compute_metrics(zero_filled(meas), gt)
     assert rows[1][1:] == [repr(model_m.psnr), repr(model_m.ssim), repr(model_m.hfen),

@@ -229,7 +229,7 @@ def test_init_params_keeps_unit_gain_at_overfit_shape():
     mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 32)
     cfg = KtNextConfig(n_cascades=2, channels=8)
     meas = undersample(gt, mask)
-    sigma, _, _ = ktnext_forward(meas, init_params(cfg, 0), cfg)
+    sigma = ktnext_forward(meas, init_params(cfg, 0), cfg)[-1]
     gain = np.abs(sigma.data).max() / np.abs(zero_filled(meas).data).max()
     assert gain < 2.0
 
@@ -353,24 +353,30 @@ def test_forward_zero_weights_matches_hand_pipeline():
         _, _, meas = make_case(20 + seed, accel=3, n_center=2)
         cfg = small_config()
         params = zero_all(init_params(cfg, seed))
-        sigma, rho, inter = ktnext_forward(meas, params, cfg)
+        inter = ktnext_forward(meas, params, cfg)
+        sigma = inter[-1]
+        with ad.no_tape():
+            rho, _ = km._forward_graph(meas, params, cfg)[-1]
         want_img = ifft2c(baseline_kspace(meas))
         want_xf = fft_t(want_img)
         assert np.max(np.abs(sigma.data - want_img.data)) < 1e-10
-        assert np.max(np.abs(rho.data - want_xf.data)) < 1e-10
+        assert np.max(np.abs(rho.value - want_xf.data)) < 1e-10
         for stage in inter:
-            assert np.max(np.abs(stage.sigma.data - want_img.data)) < 1e-10
+            assert np.max(np.abs(stage.data - want_img.data)) < 1e-10
 
 
 def test_forward_n1_equals_manual_unroll():
     _, _, meas = make_case(9)
     cfg = small_config(n_cascades=1)
     params = init_params(cfg, 9)
-    sigma, rho, inter = ktnext_forward(meas, params, cfg)
+    inter = ktnext_forward(meas, params, cfg)
+    sigma = inter[-1]
+    with ad.no_tape():
+        rho, _ = km._forward_graph(meas, params, cfg)[-1]
     rho_hand, _ = xfcnn_pass(meas, params)
     sigma_hand, _ = crnn_pass(_ifft1c_arr(rho_hand, 0), meas, params, cfg)
     assert np.max(np.abs(sigma.data - sigma_hand)) < 1e-13
-    assert np.max(np.abs(rho.data - rho_hand)) < 1e-13
+    assert np.max(np.abs(rho.value - rho_hand)) < 1e-13
     assert len(inter) == 1
 
 
@@ -378,10 +384,10 @@ def test_forward_measurement_consistency_every_cascade():
     gt, mask, meas = make_case(10, accel=4, n_center=2)
     cfg = small_config()
     params = init_params(cfg, 10)
-    _, _, inter = ktnext_forward(meas, params, cfg)
+    inter = ktnext_forward(meas, params, cfg)
     sampled = np.broadcast_to(mask.bits[:, None, :] == 1, gt.data.shape)
     for stage in inter:
-        k = fft2c(stage.sigma)
+        k = fft2c(stage)
         assert np.max(np.abs(k.data[sampled] - meas.kspace.data[sampled])) < 1e-8
 
 
@@ -391,7 +397,7 @@ def test_forward_full_mask_fixed_point_any_weights():
     meas = undersample(gt, mask)
     cfg = small_config()
     params = init_params(cfg, 11)
-    sigma, _, _ = ktnext_forward(meas, params, cfg)
+    sigma = ktnext_forward(meas, params, cfg)[-1]
     assert np.max(np.abs(sigma.data - gt.data)) < 1e-8
 
 
@@ -399,13 +405,14 @@ def test_forward_intermediate_structure():
     _, _, meas = make_case(12)
     cfg = small_config(n_cascades=3)
     params = init_params(cfg, 12)
-    sigma, rho, inter = ktnext_forward(meas, params, cfg)
-    assert len(inter) == 3
-    assert np.array_equal(inter[-1].sigma.data, sigma.data)
-    assert np.array_equal(inter[-1].rho.data, rho.data)
-    for stage in inter:
-        assert stage.sigma.domain is Domain.IMAGE
-        assert stage.rho.domain is Domain.XF
+    inter = ktnext_forward(meas, params, cfg)
+    with ad.no_tape():
+        traces = km._forward_graph(meas, params, cfg)
+    assert len(inter) == len(traces) == 3
+    for stage, (rho, sigma) in zip(inter, traces):
+        assert np.array_equal(stage.data, sigma.value)
+        assert stage.domain is Domain.IMAGE
+        assert rho.value.shape == sigma.value.shape
 
 
 def test_forward_records_no_tape(monkeypatch):
@@ -414,20 +421,21 @@ def test_forward_records_no_tape(monkeypatch):
     _, _, meas = make_case(13)
     cfg = small_config(n_cascades=3)
     params = init_params(cfg, 13)
-    _, _, traces = km._forward_graph(meas, params, cfg)
+    with ad.no_tape():
+        traces = km._forward_graph(meas, params, cfg)
     real, built = km._forward_graph, []
 
     def spy(*args):
         out = real(*args)
-        built.extend(out[2])
+        built.extend(out)
         return out
 
     monkeypatch.setattr(km, "_forward_graph", spy)
-    _, _, inter = ktnext_forward(meas, params, cfg)
+    inter = ktnext_forward(meas, params, cfg)
     assert len(inter) == len(traces) == 3
-    for stage, (rho, sigma) in zip(inter, traces):
-        assert np.array_equal(stage.rho.data, rho.value)
-        assert np.array_equal(stage.sigma.data, sigma.value)
+    for stage, (rho, sigma), (rho_seen, _) in zip(inter, traces, built):
+        assert np.array_equal(rho_seen.value, rho.value)
+        assert np.array_equal(stage.data, sigma.value)
     assert len(built) == 3
     for rho, sigma in built:
         for node in (rho, sigma):
@@ -470,7 +478,8 @@ def test_forward_hidden_carry_toggle_matters():
     _, _, meas = make_case(14)
     cfg = small_config()
     params = init_params(cfg, 14)
-    sigma, rho, _ = ktnext_forward(meas, params, cfg)
+    with ad.no_tape():
+        rho, sigma = km._forward_graph(meas, params, cfg)[-1]
     rho1, baseline = xfcnn_pass(meas, params)
     sigma1, hidden1 = crnn_pass(_ifft1c_arr(rho1, 0), meas, params, cfg)
     residual2 = km._xf_residual(ad.constant(sigma1), average_image(kspace_temporal_average(meas)))
@@ -478,9 +487,9 @@ def test_forward_hidden_carry_toggle_matters():
     img2 = _ifft1c_arr(rho2, 0)
     carried, _ = crnn_pass(img2, meas, params, cfg, hidden1)
     fresh, _ = crnn_pass(img2, meas, params, cfg)
-    assert np.max(np.abs(rho.data - rho2)) < 1e-13
-    assert np.max(np.abs(sigma.data - carried)) < 1e-13
-    assert np.max(np.abs(sigma.data - fresh)) > 1e-10
+    assert np.max(np.abs(rho.value - rho2)) < 1e-13
+    assert np.max(np.abs(sigma.value - carried)) < 1e-13
+    assert np.max(np.abs(sigma.value - fresh)) > 1e-10
 
 
 def test_full_model_gradient_check():
@@ -490,7 +499,7 @@ def test_full_model_gradient_check():
     rho_gt = fft_t(gt)
 
     def build_loss():
-        sigma_T, rho_T, _ = km._forward_graph(meas, params, cfg)
+        rho_T, sigma_T = km._forward_graph(meas, params, cfg)[-1]
         return ad.add(ad.sumsq_diff(sigma_T, gt.data), ad.sumsq_diff(rho_T, rho_gt.data))
 
     rng = np.random.default_rng(15)
@@ -530,9 +539,23 @@ def test_graph_computes_in_the_weights_dtype(single, lam):
     params = init_params(cfg, 17)
     if single:
         params = as_float32(params, cfg)
-    sigma, rho, _ = km._forward_graph(meas, params, cfg)
+    rho, sigma = km._forward_graph(meas, params, cfg)[-1]
     want = (np.float32, np.complex64) if single else (np.float64, np.complex128)
     assert graph_dtypes(sigma, rho) == {np.dtype(d) for d in want}
+
+
+def test_float32_backward_keeps_each_leaf_dtype():
+    """Every vjp allocates in the dtype of the values it pairs with, so a
+    backward through a float32 graph leaves float32 gradients on every leaf,
+    the conv and recurrent kernels included."""
+    gt, _, meas = make_case(18)
+    cfg = small_config()
+    params = as_float32(init_params(cfg, 18), cfg)
+    rho, sigma = km._forward_graph(meas, params, cfg)[-1]
+    targets = (gt.data.astype(np.complex64), fft_t(gt).data.astype(np.complex64))
+    ad.backward(km._loss_node(sigma, rho, *targets))
+    for name, t in params.items():
+        assert t.grad is not None and t.grad.dtype == t.value.dtype, name
 
 
 # name: (n_cascades, channels, size), the benchmark's three workload shapes
@@ -551,11 +574,12 @@ def test_float32_forward_matches_float64(name):
     """The float32 forward is the float64 one to within 1e-5 of each output's
     peak, at every cascade (measured: under 1e-6)."""
     meas, params, cfg = workload_case(name)
-    _, _, double = ktnext_forward(meas, params, cfg)
-    _, _, single = ktnext_forward(meas, as_float32(params, cfg), cfg)
+    with ad.no_tape():
+        double = km._forward_graph(meas, params, cfg)
+        single = km._forward_graph(meas, as_float32(params, cfg), cfg)
     for d, s in zip(double, single):
-        for want, got in ((d.sigma.data, s.sigma.data), (d.rho.data, s.rho.data)):
-            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        for want, got in zip(d, s):
+            assert np.abs(got.value - want.value).max() <= 1e-5 * np.abs(want.value).max()
 
 
 # sha256 of the float64 forward's final (sigma, rho) at each workload shape,
@@ -587,8 +611,9 @@ def test_float64_forward_bits_are_pinned(name):
     if blas_fingerprint() != BLAS_FINGERPRINT:
         pytest.skip("the pins were taken with a BLAS that rounds differently")
     meas, params, cfg = workload_case(name)
-    sigma, rho, _ = ktnext_forward(meas, params, cfg)
-    got = tuple(hashlib.sha256(v.data.tobytes()).hexdigest() for v in (sigma, rho))
+    with ad.no_tape():
+        rho, sigma = km._forward_graph(meas, params, cfg)[-1]
+    got = tuple(hashlib.sha256(v.value.tobytes()).hexdigest() for v in (sigma, rho))
     assert got == FORWARD_SHA256[name]
 
 
