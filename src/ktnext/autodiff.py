@@ -10,13 +10,13 @@ walk frees each node once its vjp has run.
 
 Complex arrays follow the 2-channel real embedding convention: the stored
 gradient for a complex tensor z is dL/dRe(z) + 1j*dL/dIm(z).  Under that
-convention the vjp of any complex-linear unitary map (the centered FFTs
-along t or x) is its inverse, and real diagonal maps (masking, hard/soft
-data consistency) multiply the gradient by the same real factors.
+convention the vjp of a complex-linear unitary map (the centered FFTs along
+t) is its inverse, and data consistency's linear part F_x^-1 D F_x, with D
+real and diagonal, is self-adjoint and so its own vjp.
 
 Real activation tensors are [n][c][h][w]; complex volumes are [t][y][x]
-([f][y][x] after fft_t, [t][y][k_x] after fft_x).  complex_to_channels and its
-inverse map between the two, with the frames (axis 0) or rows (axis 1) as n.
+([f][y][x] after fft_t).  complex_to_channels and its inverse map between
+the two, with the frames (axis 0) or rows (axis 1) as n.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ __all__ = [
     "crnn_sweep",
     "data_consistency",
     "fft_t",
-    "fft_x",
     "ifft_t",
-    "ifft_x",
     "no_tape",
     "parameter",
     "relu",
@@ -368,22 +366,19 @@ def ifft_t(z: Tensor) -> Tensor:
     return _unitary_node(z, lambda a: _ifft1c_arr(a, 0), lambda a: _fft1c_arr(a, 0))
 
 
-def fft_x(z: Tensor) -> Tensor:
-    return _unitary_node(z, lambda a: _fft1c_arr(a, 2), lambda a: _ifft1c_arr(a, 2))
-
-
-def ifft_x(z: Tensor) -> Tensor:
-    return _unitary_node(z, lambda a: _ifft1c_arr(a, 2), lambda a: _fft1c_arr(a, 2))
-
-
-def data_consistency(pred: Tensor, kdata, bits, lam: float) -> Tensor:
-    """Differentiable DC layer: :func:`ktnext.xf.dc_array` on a [t][y][x] tensor,
-    with kdata on its grid and bits the [t][x] mask.  The map is affine in
-    pred with a real diagonal linear part, dc_array(., 0), which is its vjp.
+def data_consistency(img: Tensor, k_hybrid, bits, lam: float) -> Tensor:
+    """Differentiable DC layer on a [t][y][x] image tensor: F_x^-1 of
+    :func:`ktnext.xf.dc_array` on F_x img, against the acquired samples
+    k_hybrid on [t][y][k_x], with bits the [t][x] mask.  The map is affine in
+    img; its linear part F_x^-1 D F_x, with D real and diagonal, is
+    self-adjoint, so the vjp is the same map with zero data.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if pred.value.shape != kdata.shape:
-        raise ValueError(f"prediction {pred.value.shape} does not match measurement {kdata.shape}")
-    return Tensor(dc_array(pred.value, kdata, bits, lam), (pred,),
-                  lambda g: (dc_array(g, 0.0, bits, lam),))
+    if img.value.shape != k_hybrid.shape:
+        raise ValueError(f"image {img.value.shape} does not match measurement {k_hybrid.shape}")
+
+    def dc(a, k):
+        return _ifft1c_arr(dc_array(_fft1c_arr(a, 2), k, bits, lam), 2)
+
+    return Tensor(dc(img.value, k_hybrid), (img,), lambda g: (dc(g, 0.0),))

@@ -3,10 +3,11 @@
 Each cascade alternates two refinements: a small CNN de-aliases the signal
 in the x-f domain (working on the residual around a data-consistent
 temporal-average baseline), then a bidirectional convolutional-recurrent
-block refines the image sequence frame by frame and re-imposes the acquired
-k-space samples; both see complex estimates as (re, im) channels.  The whole
-stack is differentiable through the tape in `autodiff`, so training is plain
-backprop + ADAM on the joint image/x-f squared error of the last cascade.
+block refines the image sequence frame by frame, and one data-consistency
+node re-imposes the acquired samples; both networks see complex estimates
+as (re, im) channels.  The whole stack is differentiable through the tape in
+`autodiff`, so training is plain backprop + ADAM on the joint image/x-f
+squared error of the last cascade.
 """
 
 import math
@@ -175,19 +176,15 @@ def _crnn_apply(img, k_hybrid, bits, params, config, hidden):
         new_hidden.append(seq)
     out = ad.conv2d(seq, params["crnn.out_w"], params["crnn.out_b"], DILATION)
     refined = ad.add(img, ad.channels_to_complex(out, 0))
-    k = ad.data_consistency(ad.fft_x(refined), k_hybrid, bits, config.dc_lambda)
-    return ad.ifft_x(k), new_hidden
+    return ad.data_consistency(refined, k_hybrid, bits, config.dc_lambda), new_hidden
 
 
 def _forward_graph(meas: KtMeasurement, params: ParamStore, config: KtNextConfig):
     """Build the full differentiable cascade: each cascade's (rho, sigma) tape tensors.
 
     The zero-filled start, the x-f baseline, the average's image and the
-    acquired samples in (y, k_x) space do not depend on the evolving
-    estimate: `xf.cascade_inputs` builds them once per sequence from one
-    y-transform of the data and one of the average.  The mask is constant
-    along y, so F_y^-1 commutes with it and with hard DC, and each input
-    keeps the bits of its 2-D k-space form.
+    acquired samples that each cascade's DC node re-imposes do not depend on
+    the evolving estimate: `xf.cascade_inputs` builds them once per sequence.
 
     The graph computes in the weights' precision: the inputs are built in
     complex128 and cast once to the complex dtype of the weights, so float32
@@ -245,16 +242,14 @@ class TrainRecord:
     psnr_train: float
 
 
-def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
-        lr: float = 1e-4, params=None):
+def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4):
     """Train on fully sampled sequences by simulated undersampling.
 
     Per step: draw one sequence, undersample it with the given mask, run
     the cascade, backpropagate the joint loss of the final image and x-f
-    estimates, and apply one ADAM update.  params, when given, is trained
-    in place instead of a fresh init_params draw.  Deterministic for a
-    fixed seed when numpy runs single-threaded.  lr must be finite and
-    positive.
+    estimates, and apply one ADAM update to a fresh init_params draw.
+    Deterministic for a fixed seed when numpy runs single-threaded.  lr must
+    be finite and positive.
     """
     if not 0.0 < lr < math.inf:  # also rejects nan
         raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
@@ -264,8 +259,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed,
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = init_params(config, rng)
+    params = init_params(config, rng)
     adam = init_adam(params)
     history = []
     for step in range(1, steps + 1):

@@ -66,6 +66,8 @@ class ParamStore:
 
 # --------------------------------------------------------------- ADAM
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # ADAM's moment decays and denominator guard
+
 
 class AdamState:
     """First/second moment arrays mirroring a ParamStore, plus a step count."""
@@ -82,24 +84,23 @@ def init_adam(store: ParamStore) -> AdamState:
     return AdamState(m, v)
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float = 1e-4,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
     """In-place bias-corrected ADAM update; a missing gradient counts as zero."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, tensor in store.items():
         g = tensor.grad
         if g is None:
             g = 0.0
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        tensor.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        tensor.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 # --------------------------------------------------------------- CRNN layer

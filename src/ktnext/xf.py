@@ -16,8 +16,9 @@ every per-sequence input from those two arrays with one x- or t-pass.  Each
 1-D pass acts on every line alone, and DC only selects values, so each input
 keeps the bits of the 2-D form it replaces.
 
-:func:`dc_array` is the one data-consistency map; the tape's DC node,
-:func:`ktnext.autodiff.data_consistency`, calls it too.
+:func:`dc_array` is the one data-consistency map.  The tape's DC node,
+:func:`ktnext.autodiff.data_consistency`, takes an image estimate and runs
+it in (y, k_x) space against k_hybrid, between an x-pass and its inverse.
 """
 
 from __future__ import annotations

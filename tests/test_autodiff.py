@@ -13,7 +13,8 @@ import pytest
 
 from ktnext import autodiff as ad
 from ktnext.sampling import AcquisitionSpec, make_shear_mask, undersample
-from ktnext.volume import ComplexVolume, Domain
+from ktnext.volume import ComplexVolume, Domain, _fft1c_arr, _ifft1c_arr
+from ktnext.xf import dc_array
 
 
 def conv2d_oracle(x, w, b, dilation):
@@ -457,14 +458,9 @@ def test_fft_nodes_match_volume_ops():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
     zc = ad.constant(z)
-    # direct centered DFT along x, index N//2 at the origin
-    c = np.arange(6) - 6 // 2
-    dft = np.exp(-2j * np.pi * np.outer(c, c) / 6) / np.sqrt(6)
-    ref = np.einsum("kx,tyx->tyk", dft, z)
-    assert np.abs(ad.fft_x(zc).value - ref).max() < 1e-12
     ref_t = volume.fft_t(ComplexVolume(z, Domain.IMAGE)).data
     assert np.array_equal(ad.fft_t(zc).value, ref_t)
-    assert np.abs(ad.ifft_x(ad.fft_x(zc)).value - z).max() < 1e-12
+    assert np.abs(ad.ifft_t(ad.fft_t(zc)).value - z).max() < 1e-12
 
 
 def test_complex_chain_finite_differences():
@@ -472,10 +468,10 @@ def test_complex_chain_finite_differences():
     zv = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
     z = ad.parameter(zv.copy())
     target = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+    bits = make_shear_mask(AcquisitionSpec(accel=3, n_center=1), 3, 6).bits
 
     def build():
-        k = ad.fft_x(z)
-        img = ad.ifft_x(k)
+        img = ad.data_consistency(z, np.zeros_like(zv), bits, 0.0)  # the x-pass and its inverse
         rho = ad.fft_t(img)
         back = ad.ifft_t(rho)
         return ad.sumsq_diff(back, target)
@@ -486,26 +482,57 @@ def test_complex_chain_finite_differences():
 
 
 def test_dc_node_hard_gradient_mask():
+    """Under hard DC the gradient in (y, k_x) space is exactly 0 at every
+    acquired sample and the upstream gradient elsewhere; the node's gradient
+    is that masked array taken back along x, bit for bit."""
     rng = np.random.default_rng(11)
     img = ComplexVolume(
         rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8)),
         Domain.IMAGE,
     )
     meas = undersample(img, make_shear_mask(AcquisitionSpec(accel=4, n_center=2), 4, 8))
+    k_hybrid = _ifft1c_arr(meas.kspace.data, 1)
     zv = rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))
     z = ad.parameter(zv.copy())
     target = rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))
 
     def build():
-        dc = ad.data_consistency(z, meas.kspace.data, meas.mask.bits, np.inf)
+        dc = ad.data_consistency(z, k_hybrid, meas.mask.bits, np.inf)
         return ad.sumsq_diff(dc, target)
 
     loss = build()
+    upstream = _fft1c_arr(2.0 * (loss.parents[0].value - target), 2)
     ad.backward(loss)
+    g_k = dc_array(upstream, 0.0, meas.mask.bits, np.inf)
     bits = np.broadcast_to(meas.mask.bits[:, None, :], zv.shape)
-    assert np.all(z.grad[bits == 1] == 0)
-    assert np.all(z.grad[bits == 0] != 0)
+    assert np.all(g_k[bits == 1] == 0)
+    assert np.array_equal(g_k[bits == 0], upstream[bits == 0])
+    assert np.all(g_k[bits == 0] != 0)
+    assert np.array_equal(z.grad, _ifft1c_arr(g_k, 2))
     assert_close_rel(z.grad, numeric_grad(build, z))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("lam", [np.inf, 1.5])
+def test_dc_node_is_the_composed_map_bitwise(dtype, lam):
+    """The DC node is F_x^-1 dc_array(F_x img, k_hybrid) bit for bit, and its
+    vjp is the same map with zero data, in either precision."""
+    rng = np.random.default_rng(19)
+
+    def cplx():
+        return (rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))).astype(dtype)
+
+    bits = make_shear_mask(AcquisitionSpec(accel=4, n_center=2), 4, 8).bits
+    img, k_hybrid, g = cplx(), cplx(), cplx()
+
+    def composed(a, k):
+        return _ifft1c_arr(dc_array(_fft1c_arr(a, 2), k, bits, lam), 2)
+
+    node = ad.data_consistency(ad.parameter(img), k_hybrid, bits, lam)
+    (grad,) = node.vjp(g)
+    assert node.value.dtype == grad.dtype == dtype
+    assert np.array_equal(node.value, composed(img, k_hybrid))
+    assert np.array_equal(grad, composed(g, 0.0))
 
 
 def test_dc_node_soft_finite_differences():
@@ -521,7 +548,7 @@ def test_dc_node_soft_finite_differences():
     target = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
 
     def build():
-        dc = ad.data_consistency(z, meas.kspace.data, meas.mask.bits, 2.5)
+        dc = ad.data_consistency(z, _ifft1c_arr(meas.kspace.data, 1), meas.mask.bits, 2.5)
         return ad.sumsq_diff(dc, target)
 
     loss = build()

@@ -278,7 +278,7 @@ def test_xfcnn_gradient_check():
         rho = km._xfcnn_apply(residual, base, params)
         return ad.sumsq_diff(rho, target)
 
-    err = check_gradients(build_loss, leaves(params, "xfcnn."), rng, samples=4)
+    err, _ = check_gradients(build_loss, leaves(params, "xfcnn."), rng, samples=4)
     assert err < 1e-4
 
 
@@ -341,7 +341,7 @@ def test_crnn_gradient_check():
         sigma, _ = km._crnn_apply(img, k_hybrid, meas.mask.bits, params, cfg, None)
         return ad.sumsq_diff(sigma, target)
 
-    err = check_gradients(build_loss, leaves(params, "crnn."), rng, samples=4)
+    err, _ = check_gradients(build_loss, leaves(params, "crnn."), rng, samples=4)
     assert err < 1e-4
 
 
@@ -445,11 +445,11 @@ def test_forward_records_no_tape(monkeypatch):
 
 def test_each_cascade_makes_four_fft_passes(monkeypatch):
     """One more cascade costs exactly four more 1-D FFT calls: the x-f
-    residual's fft_t, the ifft_t back to image space, and the fft_x/ifft_x
-    pair around data consistency.  On top of those, each sequence makes six:
-    F_y^-1 of the data and of the average, then an x-pass each for the
-    zero-filled start and the average's image, and an x-pass and a t-pass for
-    the x-f baseline."""
+    residual's fft_t, the ifft_t back to image space, and the x-pass and its
+    inverse inside the data-consistency node.  On top of those, each
+    sequence makes six: F_y^-1 of the data and of the average, then an
+    x-pass each for the zero-filled start and the average's image, and an
+    x-pass and a t-pass for the x-f baseline."""
     _, _, meas = make_case(16)
     calls = []
 
@@ -503,7 +503,7 @@ def test_full_model_gradient_check():
         return ad.add(ad.sumsq_diff(sigma_T, gt.data), ad.sumsq_diff(rho_T, rho_gt.data))
 
     rng = np.random.default_rng(15)
-    err = check_gradients(build_loss, leaves(params), rng, samples=2)
+    err, _ = check_gradients(build_loss, leaves(params), rng, samples=2)
     assert err < 1e-4
 
 
@@ -516,16 +516,16 @@ def as_float32(params, cfg):
                           cfg)
 
 
-def graph_dtypes(*outputs):
-    """The dtype of every node the outputs' tape reaches, leaves included."""
-    seen, stack, dtypes = set(), list(outputs), set()
+def tape_nodes(*outputs):
+    """Every node the outputs' tape reaches, leaves included."""
+    seen, stack, nodes = set(), list(outputs), []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            dtypes.add(node.value.dtype)
+            nodes.append(node)
             stack.extend(node.parents)
-    return dtypes
+    return nodes
 
 
 @pytest.mark.parametrize("lam", [math.inf, 0.5])
@@ -541,7 +541,23 @@ def test_graph_computes_in_the_weights_dtype(single, lam):
         params = as_float32(params, cfg)
     rho, sigma = km._forward_graph(meas, params, cfg)[-1]
     want = (np.float32, np.complex64) if single else (np.float64, np.complex128)
-    assert graph_dtypes(sigma, rho) == {np.dtype(d) for d in want}
+    assert {node.value.dtype for node in tape_nodes(sigma, rho)} == {np.dtype(d) for d in want}
+
+
+def test_training_step_tape_node_count():
+    """One training step at the criterion-8 shape (T=8, 32x32, N=2, ch=8)
+    reaches 97 tape nodes from its loss: the 28 parameters, two constants
+    (the zero-filled start and the x-f baseline) and 67 ops, each cascade's
+    data consistency among them as one node.  README quotes the total."""
+    gt = generate_phantom(0, 8, 32, 32)
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 32)
+    cfg = KtNextConfig(n_cascades=2, channels=8)
+    params = init_params(cfg, 0)
+    rho, sigma = km._forward_graph(undersample(gt, mask), params, cfg)[-1]
+    nodes = tape_nodes(km._loss_node(sigma, rho, gt.data, fft_t(gt).data))
+    leaves = [node for node in nodes if node.vjp is None]
+    assert len(nodes) == 97
+    assert sum(node.needs_grad for node in leaves) == 28 and len(leaves) == 30
 
 
 def test_float32_backward_keeps_each_leaf_dtype():
@@ -688,12 +704,10 @@ def test_fit_empty_dataset_raises():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_nonfinite_loss_aborts_with_step():
     dataset, mask = fit_setup(33)
-    cfg = small_config()
-    params = init_params(cfg, 33)
-    params.set_values({name: np.full_like(t.value, 1e200)
-                       for name, t in params.items() if name.startswith("xfcnn.")})
+    # a phantom scaled by 1e200 squares past float64's range in the loss
+    overflowing = [ComplexVolume(img.data * 1e200, Domain.IMAGE) for img in dataset]
     with pytest.raises(NonFiniteLossError, match="step 1"):
-        fit(dataset, mask, cfg, steps=3, seed=0, params=params)
+        fit(overflowing, mask, small_config(), steps=3, seed=0)
 
 
 # --------------------------------------------------------------- checkpoints

@@ -201,7 +201,7 @@ def test_crnn_gradients_finite_differences():
             return ad.sumsq_diff(out, target)
 
         leaves = [seq, w_i2h, w_h2h, w_ih, bias]
-        err = check_gradients(build, leaves, np.random.default_rng(6), samples=12)
+        err, _ = check_gradients(build, leaves, np.random.default_rng(6), samples=12)
         assert err < 1e-4, frames
         if frames == 1:  # no frame has a neighbour, so h2h takes no part
             assert np.all(w_h2h.grad == 0)
@@ -300,8 +300,24 @@ def test_check_gradients_flags_broken_vjp():
         )
         return wrong
 
-    err = check_gradients(build, [x], np.random.default_rng(0), samples=2)
-    assert err > 1e-2
+    err, resolved = check_gradients(build, [x], np.random.default_rng(0), samples=2)
+    assert err > 1e-2 and resolved > 1e-2
+
+
+def test_check_gradients_reports_error_above_noise_floor():
+    # a right gradient agrees within the noise floor, so it passes with 0;
+    # the reported figure is still the relative error those coordinates show
+    rng = np.random.default_rng(1)
+    x = ad.parameter(rng.standard_normal((1, 2, 4, 4)))
+    w = ad.parameter(rng.standard_normal((2, 2, 3, 3)))
+    target = rng.standard_normal((1, 2, 4, 4))
+
+    def build():
+        return ad.sumsq_diff(ad.relu(ad.conv2d(x, w, None, 1)), target)
+
+    err, resolved = check_gradients(build, [x, w], np.random.default_rng(2), samples=6)
+    assert err == 0.0
+    assert 0.0 < resolved < 1e-4
 
 
 def test_check_gradients_rejects_single_precision_leaves():

@@ -4,9 +4,10 @@ The average oracle is the literal two-pass rule: one pass summing values per
 k-position in ascending t, one pass counting sampled frames, then an
 element-wise divide by max(1, count).  Running both passes as plain Python
 loops keeps the oracle independent of the vectorized code under test; the
-comparison is exact equality in doubles.  Data consistency is tested on the
-tape's DC node, the one the cascade runs.  The cascade's per-sequence inputs
-are compared bit for bit with the 2-D k-space forms they replace.
+comparison is exact equality in doubles.  The data-consistency map is tested
+as ``dc_array`` on k-space arrays, and the tape's DC node, which runs it in
+(y, k_x) space on an image, against the 2-D k-space form.  The cascade's
+per-sequence inputs are compared bit for bit with the 2-D forms they replace.
 """
 
 import math
@@ -48,8 +49,8 @@ def random_measurement(seed, t_frames=4, rows=6, cols=8, accel=3, n_center=2):
 
 
 def data_consistency(pred, meas, lam):
-    """The tape's DC node on a constant k-space prediction, as an array."""
-    return ad.data_consistency(ad.constant(pred), meas.kspace.data, meas.mask.bits, lam).value
+    """The data-consistency map on a k-space prediction."""
+    return dc_array(pred, meas.kspace.data, meas.mask.bits, lam)
 
 
 def xf_inputs(sigma, meas):
@@ -233,10 +234,11 @@ def test_dc_idempotent_and_measurement_invariant():
 
 def test_dc_rejects_negative_lambda_and_wrong_shape():
     meas, img = random_measurement(12)
+    k_hybrid, bits = cascade_inputs(meas)[2], meas.mask.bits
     with pytest.raises(ValueError, match="nonnegative"):
-        data_consistency(np.ones_like(img.data), meas, -0.5)
+        ad.data_consistency(ad.constant(np.ones_like(img.data)), k_hybrid, bits, -0.5)
     with pytest.raises(ValueError, match="does not match"):
-        data_consistency(np.ones_like(img.data[1:]), meas, np.inf)
+        ad.data_consistency(ad.constant(np.ones_like(img.data[1:])), k_hybrid, bits, np.inf)
 
 
 # ------------------------------------------------------- x-f residual
@@ -290,9 +292,8 @@ def test_one_axis_forms_match_composed_2d_forms(t_frames):
     for lam in (np.inf, 1.5):
         dc_k = dc_array(k_r, meas.kspace.data, meas.mask.bits, lam)
         old = ifft2c(ComplexVolume(dc_k, Domain.KSPACE)).data
-        dc_x = ad.data_consistency(ad.fft_x(ad.constant(r)), cascade_inputs(meas)[2],
-                                   meas.mask.bits, lam)
-        assert rel_err(ad.ifft_x(dc_x).value, old) <= 1e-14
+        dc_x = ad.data_consistency(ad.constant(r), cascade_inputs(meas)[2], meas.mask.bits, lam)
+        assert rel_err(dc_x.value, old) <= 1e-14
 
 
 def test_xf_transform_baseline_pre_dc_support():
