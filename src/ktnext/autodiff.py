@@ -321,8 +321,10 @@ def add_const(x: Tensor, arr) -> Tensor:
 
 
 def sumsq_diff(z: Tensor, target) -> Tensor:
-    """Sum of squared magnitude differences, real or complex; gradient is 2*(z-t)."""
-    diff = z.value - target
+    """Sum of squared magnitude differences, real or complex; gradient is 2*(z-t).
+
+    The target is cast to z's dtype, so the loss keeps the graph's precision."""
+    diff = z.value - np.asarray(target).astype(z.value.dtype, copy=False)
     value = np.asarray(np.sum(diff.real**2 + diff.imag**2))
     return Tensor(value, (z,), lambda g: (2.0 * diff * g,))
 

@@ -109,14 +109,12 @@ def _load_model(args):
     Inference runs in float32: the float64 records are cast once, so the
     forward computes in float32 (see `model._forward_graph`).  A record
     beyond float32's range is a numeric failure."""
-    import numpy as np
-
-    from .model import params_from, record_width
+    from .model import float32_params, record_width
     from .network import load_checkpoint
 
     # bad flag values exit 2 before the file is read
     config = None if args.channels is None else _model_config(args, args.channels)
-    records = {name: v.astype(np.float32) for name, v in load_checkpoint(args.checkpoint).items()}
+    records = load_checkpoint(args.checkpoint)
     width = record_width(records)
     if config is None:
         if not width:
@@ -126,11 +124,7 @@ def _load_model(args):
     elif width is not None and width != config.channels:
         raise ValueError(f"--channels {config.channels} does not match {args.checkpoint}, "
                          f"whose network is {width} channels wide")
-    params = params_from(records, config)
-    for name, t in params.items():
-        if not np.isfinite(t.value).all():
-            raise FloatingPointError(f"{args.checkpoint}: record {name!r} overflows float32")
-    return config, params
+    return config, float32_params(records, config, args.checkpoint)
 
 
 def _sequence_files(path):

@@ -7,7 +7,8 @@ block refines the image sequence frame by frame, and one data-consistency
 node re-imposes the acquired samples; both networks see complex estimates
 as (re, im) channels.  The whole stack is differentiable through the tape in
 `autodiff`, so training is plain backprop + ADAM on the joint image/x-f
-squared error of the last cascade.
+squared error of the last cascade, each step in float32 against float64
+master weights.
 """
 
 import math
@@ -140,6 +141,18 @@ def params_from(records: dict, config: KtNextConfig) -> ParamStore:
     return ParamStore({name: records[name] for name, _, _ in _layout(config.channels)})
 
 
+def float32_params(records: dict, config: KtNextConfig, source: str) -> ParamStore:
+    """The float32 store every forward and training step computes in, from
+    float64 name -> array records (see `params_from`).  Raises
+    FloatingPointError naming, after source, a record beyond float32's range."""
+    with np.errstate(over="ignore"):
+        params = params_from({name: v.astype(np.float32) for name, v in records.items()}, config)
+    for name, t in params.items():
+        if not np.isfinite(t.value).all():
+            raise FloatingPointError(f"{source}: record {name!r} overflows float32")
+    return params
+
+
 # ------------------------------------------------------------------ forward
 
 
@@ -248,8 +261,11 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
     Per step: draw one sequence, undersample it with the given mask, run
     the cascade, backpropagate the joint loss of the final image and x-f
     estimates, and apply one ADAM update to a fresh init_params draw.
-    Deterministic for a fixed seed when numpy runs single-threaded.  lr must
-    be finite and positive.
+    Mixed precision: the weights and ADAM moments are float64 masters, and
+    each step's forward and backward run on their float32 copy
+    (`float32_params`), whose gradients ADAM reads as float64.  Returns the
+    float64 store.  Deterministic for a fixed seed when numpy runs
+    single-threaded.  lr must be finite and positive.
     """
     if not 0.0 < lr < math.inf:  # also rejects nan
         raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
@@ -263,9 +279,9 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
     adam = init_adam(params)
     history = []
     for step in range(1, steps + 1):
-        params.zero_grads()
+        work = float32_params(params.snapshot(), config, f"training weights at step {step}")
         img = dataset[int(rng.integers(len(dataset)))]
-        rho, sigma = _forward_graph(undersample(img, mask), params, config)[-1]
+        rho, sigma = _forward_graph(undersample(img, mask), work, config)[-1]
         node = _loss_node(sigma, rho, img.data, fft_t(img).data)
         loss = float(node.value)
         if not math.isfinite(loss):
@@ -275,7 +291,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
             )
         ad.backward(node)
         psnr_train = psnr(ComplexVolume(sigma.value, Domain.IMAGE), img)
-        adam_step(params, adam, lr=lr)
+        adam_step(params, adam, lr, grads=work)
         history.append(TrainRecord(step=step, loss=loss, psnr_train=psnr_train))
     return params, history
 

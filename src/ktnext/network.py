@@ -43,10 +43,6 @@ class ParamStore:
         """This store alone; `perfbench/workloads.py::write_checkpoint` iterates it."""
         return (self,)
 
-    def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
-
     def snapshot(self) -> dict:
         return {name: tensor.value.copy() for name, tensor in self._tensors.items()}
 
@@ -84,16 +80,17 @@ def init_adam(store: ParamStore) -> AdamState:
     return AdamState(m, v)
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
-    """In-place bias-corrected ADAM update; a missing gradient counts as zero."""
+def adam_step(store: ParamStore, state: AdamState, lr: float, grads: ParamStore) -> None:
+    """In-place bias-corrected ADAM update of store from the gradients on the
+    same-named leaves of grads, read as float64 (grads may be store itself, or
+    its float32 copy); a missing gradient counts as zero."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     for name, tensor in store.items():
-        g = tensor.grad
-        if g is None:
-            g = 0.0
+        g = grads[name].grad
+        g = 0.0 if g is None else g.astype(np.float64, copy=False)
         m = state.m[name]
         v = state.v[name]
         m *= BETA1

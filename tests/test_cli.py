@@ -25,10 +25,11 @@ from ktnext.sampling import (
     KtMeasurement,
     load_mask,
     load_sequence,
+    save_sequence,
     undersample,
     zero_filled,
 )
-from ktnext.volume import Domain, fft2c
+from ktnext.volume import ComplexVolume, Domain, fft2c
 
 
 def run_cli(*argv) -> int:
@@ -59,8 +60,7 @@ def tiny_setup(tmp_path, frames=3, rows=8, cols=8):
 
 def inference_params(ckpt, config):
     """The store `reconstruct`, `evaluate` and `render` run: the KTNP records cast to float32."""
-    records = network.load_checkpoint(ckpt)
-    return model.params_from({name: v.astype(np.float32) for name, v in records.items()}, config)
+    return model.float32_params(network.load_checkpoint(ckpt), config, str(ckpt))
 
 
 def tiny_train(tmp_path, mask_p, seq_p, steps=2):
@@ -618,6 +618,23 @@ def test_diverging_training_exits_5(tmp_path):
     assert rc == 5
 
 
+def test_training_loss_beyond_float32_exits_5(tmp_path, capsys):
+    """Training runs in float32, so data whose squared error overflows
+    float32 (about 3.4e38), though not float64, is a numeric failure
+    reported in one error line."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    gt = load_sequence(seq_p)
+    save_sequence(tmp_path / "loud.ckt", ComplexVolume(gt.data * 1e20, Domain.IMAGE))
+    rc = run_cli("train", "--input", tmp_path / "loud.ckt", "--mask", mask_p, "--steps", 2,
+                 "--cascades", 1, "--channels", 2,
+                 "--checkpoint", tmp_path / "w.ktnp", "--output", tmp_path / "h.csv")
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: numeric failure: training loss became non-finite "
+                        r"\(inf\) at step 1[^\n]*\n", err), err
+    assert not (tmp_path / "w.ktnp").exists()
+
+
 def overflowing_checkpoint(tmp_path):
     """A finite TINY checkpoint whose x-f weights, all 1e200, overflow the forward pass."""
     params = init_params(TINY, 0)
@@ -721,7 +738,7 @@ def test_deterministic_runs_are_byte_identical_across_interpreters(tmp_path, cli
     sim_argv = ("simulate", "--seed", 3, "--frames", 3, "--rows", 8, "--cols", 8,
                 "--mask", "m.ckm", "--output", "sim", "--deterministic")
     train_argv = ("train", "--input", "sim/sequence.ckt", "--mask", "m.ckm",
-                  "--steps", 1, "--cascades", 1, "--channels", 2,
+                  "--steps", 3, "--cascades", 1, "--channels", 2,
                   "--checkpoint", "w.ktnp", "--output", "h.csv", "--deterministic")
     tracked = ["m.ckm", "m.ckm.manifest.json", "sim/sequence.ckt", "sim/kspace.ckt",
                "sim/manifest.json", "w.ktnp", "h.csv", "h.csv.manifest.json"]

@@ -511,9 +511,8 @@ def test_full_model_gradient_check():
 
 
 def as_float32(params, cfg):
-    """The store the CLI runs inference with: the same records, cast to float32."""
-    return km.params_from({name: v.astype(np.float32) for name, v in params.snapshot().items()},
-                          cfg)
+    """The store every forward and training step runs: the same records, cast to float32."""
+    return km.float32_params(params.snapshot(), cfg, "weights")
 
 
 def tape_nodes(*outputs):
@@ -561,17 +560,29 @@ def test_training_step_tape_node_count():
 
 
 def test_float32_backward_keeps_each_leaf_dtype():
-    """Every vjp allocates in the dtype of the values it pairs with, so a
-    backward through a float32 graph leaves float32 gradients on every leaf,
-    the conv and recurrent kernels included."""
+    """Every vjp allocates in the dtype of the values it pairs with, and the
+    loss casts its targets to the graph's dtype, so a backward through a
+    float32 graph against complex128 ground truth, as `fit` passes it,
+    leaves float32 gradients on all 28 leaves, the conv and recurrent
+    kernels included."""
     gt, _, meas = make_case(18)
     cfg = small_config()
     params = as_float32(init_params(cfg, 18), cfg)
     rho, sigma = km._forward_graph(meas, params, cfg)[-1]
-    targets = (gt.data.astype(np.complex64), fft_t(gt).data.astype(np.complex64))
-    ad.backward(km._loss_node(sigma, rho, *targets))
+    loss = km._loss_node(sigma, rho, gt.data, fft_t(gt).data)
+    assert loss.value.dtype == np.float32
+    ad.backward(loss)
+    assert len(params.items()) == 28
     for name, t in params.items():
-        assert t.grad is not None and t.grad.dtype == t.value.dtype, name
+        assert t.grad is not None and t.grad.dtype == np.float32, name
+
+
+def test_float32_params_names_the_record_beyond_float32():
+    cfg = small_config()
+    records = init_params(cfg, 19).snapshot()
+    records["crnn.bias2"][1] = -1e39
+    with pytest.raises(FloatingPointError, match=r"^step 3: record 'crnn.bias2' overflows"):
+        km.float32_params(records, cfg, "step 3")
 
 
 # name: (n_cascades, channels, size), the benchmark's three workload shapes
@@ -609,13 +620,15 @@ FORWARD_SHA256 = {
     "eval_toy": ("1cdada6537781c15ed8522efaa89491729c22fee99f23e67930b58086465ba83",
                  "16ac962bd191838d10a1cb7d7630a6022406ce5b26b020ea5bd962796a9cd5ba"),
 }
-BLAS_FINGERPRINT = "78fd619721713ed9"
+BLAS_FINGERPRINT = "5ecf398687693443"
 
 
 def blas_fingerprint():
-    """sha256 prefix of one GEMM at a tap block's width and one FFT on fixed inputs."""
+    """sha256 prefix of one tap-shaped GEMM (16 x 16 channels over a block's
+    width of columns) and one FFT on fixed inputs.  The forward's own GEMMs
+    have this shape, and like them it rounds alike at any BLAS thread count."""
     rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((16, 144)), rng.standard_normal((144, 3075))
+    a, b = rng.standard_normal((16, 16)), rng.standard_normal((16, 3075))
     z = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
     return hashlib.sha256((a @ b).tobytes() + np.fft.fft(z, axis=0).tobytes()).hexdigest()[:16]
 
@@ -699,6 +712,34 @@ def test_fit_empty_dataset_raises():
     _, mask = fit_setup(32)
     with pytest.raises(ValueError):
         fit([], mask, small_config(), steps=1, seed=0)
+
+
+def test_fit_steps_in_float32_against_float64_masters(monkeypatch):
+    """Each step's graph is float32/complex64 alone, ADAM reads float32
+    gradients into float64 moments, and the returned store is float64."""
+    dataset, mask = fit_setup(31)
+    cfg = small_config()
+    graph_dtypes, adam_calls = set(), []
+    backward, adam_step = ad.backward, km.adam_step
+
+    def spy_backward(loss):
+        graph_dtypes.update(node.value.dtype for node in tape_nodes(loss))
+        backward(loss)
+
+    def spy_adam_step(store, state, lr, grads):
+        adam_calls.append(({t.grad.dtype for _, t in grads.items()}, state))
+        adam_step(store, state, lr, grads)
+
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(km, "adam_step", spy_adam_step)
+    params, _ = fit(dataset, mask, cfg, steps=2, seed=5)
+    assert graph_dtypes == {np.dtype(np.float32), np.dtype(np.complex64)}
+    assert len(adam_calls) == 2
+    for grad_dtypes, state in adam_calls:
+        assert grad_dtypes == {np.dtype(np.float32)}
+        moments = [*state.m.values(), *state.v.values()]
+        assert {a.dtype for a in moments} == {np.dtype(np.float64)}
+    assert {t.value.dtype for _, t in params.items()} == {np.dtype(np.float64)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

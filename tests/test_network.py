@@ -53,7 +53,7 @@ def test_adam_zero_gradient_leaves_params():
     w = store["w"]
     state = init_adam(store)
     w.grad = np.zeros((2, 2))
-    adam_step(store, state, lr=0.1)
+    adam_step(store, state, lr=0.1, grads=store)
     assert np.all(w.value == 3.0)
     assert state.step == 1
 
@@ -62,8 +62,22 @@ def test_adam_none_gradient_treated_as_zero():
     store = ParamStore({"w": np.full(3, 1.0)})
     w = store["w"]
     state = init_adam(store)
-    adam_step(store, state, lr=0.1)
+    adam_step(store, state, lr=0.1, grads=store)
     assert np.all(w.value == 1.0)
+
+
+def test_adam_reads_float32_gradients_as_float64():
+    """A float32 copy's gradient updates the float64 master in float64: its
+    square, 1e60, is beyond float32 but not float64, so the first step moves
+    the weight by lr."""
+    store = ParamStore({"w": np.full(2, 1.0)})
+    copy = ParamStore({"w": np.full(2, 1.0, dtype=np.float32)})
+    copy["w"].grad = np.full(2, 1e30, dtype=np.float32)
+    state = init_adam(store)
+    adam_step(store, state, lr=0.1, grads=copy)
+    assert state.m["w"].dtype == state.v["w"].dtype == store["w"].value.dtype == np.float64
+    assert np.allclose(store["w"].value, 0.9, rtol=0, atol=1e-12)
+    assert store["w"].grad is None
 
 
 def test_adam_quadratic_converges():
@@ -74,7 +88,7 @@ def test_adam_quadratic_converges():
     trace = []
     for _ in range(300):
         x.grad = 2.0 * x.value
-        adam_step(store, state, lr=0.05)
+        adam_step(store, state, lr=0.05, grads=store)
         trace.append(abs(float(x.value[0])))
     # monotone approach until |x| reaches the step-size scale, then it may
     # dither below that scale but never climbs back out
@@ -91,7 +105,7 @@ def test_adam_matches_reference_formula():
     state = init_adam(store)
     g = np.array([0.5, 1.5])
     x.grad = g.copy()
-    adam_step(store, state, lr=1e-2)
+    adam_step(store, state, lr=1e-2, grads=store)
     m = 0.1 * g
     v = 0.001 * g * g
     mh = m / (1 - 0.9)
