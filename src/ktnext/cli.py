@@ -5,6 +5,10 @@ Heavy imports happen inside the command handlers so the BLAS thread caps set
 by _configure_threads (from KTNEXT_THREADS, forced to 1 by --deterministic)
 take effect before numpy first loads.
 
+Each command handler returns its run record (config, outputs and any extra
+keys); main writes it, with the input flags its subparser declares, as the
+run's JSON manifest once the command has succeeded.  A failed run writes none.
+
 Exit codes: 0 success, 2 bad flags or values, 3 I/O failure, 4 file format
 violation, 5 numeric failure.
 """
@@ -72,20 +76,18 @@ def _manifest_path(output) -> Path:
     return Path(str(out) + ".manifest.json")
 
 
-def _write_manifest(args, config: dict, inputs: dict, outputs: dict,
-                    extra: dict | None = None) -> None:
+def _write_manifest(args, config: dict, outputs: dict, **extra) -> None:
     doc = {
         "command": args.command,
         "config": {k: _jsonable(v) for k, v in config.items()},
         "seed": getattr(args, "seed", None),
-        "inputs": inputs,
+        "inputs": {name: getattr(args, name) for name in args.inputs},
         "outputs": outputs,
         "deterministic": bool(args.deterministic),
         "timestamp": None if args.deterministic
         else datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     path = _manifest_path(args.output)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -94,6 +96,14 @@ def _ensure_parent(path) -> None:
     parent = Path(path).parent
     if str(parent):
         parent.mkdir(parents=True, exist_ok=True)
+
+
+def _write_csv(path, header, rows) -> None:
+    _ensure_parent(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _model_config(args, channels):
@@ -154,7 +164,7 @@ def _write_pgm(path, image) -> None:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_mask(args) -> int:
+def cmd_mask(args) -> dict:
     from .sampling import AcquisitionSpec, make_shear_mask, save_mask
 
     spec = AcquisitionSpec(accel=args.accel, n_center=args.center)
@@ -165,18 +175,13 @@ def cmd_mask(args) -> int:
     effective = args.frames * args.cols / sampled
     print(f"wrote {args.output}: {args.frames} frames x {args.cols} columns, "
           f"{sampled} sampled, effective acceleration {effective!r}")
-    _write_manifest(
-        args,
-        config={"accel": args.accel, "center": args.center,
-                "frames": args.frames, "cols": args.cols, "shear_step": 1},
-        inputs={},
-        outputs={"mask": str(args.output)},
-        extra={"effective_acceleration": effective},
-    )
-    return 0
+    return {"config": {"accel": args.accel, "center": args.center,
+                       "frames": args.frames, "cols": args.cols, "shear_step": 1},
+            "outputs": {"mask": str(args.output)},
+            "effective_acceleration": effective}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     from .sampling import generate_phantom, load_mask, load_sequence, save_sequence, undersample
 
     # every input is checked before the first file is written
@@ -196,17 +201,12 @@ def cmd_simulate(args) -> int:
         save_sequence(out / "kspace.ckt", meas.kspace)
         written["kspace"] = str(out / "kspace.ckt")
     print(f"wrote {', '.join(sorted(written.values()))}")
-    _write_manifest(
-        args,
-        config={"seed": args.seed, "frames": args.frames,
-                "rows": args.rows, "cols": args.cols},
-        inputs={"mask": args.mask},
-        outputs=written,
-    )
-    return 0
+    return {"config": {"seed": args.seed, "frames": args.frames,
+                       "rows": args.rows, "cols": args.cols},
+            "outputs": written}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
@@ -218,25 +218,16 @@ def cmd_train(args) -> int:
                           seed=args.seed, lr=args.lr)
     _ensure_parent(args.checkpoint)
     save_params(args.checkpoint, params)
-    _ensure_parent(args.output)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "psnr_train"])
-        for rec in history:
-            writer.writerow([rec.step, repr(rec.loss), repr(rec.psnr_train)])
+    _write_csv(args.output, ["step", "loss", "psnr_train"],
+               ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
     print(f"trained {args.steps} steps on {len(dataset)} sequences; "
           f"loss {history[0].loss!r} -> {history[-1].loss!r}")
-    _write_manifest(
-        args,
-        config=asdict(config),
-        inputs={"input": str(args.input), "mask": str(args.mask)},
-        outputs={"checkpoint": str(args.checkpoint), "history": str(args.output)},
-        extra={"steps": args.steps, "lr": args.lr},
-    )
-    return 0
+    return {"config": asdict(config),
+            "outputs": {"checkpoint": str(args.checkpoint), "history": str(args.output)},
+            "steps": args.steps, "lr": args.lr}
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> dict:
     from .model import ktnext_forward
     from .sampling import KtMeasurement, load_mask, load_sequence, save_sequence
     from .volume import Domain
@@ -262,17 +253,10 @@ def cmd_reconstruct(args) -> int:
             save_sequence(out / name, stage)
             written[f"cascade_{n:02d}"] = str(out / name)
     print(f"reconstructed {args.input} -> {written['reconstruction']}")
-    _write_manifest(
-        args,
-        config=asdict(config),
-        inputs={"input": str(args.input), "mask": str(args.mask),
-                "checkpoint": str(args.checkpoint)},
-        outputs=written,
-    )
-    return 0
+    return {"config": asdict(config), "outputs": written}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
@@ -297,24 +281,13 @@ def cmd_evaluate(args) -> int:
             scored = list(pool.map(score, files))
     else:
         scored = [score(path) for path in files]
-    _ensure_parent(args.output)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "psnr", "ssim", "hfen",
-                         "psnr_zero_filled", "ssim_zero_filled", "hfen_zero_filled"])
-        for path, (model_m, zf_m) in zip(files, scored):
-            writer.writerow([path.name,
-                             repr(model_m.psnr), repr(model_m.ssim), repr(model_m.hfen),
-                             repr(zf_m.psnr), repr(zf_m.ssim), repr(zf_m.hfen)])
+    _write_csv(args.output, ["file", "psnr", "ssim", "hfen",
+                             "psnr_zero_filled", "ssim_zero_filled", "hfen_zero_filled"],
+               ([path.name, repr(model_m.psnr), repr(model_m.ssim), repr(model_m.hfen),
+                 repr(zf_m.psnr), repr(zf_m.ssim), repr(zf_m.hfen)]
+                for path, (model_m, zf_m) in zip(files, scored)))
     print(f"evaluated {len(files)} sequences -> {args.output}")
-    _write_manifest(
-        args,
-        config=asdict(config),
-        inputs={"input": str(args.input), "mask": str(args.mask),
-                "checkpoint": str(args.checkpoint)},
-        outputs={"metrics": str(args.output)},
-    )
-    return 0
+    return {"config": asdict(config), "outputs": {"metrics": str(args.output)}}
 
 
 def _render_sequence(out: Path, prefix: str, vol) -> None:
@@ -333,7 +306,7 @@ def _render_sequence(out: Path, prefix: str, vol) -> None:
     _write_pgm(out / f"{prefix}xf_plane.pgm", xf_mag / xf_scale)
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> dict:
     import numpy as np
 
     from .sampling import load_sequence
@@ -362,13 +335,7 @@ def cmd_render(args) -> int:
             _write_pgm(out / f"error_{t:03d}.pgm", 6.0 * err)  # x6, as error maps are usually shown
     print(f"rendered {seq.t_frames} frames to {out}"
           + (" (with reconstruction and error maps)" if sigma is not None else ""))
-    _write_manifest(
-        args,
-        config=config,
-        inputs={"input": str(args.input), "mask": args.mask, "checkpoint": args.checkpoint},
-        outputs={"directory": str(out)},
-    )
-    return 0
+    return {"config": config, "outputs": {"directory": str(out)}}
 
 
 # ------------------------------------------------------------------ wiring
@@ -398,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_mask)
+    p.set_defaults(func=cmd_mask, inputs=())
 
     p = sub.add_parser("simulate", parents=[common],
                        help="generate a dynamic phantom (and its masked k-space)")
@@ -408,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=32)
     p.add_argument("--mask")
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, inputs=("mask",))
 
     p = sub.add_parser("train", parents=[common, arch], help="train on fully sampled sequences")
     p.add_argument("--input", required=True, help=".ckt file or directory of them")
@@ -418,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--checkpoint", required=True, help="output weights file")
     p.add_argument("--output", required=True, help="output history CSV")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("input", "mask"))
 
     p = sub.add_parser("reconstruct", parents=[common, arch],
                        help="reconstruct a measured k-space sequence")
@@ -428,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True,
                    help=".ckt file for the final volume, or a directory "
                         "to also keep per-cascade intermediates")
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_reconstruct, inputs=("input", "mask", "checkpoint"))
 
     p = sub.add_parser("evaluate", parents=[common, arch],
                        help="score reconstructions against ground truth")
@@ -436,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True, help="output metrics CSV")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=("input", "mask", "checkpoint"))
 
     p = sub.add_parser("render", parents=[common, arch],
                        help="emit grayscale PGM figures for a sequence")
@@ -444,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask")
     p.add_argument("--checkpoint", help="also render the model reconstruction and error maps")
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, inputs=("input", "mask", "checkpoint"))
 
     return parser
 
@@ -465,7 +432,8 @@ def main(argv=None) -> int:
     try:
         # overflow surfaces through the non-finite checks, not numpy warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
+            _write_manifest(args, **args.func(args))
+        return 0
     except FileFormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return _EXIT_FORMAT

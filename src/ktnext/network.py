@@ -104,8 +104,8 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, grads: ParamStore)
 
 
 def crnn_bidir_layer(seq: ad.Tensor, w_i2h: ad.Tensor, w_h2h: ad.Tensor,
-                     w_ih2ih: ad.Tensor, bias: ad.Tensor, hidden_prev=None,
-                     dilation: int = 3) -> ad.Tensor:
+                     w_ih2ih: ad.Tensor, bias: ad.Tensor, hidden_prev,
+                     dilation: int) -> ad.Tensor:
     """Bidirectional convolutional recurrence over the frame axis.
 
     seq is [t][c][h][w] with frames as the batch axis.  Each direction runs

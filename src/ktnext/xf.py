@@ -40,18 +40,13 @@ __all__ = [
 def kspace_temporal_average(m: KtMeasurement) -> np.ndarray:
     """Per-position mean of acquired samples: sum_t v / max(1, sum_t sampled).
 
-    Accumulates in ascending t so the result is bit-identical to a literal
-    per-position loop; positions never sampled anywhere come out exactly 0
-    because the measurement is zero off the mask support.
+    The builtin sum adds the frames in ascending t from 0, so the result is
+    bit-identical to a literal per-position loop; ``sum(axis=0)`` is not,
+    since numpy adds pairwise along an axis it finds contiguous, as it is for
+    a [t][1][1] sequence.  Positions never sampled anywhere come out exactly
+    0 because the measurement is zero off the mask support.
     """
-    kdata = m.kspace.data
-    acc = np.zeros(kdata.shape[1:], dtype=np.complex128)
-    for t in range(kdata.shape[0]):
-        acc = acc + kdata[t]
-    counts = np.zeros(m.mask.cols, dtype=np.int64)
-    for t in range(m.mask.t_frames):
-        counts = counts + m.mask.bits[t]
-    return acc / np.maximum(1, counts)[None, :]
+    return sum(m.kspace.data) / np.maximum(1, m.mask.bits.sum(axis=0))[None, :]
 
 
 def dc_array(pred: np.ndarray, kdata: np.ndarray, bits: np.ndarray, lam: float) -> np.ndarray:

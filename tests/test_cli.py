@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -378,6 +379,86 @@ def test_render_mask_without_checkpoint_is_a_usage_error(tmp_path):
     assert written_files(out) == []
 
 
+# ------------------------------------------------------------ manifests
+
+
+def command_argv(command, files, out):
+    """A small run of each command that reads the setup's files and writes under out."""
+    net = ["--cascades", 1, "--channels", 2]
+    return {
+        "mask": ["mask", "--accel", 2, "--frames", 3, "--cols", 8, "--output", out / "m.ckm"],
+        "simulate": ["simulate", "--frames", 3, "--rows", 8, "--cols", 8, "--output", out / "sim"],
+        "train": ["train", "--input", files["sequence"], "--mask", files["mask"], "--steps", 1,
+                  *net, "--checkpoint", out / "w.ktnp", "--output", out / "h.csv"],
+        "reconstruct": ["reconstruct", "--input", files["kspace"], "--mask", files["mask"],
+                        "--checkpoint", files["checkpoint"], *net, "--output", out / "r.ckt"],
+        "evaluate": ["evaluate", "--input", files["sequence"], "--mask", files["mask"],
+                     "--checkpoint", files["checkpoint"], *net, "--output", out / "e.csv"],
+        "render": ["render", "--input", files["sequence"], "--output", out / "figs"],
+    }[command]
+
+
+def setup_files(tmp_path):
+    mask_p, seq_p, k_p = tiny_setup(tmp_path)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    return {"mask": mask_p, "sequence": seq_p, "kspace": k_p, "checkpoint": ckpt}
+
+
+def manifests(directory):
+    return sorted(p for p in directory.rglob("*") if p.name.endswith("manifest.json"))
+
+
+@pytest.mark.parametrize("command, manifest, inputs", [
+    ("mask", "m.ckm.manifest.json", {}),
+    ("simulate", "sim/manifest.json", {"mask": None}),
+    ("train", "h.csv.manifest.json", {"input": "sequence", "mask": "mask"}),
+    ("reconstruct", "r.ckt.manifest.json",
+     {"input": "kspace", "mask": "mask", "checkpoint": "checkpoint"}),
+    ("evaluate", "e.csv.manifest.json",
+     {"input": "sequence", "mask": "mask", "checkpoint": "checkpoint"}),
+    ("render", "figs/manifest.json", {"input": "sequence", "mask": None, "checkpoint": None}),
+])
+def test_each_command_writes_one_manifest_of_its_run(tmp_path, command, manifest, inputs):
+    """Every command writes exactly one manifest, beside its file output or
+    inside its directory output, naming the command and exactly the input
+    flags it declares; an omitted optional input is null."""
+    files = setup_files(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(*command_argv(command, files, out)) == 0
+    assert manifests(out) == [out / manifest]
+    doc = json.loads((out / manifest).read_text())
+    assert doc["command"] == command
+    assert doc["inputs"] == {flag: None if role is None else str(files[role])
+                             for flag, role in inputs.items()}
+    assert doc["outputs"] and all(os.path.exists(p) for p in doc["outputs"].values())
+
+
+@pytest.mark.parametrize("command, code", [("mask", 2), ("simulate", 3), ("train", 3),
+                                           ("reconstruct", 3), ("evaluate", 3), ("render", 3)])
+def test_failed_run_writes_no_manifest(tmp_path, command, code):
+    """A run that fails, here on missing input files (mask: a centre block
+    wider than the grid), keeps its exit code and writes no manifest."""
+    missing = tmp_path / "missing"
+    argv = command_argv(command, dict.fromkeys(["mask", "sequence", "kspace", "checkpoint"],
+                                               missing), tmp_path / "out")
+    if command == "simulate":
+        argv += ["--mask", missing]
+    elif command == "mask":
+        argv += ["--center", 9]
+    assert run_cli(*argv) == code
+    assert manifests(tmp_path / "out") == []
+
+
+def test_manifest_write_error_exits_3(tmp_path, capsys):
+    """The manifest is written after the command succeeds; failing to write
+    it is an I/O failure like any other."""
+    out = tmp_path / "sim"
+    (out / "manifest.json").mkdir(parents=True)
+    rc = run_cli("simulate", "--frames", 3, "--rows", 8, "--cols", 8, "--output", out)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ----------------------------------------------------------- exit codes
 
 
@@ -697,6 +778,30 @@ def test_overflowing_forward_prints_only_the_error(tmp_path, cli_env, threads):
     assert re.fullmatch(r"error: numeric failure: [^\n]*\n", proc.stderr), proc.stderr
 
 
+def test_parsing_flags_does_not_load_numpy(cli_env):
+    """numpy must load after _configure_threads has set the BLAS thread
+    caps, so importing the CLI and parsing every command's flags leaves it
+    unloaded; this is why each handler imports what it needs itself."""
+    argvs = [["mask", "--accel", "2", "--frames", "3", "--cols", "8", "--output", "m"],
+             ["simulate", "--output", "s"],
+             ["train", "--input", "i", "--mask", "m", "--steps", "1", "--checkpoint", "w",
+              "--output", "h"],
+             ["reconstruct", "--input", "k", "--mask", "m", "--checkpoint", "w", "--output", "r"],
+             ["evaluate", "--input", "i", "--mask", "m", "--checkpoint", "w", "--output", "e"],
+             ["render", "--input", "i", "--output", "f", "--deterministic"]]
+    script = (
+        "import sys\n"
+        "import ktnext.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    ktnext.cli._build_parser().parse_args(argv)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_train_and_evaluate_do_not_load_scipy(tmp_path, cli_env):
     """The program needs numpy alone: a fresh interpreter that trains one
     step and evaluates has not imported scipy."""
@@ -730,22 +835,35 @@ def run_fresh(*argv, cwd, env):
 
 
 def test_deterministic_runs_are_byte_identical_across_interpreters(tmp_path, cli_env):
-    """Repeating the same deterministic run in a fresh interpreter rewrites
-    every output, manifest included, with identical bytes."""
+    """Repeating the same deterministic run of all six commands in fresh
+    interpreters rewrites every output, manifest included, with identical
+    bytes."""
     # relative paths so the manifests do not depend on tmp_path itself
     mask_argv = ("mask", "--accel", 2, "--center", 1, "--frames", 3, "--cols", 8,
                  "--output", "m.ckm", "--deterministic")
     sim_argv = ("simulate", "--seed", 3, "--frames", 3, "--rows", 8, "--cols", 8,
                 "--mask", "m.ckm", "--output", "sim", "--deterministic")
+    net = ("--cascades", 1, "--channels", 2, "--deterministic")
     train_argv = ("train", "--input", "sim/sequence.ckt", "--mask", "m.ckm",
-                  "--steps", 3, "--cascades", 1, "--channels", 2,
-                  "--checkpoint", "w.ktnp", "--output", "h.csv", "--deterministic")
-    tracked = ["m.ckm", "m.ckm.manifest.json", "sim/sequence.ckt", "sim/kspace.ckt",
-               "sim/manifest.json", "w.ktnp", "h.csv", "h.csv.manifest.json"]
+                  "--steps", 3, *net, "--checkpoint", "w.ktnp", "--output", "h.csv")
+    reconstruct_argv = ("reconstruct", "--input", "sim/kspace.ckt", "--mask", "m.ckm",
+                        "--checkpoint", "w.ktnp", *net, "--lambda", 0.5, "--output", "rec")
+    evaluate_argv = ("evaluate", "--input", "sim/sequence.ckt", "--mask", "m.ckm",
+                     "--checkpoint", "w.ktnp", *net, "--output", "e.csv")
+    render_argv = ("render", "--input", "sim/sequence.ckt", "--mask", "m.ckm",
+                   "--checkpoint", "w.ktnp", *net, "--output", "figs")
 
     snapshots = []
     for _ in range(2):
-        for argv in (mask_argv, sim_argv, train_argv):
+        for argv in (mask_argv, sim_argv, train_argv, reconstruct_argv, evaluate_argv,
+                     render_argv):
             run_fresh(*argv, cwd=tmp_path, env=cli_env)
-        snapshots.append({name: (tmp_path / name).read_bytes() for name in tracked})
+        snapshots.append({str(p.relative_to(tmp_path)): p.read_bytes()
+                          for p in sorted(tmp_path.rglob("*")) if p.is_file()})
+        for p in tmp_path.iterdir():  # the second round writes every file anew
+            if p.is_dir():
+                shutil.rmtree(p)
+            else:
+                p.unlink()
+    assert sum(name.endswith("manifest.json") for name in snapshots[0]) == 6
     assert snapshots[0] == snapshots[1]

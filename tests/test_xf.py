@@ -124,7 +124,18 @@ def test_average_matches_two_pass_oracle_bitwise(seed):
     meas, _ = random_measurement(seed, t_frames=5, rows=4, cols=7, accel=3, n_center=1)
     got = kspace_temporal_average(meas)
     want = temporal_average_oracle(meas.kspace.data, meas.mask.bits)
-    assert np.array_equal(got, want)
+    # tobytes, not array_equal, which takes -0.0 and 0.0 as equal
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_average_of_single_position_sequences_adds_in_frame_order():
+    """A [t][1][1] sequence has a contiguous t axis, along which numpy's
+    sum(axis=0) adds pairwise; the average still adds in ascending t."""
+    for seed in range(6):
+        meas, _ = random_measurement(seed, t_frames=7, rows=1, cols=1, accel=3, n_center=1)
+        got = kspace_temporal_average(meas)
+        want = temporal_average_oracle(meas.kspace.data, meas.mask.bits)
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- baseline DC
