@@ -1,12 +1,17 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Nodes hold dense arrays in one of two precisions: float64/complex128, or
+Tensors hold dense arrays in one of two precisions: float64/complex128, or
 float32/complex64 when the leaves are float32.  Each op and its vjp allocate
 in their inputs' dtype, so the graph computes in the precision of the weights
-it is given (numpy >= 2 keeps complex64 through np.fft).  A real scalar loss is
-differentiated by walking the tape once in reverse topological order; each
-node's vjp maps the upstream gradient to one gradient per parent, and the
-walk frees each node once its vjp has run.
+it is given (numpy >= 2 keeps complex64 through np.fft).
+
+A Tensor is a value plus a graph Node.  Nodes hold no values and reference
+their parents' nodes, and each vjp closes over only the arrays it reads, as
+PyTorch's autograd saves only what each backward needs.  An intermediate
+value then lives only as long as model code or a vjp refers to it.  A real
+scalar loss is differentiated by walking the nodes once in reverse
+topological order; each node's vjp maps the upstream gradient to one
+gradient per parent, and the walk frees each node once its vjp has run.
 
 Complex arrays follow the 2-channel real embedding convention: the stored
 gradient for a complex tensor z is dL/dRe(z) + 1j*dL/dIm(z).  Under that
@@ -63,18 +68,32 @@ def no_tape():
         _tape.off = was
 
 
-class Tensor:
-    """One tape node: a value, its parents, and the vjp closing over them."""
+class Node:
+    """A tensor's place on the tape: its parents' nodes, its vjp and its gradient."""
 
-    __slots__ = ("value", "parents", "vjp", "grad", "needs_grad")
+    __slots__ = ("parents", "vjp", "grad", "needs_grad")
+
+    def __init__(self, parents, vjp, needs_grad):
+        self.parents, self.vjp, self.grad, self.needs_grad = parents, vjp, None, needs_grad
+
+
+def _node_attr(name):
+    return property(lambda t: getattr(t.node, name), lambda t, v: setattr(t.node, name, v))
+
+
+class Tensor:
+    """A value and its graph node.  The node does not hold the value, so once
+    no code refers to a tensor its value is freed unless a vjp reads it.
+    grad, vjp and needs_grad are the node's; backward calls the vjp assigned."""
+
+    __slots__ = ("value", "node")
+    grad, vjp, needs_grad = _node_attr("grad"), _node_attr("vjp"), _node_attr("needs_grad")
 
     def __init__(self, value, parents=(), vjp=None, needs_grad=False):
         keep = not getattr(_tape, "off", False)
         self.value = value
-        self.parents = parents if keep else ()
-        self.vjp = vjp if keep else None
-        self.grad = None
-        self.needs_grad = keep and (needs_grad or any(p.needs_grad for p in parents))
+        self.node = Node(tuple(p.node for p in parents) if keep else (), vjp if keep else None,
+                         keep and (needs_grad or any(p.needs_grad for p in parents)))
 
 
 def _coerce(value):
@@ -96,14 +115,16 @@ def parameter(value) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a real scalar loss into every needs_grad leaf.
 
-    This consumes the graph, as PyTorch does with retain_graph=False: once a
-    node's vjp has run, the node drops its grad, its vjp and its parents
-    (set to None), so the buffers each vjp closes over are freed during the
-    walk.  Values and leaf gradients stay.  A second backward through a
-    consumed node raises RuntimeError; rebuild the graph instead.
+    The walk is over nodes, which hold no values.  It consumes the graph, as
+    PyTorch does with retain_graph=False: once a node's vjp has run, the node
+    drops its grad, its vjp and its parents (set to None), so the arrays each
+    vjp closes over are freed during the walk.  Leaf gradients stay, and so
+    do the values of tensors the caller still holds.  A second backward
+    through a consumed node raises RuntimeError; rebuild the graph instead.
     """
     if loss.value.size != 1 or np.iscomplexobj(loss.value):
         raise ValueError(f"backward needs a real scalar loss, got {loss.value.shape} {loss.value.dtype}")
+    root = loss.node
 
     def visit(node):
         if node.parents is None:
@@ -112,8 +133,8 @@ def backward(loss: Tensor) -> None:
         return node, iter(node.parents)
 
     order = []
-    seen = {id(loss)}
-    stack = [visit(loss)]
+    seen = {id(root)}
+    stack = [visit(root)]
     while stack:
         node, children = stack[-1]
         for child in children:
@@ -124,7 +145,7 @@ def backward(loss: Tensor) -> None:
         else:
             order.append(node)
             stack.pop()
-    loss.grad = np.ones_like(loss.value)
+    root.grad = np.ones_like(loss.value)
     while order:
         node = order.pop()  # reverse topological order; popping lets spent nodes go
         if node.vjp is None or node.grad is None or not node.needs_grad:
@@ -198,6 +219,9 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     the grid [co][h][n][w+2p]; its last 2p columns read past the row's end
     (into the next row, or the tail) and are cut away.  The forward runs the
     taps one block of columns at a time, with the same bits (_taps_forward).
+
+    The vjp keeps x's value, not the padded grid, and pads it again, so no
+    code may write a recorded value in place before backward.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -212,10 +236,15 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     hp, wp = h + 2 * pad, wid + 2 * pad
     span, body = h * n * wp, hp * n * wp
     taps = _taps(k, dilation, n * wp)
-    flat = np.zeros((ci, body + 2 * pad), dtype=np.result_type(xv, wv))
-    grid = flat[:, :body].reshape(ci, hp, n, wp)
-    grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
-    outp = _taps_forward(wv, flat, taps, span)
+    dtype = np.result_type(xv, wv)
+
+    def padded():
+        flat = np.zeros((ci, body + 2 * pad), dtype=dtype)
+        grid = flat[:, :body].reshape(ci, hp, n, wp)
+        grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
+        return flat
+
+    outp = _taps_forward(wv, padded(), taps, span)
     out = np.ascontiguousarray(outp.reshape(co, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
     parents = (x, w)
     if b is not None:
@@ -223,9 +252,10 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         parents = (x, w, b)
 
     def vjp(g):
-        gp = np.zeros((co, h, n, wp), dtype=flat.dtype)
+        gp = np.zeros((co, h, n, wp), dtype=dtype)
         gp[..., :wid] = g.transpose(1, 2, 0, 3)
         gp = gp.reshape(co, span)
+        flat = padded()
         gw = _taps_weight_grad(gp, flat, taps, wv.shape)
         gflat = _taps_input_grad(wv, gp, taps, np.zeros_like(flat))
         gx = gflat[:, :body].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
@@ -263,6 +293,7 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     block, span = hp * wp, h * wp
     taps = _taps(k, dilation, wp)
     flats = [np.zeros((c, t_n * block + 2 * pad), dtype=np.result_type(pv, wv)) for _ in range(2)]
+    pre_dtype = pv.dtype  # the vjp keeps pre's shape and dtype, not its value
     states = [f[:, : t_n * block].reshape(c, t_n, hp, wp)[..., pad : pad + h, pad : pad + wid]
               for f in flats]
     sweeps = (range(t_n), range(t_n - 1, -1, -1))  # the frame at each sweep position
@@ -280,7 +311,7 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     np.add(states[0].transpose(1, 0, 2, 3), states[1][:, ::-1].transpose(1, 0, 2, 3), out=out)
 
     def vjp(g):
-        gpre = np.zeros_like(pv)
+        gpre = np.zeros((t_n, c, h, wid), dtype=pre_dtype)
         gw = np.zeros_like(wv)
         for flat, hs, frames in zip(flats, states, sweeps):
             # gradient of each h2h conv's output on its grid, at its input's block
@@ -344,9 +375,10 @@ def complex_to_channels(zs, axis: int) -> Tensor:
     """Complex [t][y][x] tensors as consecutive (re, im) channel pairs, with
     volume axis `axis` as the batch: 0 gives [t][2k][y][x], 1 gives [y][2k][t][x]."""
     zs = tuple(zs)
+    count = len(zs)
 
     def vjp(g):
-        return tuple(_unpack(g[:, 2 * i :], axis) for i in range(len(zs)))
+        return tuple(_unpack(g[:, 2 * i :], axis) for i in range(count))
 
     return Tensor(_pack([z.value for z in zs], axis), zs, vjp)
 
