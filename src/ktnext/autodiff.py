@@ -60,7 +60,8 @@ _BLOCK = 3072  # output columns per block of _taps_forward
 
 @contextmanager
 def no_tape():
-    """Record no graph in this thread: ops keep values, drop parents and vjp buffers."""
+    """Record no graph in this thread: ops return values with no parents and
+    no vjp, and crnn_sweep keeps one state per direction instead of all."""
     was, _tape.off = getattr(_tape, "off", False), True
     try:
         yield
@@ -281,6 +282,10 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     is then a window of that buffer, and the vjp (backpropagation through
     time) gets a direction's weight gradient over all its frames as one GEMM
     per tap; windows that read across a block's edge land on zero gradient.
+    Under no_tape() no vjp reads the states, so each direction's buffer holds
+    one block, each state overwriting the previous once its conv has been
+    read.  Either way each direction adds its states into the output as it
+    sweeps, so both modes give the same bits.
     """
     pv, wv = pre.value, w.value
     t_n, c, h, wid = pv.shape
@@ -292,23 +297,23 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     hp, wp = h + 2 * pad, wid + 2 * pad
     block, span = hp * wp, h * wp
     taps = _taps(k, dilation, wp)
-    flats = [np.zeros((c, t_n * block + 2 * pad), dtype=np.result_type(pv, wv)) for _ in range(2)]
+    kept = 1 if getattr(_tape, "off", False) else t_n  # state blocks per direction
+    flats = [np.zeros((c, kept * block + 2 * pad), dtype=np.result_type(pv, wv)) for _ in range(2)]
     pre_dtype = pv.dtype  # the vjp keeps pre's shape and dtype, not its value
-    states = [f[:, : t_n * block].reshape(c, t_n, hp, wp)[..., pad : pad + h, pad : pad + wid]
+    states = [f[:, : kept * block].reshape(c, kept, hp, wp)[..., pad : pad + h, pad : pad + wid]
               for f in flats]
     sweeps = (range(t_n), range(t_n - 1, -1, -1))  # the frame at each sweep position
+    out = np.zeros_like(pv)  # each direction adds its states in; states are never -0.0
 
     for flat, hs, frames in zip(flats, states, sweeps):
         for s, f in enumerate(frames):
             x = pv[f]
             if s:
-                x = _taps_forward(wv, flat[:, (s - 1) * block :], taps, span)
+                x = _taps_forward(wv, flat[:, (s - 1) % kept * block :], taps, span)
                 x = x.reshape(c, h, wp)[..., :wid]
                 x += pv[f]
             # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
-            np.maximum(x, 0.0, out=hs[:, s])
-    out = np.empty_like(pv)
-    np.add(states[0].transpose(1, 0, 2, 3), states[1][:, ::-1].transpose(1, 0, 2, 3), out=out)
+            out[f] += np.maximum(x, 0.0, out=hs[:, s % kept])
 
     def vjp(g):
         gpre = np.zeros((t_n, c, h, wid), dtype=pre_dtype)

@@ -173,10 +173,16 @@ def _xfcnn_apply(residual, baseline, params):
 
 
 def _crnn_apply(img, k_hybrid, bits, params, config, hidden):
+    """One recurrent refinement and its DC, as (sigma, this cascade's hidden
+    states).  It consumes hidden, the previous cascade's states or None: each
+    layer sets its entry to None as it reads it, so without a tape no state
+    outlives the layer that reads it."""
     seq = ad.complex_to_channels([img], 0)
     new_hidden = []
     for layer in range(CRNN_LAYERS):
-        prev = None if hidden is None else hidden[layer]
+        prev = None
+        if hidden is not None:
+            prev, hidden[layer] = hidden[layer], None
         seq = crnn_bidir_layer(
             seq,
             params[f"crnn.i2h{layer}"],

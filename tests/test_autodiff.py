@@ -433,6 +433,25 @@ def test_no_tape_is_per_thread():
     assert all(leaf.grad is not None for leaf in (x, w, b))
 
 
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t_n", [1, 2, 3, 8])
+def test_no_tape_sweep_matches_the_taped_sweep_bitwise(t_n, dtype, dilation):
+    """Without a tape crnn_sweep keeps one state block per direction, where the
+    taped sweep keeps every state for its vjp.  Both add each state into the
+    output as they sweep, so the outputs are bitwise equal, here at an odd
+    width of 13 columns."""
+    rng = np.random.default_rng(10 * t_n + dilation)
+    pre = ad.constant(rng.standard_normal((t_n, 4, 7, 13)).astype(dtype))
+    w = ad.parameter((0.3 * rng.standard_normal((4, 4, 3, 3))).astype(dtype))
+    taped = ad.crnn_sweep(pre, w, dilation)
+    with ad.no_tape():
+        lean = ad.crnn_sweep(pre, w, dilation)
+    assert taped.vjp is not None and lean.vjp is None
+    assert lean.value.dtype == taped.value.dtype == dtype
+    assert lean.value.tobytes() == taped.value.tobytes()
+
+
 # ----------------------------------------------------------- structure ops
 
 

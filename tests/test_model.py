@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -325,6 +326,25 @@ def test_crnn_hidden_carry_changes_output():
     out1, _ = crnn_pass(img, meas, params, cfg, hidden)
     # hard DC pins sampled k-space, so compare where the network can act
     assert np.max(np.abs(out0 - out1)) > 1e-8
+
+
+def test_crnn_apply_consumes_the_hidden_states_it_reads():
+    """Without a tape, _crnn_apply sets each entry of the hidden list it is
+    given to None as its layer reads it, so no previous-cascade state
+    outlives its layer: a weakref to each consumed array is dead once the
+    call returns.  The output is bitwise that of a call given a copy."""
+    _, _, meas = make_case(7)
+    cfg = small_config()
+    params = init_params(cfg, 7)
+    img = _ifft1c_arr(xf_inputs(meas)[1], 0)
+    with ad.no_tape():
+        _, hidden = crnn_pass(img, meas, params, cfg)
+        want, _ = crnn_pass(img, meas, params, cfg, list(hidden))
+        values = [weakref.ref(t.value) for t in hidden]
+        got, _ = crnn_pass(img, meas, params, cfg, hidden)
+    assert hidden == [None] * km.CRNN_LAYERS
+    assert all(value() is None for value in values)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_crnn_gradient_check():
@@ -687,6 +707,23 @@ def workload_case(name):
     cfg = KtNextConfig(n_cascades=n, channels=ch)
     _, _, meas = make_case(5, t_frames=8, rows=size, cols=size, accel=4, n_center=4)
     return meas, init_params(cfg, 5), cfg
+
+
+def test_inference_forward_traced_peak_is_bounded():
+    """A float32 forward at the `eval_wide` shape (T=8, 64x64, N=4, ch=16)
+    peaks under 21 MB of traced allocations: 18.9 MB measured, against
+    25.9 MB when each sweep kept every state and each cascade held all of
+    the previous one's hidden states to its end.  The peak is now the x-f
+    CNN's conv2d, on top of the four hidden states it carries."""
+    meas, params, cfg = workload_case("eval_wide")
+    params = as_float32(params, cfg)
+    tracemalloc.start()
+    try:
+        km.ktnext_forward(meas, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("name", ["train_c8", "eval_toy"])
