@@ -21,7 +21,9 @@ real and diagonal, is self-adjoint and so its own vjp.
 
 Real activation tensors are [n][c][h][w]; complex volumes are [t][y][x]
 ([f][y][x] after fft_t).  complex_to_channels and its inverse map between
-the two, with the frames (axis 0) or rows (axis 1) as n.
+the two, with the frames (axis 0) or rows (axis 1) as n.  A convolution's
+input gradient is a correlation with the transposed, flipped kernel on a
+zero-margined gradient grid, run by the forward's tap kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
 
 
 _tape = threading.local()  # .off is True inside no_tape() in this thread
-_BLOCK = 3072  # output columns per block of _taps_forward
+_BLOCK = 16 * 3072  # output elements per block of _taps_forward
 
 
 @contextmanager
@@ -168,21 +170,27 @@ def _taps(k: int, dilation: int, row: int):
     return [(i, j, i * dilation * row + j * dilation) for i in range(k) for j in range(k)]
 
 
+def _block_columns(rows: int) -> int:
+    return max(3072, _BLOCK // rows // 16 * 16)
+
+
 def _taps_forward(wv, flat, taps, span):
     """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window.
 
-    All taps run on one block of _BLOCK output columns before the next, so the
-    accumulator stays in cache.  The first tap is written into it and the rest
-    are added in tap order: each element is the same sum, in the same order, as
-    with one GEMM per tap over the span.  The BLAS may round the last 1-4
-    columns of a narrow last block unlike those of a wide GEMM; conv2d and
-    crnn_sweep cut them away when 2p >= 4.
+    All taps run on one block of columns before the next, so the accumulator
+    stays in cache.  A block is _BLOCK // rows columns, rounded down to a
+    multiple of 16 and at least 3,072 (_block_columns).  The first tap is
+    written into it and the rest are added in tap order: each element is the
+    same sum, in the same order, as with one GEMM per tap over the span.  The
+    BLAS may round the last 1-4 columns of a narrow last block unlike those of
+    a wide GEMM; conv2d and crnn_sweep cut them away when 2p >= 4.
     """
+    cols = _block_columns(wv.shape[0])
     out = np.empty((wv.shape[0], span), dtype=flat.dtype)
-    tmp = np.empty((wv.shape[0], min(span, _BLOCK)), dtype=flat.dtype)
+    tmp = np.empty((wv.shape[0], min(span, cols)), dtype=flat.dtype)
     (i0, j0, off0), rest = taps[0], taps[1:]
-    for lo in range(0, span, _BLOCK):
-        hi = min(lo + _BLOCK, span)
+    for lo in range(0, span, cols):
+        hi = min(lo + cols, span)
         acc, prod = out[:, lo:hi], tmp[:, : hi - lo]
         np.matmul(wv[:, :, i0, j0], flat[:, off0 + lo : off0 + hi], out=acc)
         for i, j, off in rest:
@@ -200,14 +208,6 @@ def _taps_weight_grad(gp, flat, taps, shape):
     return gw
 
 
-def _taps_input_grad(wv, gp, taps, gflat):
-    """Accumulate the input gradient of _taps_forward into gflat, laid out as flat."""
-    span = gp.shape[1]
-    for i, j, off in taps:
-        gflat[:, off : off + span] += wv[:, :, i, j].T @ gp
-    return gflat
-
-
 def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     """Same-size 2D convolution, zero padding dilation*(k-1)/2 per side.
 
@@ -215,14 +215,14 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     written once into a zero-padded grid laid out [ci][h+2p][n][w+2p] and
     flattened per channel, with 2p trailing zeros.  Every tap (i, j) is then
     one contiguous column window of that buffer, starting at i*d rows and
-    j*d columns, so forward and vjp are one 2-D GEMM per tap on a view, with
-    the batch folded into the GEMM's column axis.  The output is computed on
-    the grid [co][h][n][w+2p]; its last 2p columns read past the row's end
-    (into the next row, or the tail) and are cut away.  The forward runs the
-    taps one block of columns at a time, with the same bits (_taps_forward).
-
-    The vjp keeps x's value, not the padded grid, and pads it again, so no
-    code may write a recorded value in place before backward.
+    j*d columns, so each tap is one 2-D GEMM on a view, with the batch folded
+    into the GEMM's column axis, run a block of columns at a time
+    (_taps_forward).  The output is computed on the grid [co][h][n][w+2p]; its
+    last 2p columns read past the row's end and are cut away.  The vjp writes
+    g on that grid between zero margins of m = p*n*(w+2p) + p columns; the
+    input gradient is its correlation with the transposed, flipped kernel,
+    tap (i, j) at 2m - off.  The vjp keeps x's value, not the padded grid, and
+    pads it again, so no code may write a recorded value in place before backward.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -253,14 +253,14 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         parents = (x, w, b)
 
     def vjp(g):
-        gp = np.zeros((co, h, n, wp), dtype=dtype)
-        gp[..., :wid] = g.transpose(1, 2, 0, 3)
-        gp = gp.reshape(co, span)
-        flat = padded()
-        gw = _taps_weight_grad(gp, flat, taps, wv.shape)
-        gflat = _taps_input_grad(wv, gp, taps, np.zeros_like(flat))
-        gx = gflat[:, :body].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
-        gx = np.ascontiguousarray(gx.transpose(2, 0, 1, 3))
+        m = pad * n * wp + pad  # where the first unpadded pixel sits in the padded grid
+        gbuf = np.zeros((co, m + span + m), dtype=dtype)
+        gp = gbuf[:, m : m + span]
+        gp.reshape(co, h, n, wp)[..., :wid] = g.transpose(1, 2, 0, 3)
+        gw = _taps_weight_grad(gp, padded(), taps, wv.shape)
+        flipped = [(i, j, 2 * m - off) for i, j, off in taps]
+        gx = _taps_forward(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)
+        gx = np.ascontiguousarray(gx.reshape(ci, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -279,9 +279,10 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     Each direction keeps its states in one buffer: conv2d's zero-padded grid
     at n=1, one block per state in sweep order, laid out [c][s][h+2p][w+2p]
     and flattened per channel with 2p trailing zeros.  A state's h2h input
-    is then a window of that buffer, and the vjp (backpropagation through
-    time) gets a direction's weight gradient over all its frames as one GEMM
-    per tap; windows that read across a block's edge land on zero gradient.
+    is then a window of that buffer.  The vjp (backpropagation through time)
+    lays each frame's gradient out the same way, so an h2h input gradient is
+    a correlation with the transposed, flipped kernel on a zero-margined
+    block, and a direction's weight gradient one GEMM per tap over them all.
     Under no_tape() no vjp reads the states, so each direction's buffer holds
     one block, each state overwriting the previous once its conv has been
     read.  Either way each direction adds its states into the output as it
@@ -318,23 +319,22 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     def vjp(g):
         gpre = np.zeros((t_n, c, h, wid), dtype=pre_dtype)
         gw = np.zeros_like(wv)
+        m = pad * wp + pad  # as in conv2d's vjp; a block's 2p zero rows pad the others
+        wt, flipped = wv.transpose(1, 0, 2, 3), [(i, j, 2 * m - off) for i, j, off in taps]
         for flat, hs, frames in zip(flats, states, sweeps):
             # gradient of each h2h conv's output on its grid, at its input's block
-            ggrid = np.zeros((c, t_n * block), dtype=flat.dtype)
-            carry = None
+            ggrid = np.zeros((c, m + (t_n - 1) * block), dtype=flat.dtype)
+            gps = ggrid[:, m:].reshape(c, t_n - 1, hp, wp)[..., :h, :wid]
             for s in reversed(range(t_n)):
                 f = frames[s]
-                gh = g[f] if carry is None else g[f] + carry
-                gx = gh * (hs[:, s] > 0)  # h > 0 exactly where its pre-activation is
-                gpre[f] += gx
+                gh = g[f] if s == t_n - 1 else g[f] + carry
+                # h > 0 exactly where its pre-activation is; gps[:, s - 1] is read below
+                gpre[f] += np.multiply(gh, hs[:, s] > 0, out=gps[:, s - 1] if s else None)
                 if s:
-                    ggrid.reshape(c, t_n, hp, wp)[:, s - 1, :h, :wid] = gx
-                    gp = ggrid[:, (s - 1) * block :][:, :span]
-                    gh_prev = _taps_input_grad(wv, gp, taps,
-                                               np.zeros((c, block + 2 * pad), flat.dtype))
-                    carry = gh_prev[:, :block].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
+                    carry = _taps_forward(wt, ggrid[:, (s - 1) * block :], flipped, span)
+                    carry = carry.reshape(c, h, wp)[..., :wid]
             # the last state feeds no conv (and at t=1 no state does)
-            gw += _taps_weight_grad(ggrid[:, : (t_n - 1) * block], flat, taps, wv.shape)
+            gw += _taps_weight_grad(ggrid[:, m:], flat, taps, wv.shape)
         return gpre, gw
 
     return Tensor(out, (pre, w), vjp)

@@ -149,33 +149,167 @@ def test_conv2d_matches_nested_loop_oracle(dilation, shape, k, request):
 
 def unblocked_taps(wv, flat, taps, span):
     """The tap sum as one GEMM per tap over the whole span, in tap order."""
-    out = np.zeros((wv.shape[0], span))
+    out = np.zeros((wv.shape[0], span), dtype=flat.dtype)
     for i, j, off in taps:
         out += wv[:, :, i, j] @ flat[:, off : off + span]
     return out
 
 
-# (n, h, w) at dilation 3: grid spans of 1,720, 3,072 and 5,160 columns, and
-# 5,329, whose last block is 2,257 columns (1 mod 8) wide
+# (n, h, w) at dilation 3 for 16 output rows: grid spans of 1,720, 3,072 (one
+# block) and 5,160 columns, and 5,329, whose last block is 2,257 columns
+# (1 mod 8) wide
 BLOCK_GRIDS = [(1, 40, 37), (1, 48, 58), (3, 40, 37), (1, 73, 67)]
+# output rows -> (columns per block, grid side): a square grid of odd side,
+# n=1, spans more than one block and ends in a last block 1 mod 8 columns wide
+BLOCK_ROWS = {2: (24576, 161), 4: (12288, 113), 8: (6144, 81), 16: (3072, 73), 32: (3072, 73)}
+BLOCK_CASES = ([pytest.param(16, np.float64, *grid, id="-".join(map(str, grid))) for grid in BLOCK_GRIDS]
+               + [pytest.param(rows, dtype, 1, side, side - 6, id=f"{rows}-{np.dtype(dtype).name}")
+                  for rows, (_, side) in BLOCK_ROWS.items() for dtype in (np.float64, np.float32)
+                  if (rows, dtype) != (16, np.float64)])  # that case is the last of BLOCK_GRIDS
 
 
-@pytest.mark.parametrize("n, h, wid", BLOCK_GRIDS)
-def test_taps_forward_blocks_keep_the_bits(n, h, wid):
+@pytest.mark.parametrize("rows, dtype, n, h, wid", BLOCK_CASES)
+def test_taps_forward_blocks_keep_the_bits(rows, dtype, n, h, wid):
     """Column blocking gives each output element the same tap sum, in the
-    same order, as one GEMM per tap over the whole span."""
+    same order, as one GEMM per tap over the whole span, at every block
+    width the row count gives."""
     pad, k, dilation = 3, 3, 3
     wp = wid + 2 * pad
     span = h * n * wp
-    assert [h * n * (w + 2 * pad) for n, h, w in BLOCK_GRIDS[:3]] == [1720, ad._BLOCK, 5160]
-    rng = np.random.default_rng(span)
-    flat = rng.standard_normal((16, (h + 2 * pad) * n * wp + 2 * pad))
-    wv = rng.standard_normal((16, 16, k, k))
+    cols, side = BLOCK_ROWS[rows]
+    assert ad._block_columns(rows) == cols and side**2 > cols and side**2 % cols % 8 == 1
+    assert [h * n * (w + 2 * pad) for n, h, w in BLOCK_GRIDS[:3]] == [1720, ad._block_columns(16), 5160]
+    rng = np.random.default_rng(span + rows)
+    flat = rng.standard_normal((16, (h + 2 * pad) * n * wp + 2 * pad)).astype(dtype)
+    wv = rng.standard_normal((rows, 16, k, k)).astype(dtype)
     taps = ad._taps(k, dilation, n * wp)
-    got = ad._taps_forward(wv, flat, taps, span).reshape(16, h, n, wp)
-    want = unblocked_taps(wv, flat, taps, span).reshape(16, h, n, wp)
+    got = ad._taps_forward(wv, flat, taps, span).reshape(rows, h, n, wp)
+    want = unblocked_taps(wv, flat, taps, span).reshape(rows, h, n, wp)
     # the columns conv2d keeps; the cut-away ones read past each row's end
-    assert np.array_equal(got[..., :wid], want[..., :wid])
+    assert got.dtype == dtype
+    assert got[..., :wid].tobytes() == want[..., :wid].tobytes()
+
+
+def scatter_taps_input_grad(wv, gp, taps, gflat):
+    """The input gradient of the tap sum as a scatter: one GEMM per tap over
+    the whole span, added in tap order into gflat, laid out as the padded
+    input.  The program computes it as a correlation on _taps_forward."""
+    span = gp.shape[1]
+    for i, j, off in taps:
+        gflat[:, off : off + span] += wv[:, :, i, j].T @ gp
+    return gflat
+
+
+def conv2d_input_grad_oracle(wv, g, dilation):
+    """conv2d's input gradient for upstream g, by scatter_taps_input_grad."""
+    n, co, h, wid = g.shape
+    ci, k = wv.shape[1], wv.shape[-1]
+    pad = dilation * (k - 1) // 2
+    hp, wp = h + 2 * pad, wid + 2 * pad
+    gp = np.zeros((co, h, n, wp), dtype=g.dtype)
+    gp[..., :wid] = g.transpose(1, 2, 0, 3)
+    gflat = np.zeros((ci, hp * n * wp + 2 * pad), dtype=g.dtype)
+    scatter_taps_input_grad(wv, gp.reshape(co, -1), ad._taps(k, dilation, n * wp), gflat)
+    gx = gflat[:, : hp * n * wp].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
+    return gx.transpose(2, 0, 1, 3)
+
+
+def crnn_sweep_input_grad_oracle(pv, wv, g, dilation):
+    """crnn_sweep's gradient for pre, by backpropagation through time with
+    scatter_taps_input_grad.  Each direction's states come from the same
+    recurrence on a padded grid at n=1."""
+    t_n, c, h, wid = pv.shape
+    k = wv.shape[-1]
+    pad = dilation * (k - 1) // 2
+    hp, wp = h + 2 * pad, wid + 2 * pad
+    taps = ad._taps(k, dilation, wp)
+    gpre = np.zeros_like(pv)
+    for frames in (range(t_n), range(t_n - 1, -1, -1)):
+        flat = np.zeros((c, hp * wp + 2 * pad), dtype=pv.dtype)
+        grid = flat[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
+        hs = []
+        for s, f in enumerate(frames):
+            x = pv[f]
+            if s:
+                grid[...] = hs[-1]
+                x = ad._taps_forward(wv, flat, taps, h * wp).reshape(c, h, wp)[..., :wid] + pv[f]
+            hs.append(np.maximum(x, 0.0))
+        carry = None
+        for s in reversed(range(t_n)):
+            f = frames[s]
+            gx = (g[f] if carry is None else g[f] + carry) * (hs[s] > 0)
+            gpre[f] += gx
+            if s:
+                gp = np.zeros((c, h, wp), dtype=pv.dtype)
+                gp[..., :wid] = gx
+                gflat = scatter_taps_input_grad(wv, gp.reshape(c, -1), taps, np.zeros_like(flat))
+                carry = gflat[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
+    return gpre
+
+
+def relu_masked(rng, shape, dtype):
+    """A standard normal upstream gradient, -0.0 wherever a ReLU mask drops
+    a negative entry."""
+    g = rng.standard_normal(shape).astype(dtype)
+    return g * (rng.standard_normal(shape) > 0)
+
+
+def width_ending_block(rows, height, pad, least, residue):
+    """The first width from `least` whose grid span of height * (width + 2p)
+    columns ends in a last block `residue` mod 8 columns wide (height odd)."""
+    cols = ad._block_columns(rows)
+    return next(w for w in range(least, least + 8) if height * (w + 2 * pad) % cols % 8 == residue)
+
+
+# (n, ci, co, h, least width, residue of the last block mod 8); the last
+# crosses its 24,576-column block
+CONV_GRAD_CASES = [(1, 8, 8, 7, 9, 1), (3, 4, 16, 7, 9, 2), (1, 16, 2, 9, 11, 3), (3, 2, 8, 61, 134, 4)]
+
+
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n, ci, co, h, least, residue", CONV_GRAD_CASES)
+def test_conv2d_input_grad_is_the_scatter_bitwise(n, ci, co, h, least, residue, dtype, dilation):
+    """conv2d's input gradient, a correlation with the transposed, flipped
+    kernel on a zero-margined gradient grid, has the bytes of the scatter
+    form, with -0.0 in the upstream gradient."""
+    pad = dilation
+    wid = width_ending_block(ci, n * h, pad, least, residue)
+    rng = np.random.default_rng(1000 * ci + 10 * h + dilation)
+    x = rng.standard_normal((n, ci, h, wid)).astype(dtype)
+    wv = (0.3 * rng.standard_normal((co, ci, 3, 3))).astype(dtype)
+    out = ad.conv2d(ad.constant(x), ad.constant(wv), None, dilation)
+    g = relu_masked(rng, out.value.shape, dtype)
+    gx = out.vjp(g)[0]
+    want = conv2d_input_grad_oracle(wv, g, dilation)
+    assert gx.dtype == dtype and gx.shape == want.shape
+    assert gx.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# (c, h, least width, residue of the last block mod 8); the last crosses its
+# 24,576-column block
+SWEEP_GRAD_CASES = [(8, 9, 9, 1), (4, 7, 13, 4), (2, 157, 150, 2)]
+
+
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t_n", [1, 2, 8])
+@pytest.mark.parametrize("c, h, least, residue", SWEEP_GRAD_CASES)
+def test_crnn_sweep_input_grad_is_the_scatter_bitwise(c, h, least, residue, t_n, dtype, dilation):
+    """crnn_sweep's gradient for pre, whose h2h input gradients are
+    correlations on a zero-margined gradient grid, has the bytes of
+    backpropagation through time with the scatter form."""
+    pad = dilation
+    wid = width_ending_block(c, h, pad, least, residue)
+    rng = np.random.default_rng(100 * c + 10 * t_n + dilation)
+    pv = rng.standard_normal((t_n, c, h, wid)).astype(dtype)
+    wv = (0.3 * rng.standard_normal((c, c, 3, 3))).astype(dtype)
+    out = ad.crnn_sweep(ad.constant(pv), ad.constant(wv), dilation)
+    g = relu_masked(rng, pv.shape, dtype)
+    gpre = out.vjp(g)[0]
+    want = crnn_sweep_input_grad_oracle(pv, wv, g, dilation)
+    assert gpre.dtype == dtype
+    assert gpre.tobytes() == want.tobytes()
 
 
 def test_conv2d_shape_mismatch():
