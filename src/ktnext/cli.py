@@ -9,6 +9,13 @@ Each command handler returns its run record (config, outputs and any extra
 keys); main writes it, with the input flags its subparser declares, as the
 run's JSON manifest once the command has succeeded.  A failed run writes none.
 
+After numpy loads, main sets one glibc allocator policy for the whole process,
+which outlives main (later in-process calls keep it) and changes no result:
+freed heap up to 256 MiB stays mapped (M_TOP_PAD), so an op's temporaries reuse
+the last op's pages instead of faulting fresh ones in, and arrays under 32 MiB
+stay on the heap (M_MMAP_THRESHOLD), as any mallopt call ends glibc's sliding
+mmap threshold, which would then map every array of 128 KiB or more afresh.
+
 Exit codes: 0 success, 2 bad flags or values, 3 I/O failure, 4 file format
 violation, 5 numeric failure.
 """
@@ -417,6 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Once the flags are read, sets
+    the allocator policy of the module docstring for the whole process, past
+    this return: the heap top pad, with the mmap threshold the pad needs."""
     args = _build_parser().parse_args(argv)
     try:
         args.workers = _configure_threads(args)
@@ -424,7 +434,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_FLAGS
     # imported lazily so the thread caps above are already in place
+    import ctypes  # numpy imports it too
+
     import numpy as np
+
+    libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+    if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-2, 256 << 20)  # M_TOP_PAD
 
     from .metrics import UndefinedMetricError
     from .sampling import FileFormatError
