@@ -170,31 +170,34 @@ def _taps(k: int, dilation: int, row: int):
     return [(i, j, i * dilation * row + j * dilation) for i in range(k) for j in range(k)]
 
 
-def _block_columns(rows: int) -> int:
-    return max(3072, _BLOCK // rows // 16 * 16)
+def _block_columns(rows: int, ci: int, span: int) -> int:
+    cols = max(3072, _BLOCK // rows // 16 * 16)
+    return span if max(rows, ci) < 16 and span < 1.6 * cols else cols
 
 
 def _taps_forward(wv, flat, taps, span):
     """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window.
 
-    All taps run on one block of columns before the next, so the accumulator
-    stays in cache.  A block is _BLOCK // rows columns, rounded down to a
-    multiple of 16 and at least 3,072 (_block_columns).  The first tap is
-    written into it and the rest are added in tap order: each element is the
-    same sum, in the same order, as with one GEMM per tap over the span.  The
-    BLAS may round the last 1-4 columns of a narrow last block unlike those of
-    a wide GEMM; conv2d and crnn_sweep cut them away when 2p >= 4.
+    flat is [..][ci][columns]; matmul runs each leading index as its own GEMM,
+    with the bits of a 2-D call.  All taps run on a block of columns before the
+    next, so the accumulator stays in cache: _BLOCK // rows columns, a multiple
+    of 16 and at least 3,072, or the whole span if under 1.6 blocks while rows
+    and ci are under 16 (_block_columns).  The first tap is written into it and
+    the rest added in tap order, so each element is the same sum, in the same
+    order, as with one GEMM per tap over the span.  The BLAS may round the last
+    1-4 columns of a narrow last block unlike a wide GEMM; conv2d and crnn_sweep
+    cut them away when 2p >= 4.
     """
-    cols = _block_columns(wv.shape[0])
-    out = np.empty((wv.shape[0], span), dtype=flat.dtype)
-    tmp = np.empty((wv.shape[0], min(span, cols)), dtype=flat.dtype)
+    cols = _block_columns(*wv.shape[:2], span)
+    out = np.empty((*flat.shape[:-2], wv.shape[0], span), dtype=flat.dtype)
+    tmp = np.empty((*flat.shape[:-2], wv.shape[0], min(span, cols)), dtype=flat.dtype)
     (i0, j0, off0), rest = taps[0], taps[1:]
     for lo in range(0, span, cols):
         hi = min(lo + cols, span)
-        acc, prod = out[:, lo:hi], tmp[:, : hi - lo]
-        np.matmul(wv[:, :, i0, j0], flat[:, off0 + lo : off0 + hi], out=acc)
+        acc, prod = out[..., lo:hi], tmp[..., : hi - lo]
+        np.matmul(wv[:, :, i0, j0], flat[..., off0 + lo : off0 + hi], out=acc)
         for i, j, off in rest:
-            np.matmul(wv[:, :, i, j], flat[:, off + lo : off + hi], out=prod)
+            np.matmul(wv[:, :, i, j], flat[..., off + lo : off + hi], out=prod)
             acc += prod
     return out
 
@@ -276,17 +279,18 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     h_s = relu(pre[frame s] + conv(h_(s-1), w)), with no conv at s = 0, and
     the output is the sum of the two directions' states per frame.
 
-    Each direction keeps its states in one buffer: conv2d's zero-padded grid
-    at n=1, one block per state in sweep order, laid out [c][s][h+2p][w+2p]
-    and flattened per channel with 2p trailing zeros.  A state's h2h input
-    is then a window of that buffer.  The vjp (backpropagation through time)
-    lays each frame's gradient out the same way, so an h2h input gradient is
-    a correlation with the transposed, flipped kernel on a zero-margined
-    block, and a direction's weight gradient one GEMM per tap over them all.
-    Under no_tape() no vjp reads the states, so each direction's buffer holds
-    one block, each state overwriting the previous once its conv has been
-    read.  Either way each direction adds its states into the output as it
-    sweeps, so both modes give the same bits.
+    The directions run in lock step, step s being frame s of direction 0 and
+    frame t-1-s of direction 1, so one _taps_forward call runs both h2h
+    convs.  Their states share one buffer [2][c][..]: per direction, conv2d's
+    zero-padded grid at n=1, one block per state in sweep order, with 2p
+    trailing zeros, so an h2h input is a window of it.  The vjp (BPTT) lays
+    the gradients out alike: a step's h2h input gradients are one correlation
+    with the transposed, flipped kernel on zero-margined blocks, a direction's
+    weight gradient one GEMM per tap over its blocks.  Under no_tape() each
+    direction keeps one block, each state overwriting the last once read.
+    Each frame of the output and of pre's gradient is two adds onto +0.0,
+    direction 0's first at odd t's middle frame; IEEE addition is
+    commutative, so the bits are those of one direction after the other.
     """
     pv, wv = pre.value, w.value
     t_n, c, h, wid = pv.shape
@@ -299,42 +303,40 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     block, span = hp * wp, h * wp
     taps = _taps(k, dilation, wp)
     kept = 1 if getattr(_tape, "off", False) else t_n  # state blocks per direction
-    flats = [np.zeros((c, kept * block + 2 * pad), dtype=np.result_type(pv, wv)) for _ in range(2)]
+    flat = np.zeros((2, c, kept * block + 2 * pad), dtype=np.result_type(pv, wv))
     pre_dtype = pv.dtype  # the vjp keeps pre's shape and dtype, not its value
-    states = [f[:, : kept * block].reshape(c, kept, hp, wp)[..., pad : pad + h, pad : pad + wid]
-              for f in flats]
-    sweeps = (range(t_n), range(t_n - 1, -1, -1))  # the frame at each sweep position
-    out = np.zeros_like(pv)  # each direction adds its states in; states are never -0.0
+    states = flat[..., : kept * block].reshape(2, c, kept, hp, wp)[..., pad : pad + h,
+                                                                   pad : pad + wid]
+    out = np.zeros_like(pv)  # states are never -0.0
 
-    for flat, hs, frames in zip(flats, states, sweeps):
-        for s, f in enumerate(frames):
-            x = pv[f]
-            if s:
-                x = _taps_forward(wv, flat[:, (s - 1) % kept * block :], taps, span)
-                x = x.reshape(c, h, wp)[..., :wid]
-                x += pv[f]
-            # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
-            out[f] += np.maximum(x, 0.0, out=hs[:, s % kept])
+    for s in range(t_n):
+        x = pv[[s, t_n - 1 - s]]  # each direction's frame at step s
+        if s:
+            x += _taps_forward(wv, flat[..., (s - 1) % kept * block :], taps, span).reshape(
+                2, c, h, wp)[..., :wid]
+        # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
+        hs = np.maximum(x, 0.0, out=states[:, :, s % kept])
+        out[s] += hs[0]
+        out[t_n - 1 - s] += hs[1]
 
     def vjp(g):
         gpre = np.zeros((t_n, c, h, wid), dtype=pre_dtype)
-        gw = np.zeros_like(wv)
         m = pad * wp + pad  # as in conv2d's vjp; a block's 2p zero rows pad the others
         wt, flipped = wv.transpose(1, 0, 2, 3), [(i, j, 2 * m - off) for i, j, off in taps]
-        for flat, hs, frames in zip(flats, states, sweeps):
-            # gradient of each h2h conv's output on its grid, at its input's block
-            ggrid = np.zeros((c, m + (t_n - 1) * block), dtype=flat.dtype)
-            gps = ggrid[:, m:].reshape(c, t_n - 1, hp, wp)[..., :h, :wid]
-            for s in reversed(range(t_n)):
-                f = frames[s]
-                gh = g[f] if s == t_n - 1 else g[f] + carry
-                # h > 0 exactly where its pre-activation is; gps[:, s - 1] is read below
-                gpre[f] += np.multiply(gh, hs[:, s] > 0, out=gps[:, s - 1] if s else None)
-                if s:
-                    carry = _taps_forward(wt, ggrid[:, (s - 1) * block :], flipped, span)
-                    carry = carry.reshape(c, h, wp)[..., :wid]
-            # the last state feeds no conv (and at t=1 no state does)
-            gw += _taps_weight_grad(ggrid[:, m:], flat, taps, wv.shape)
+        # gradient of each h2h conv's output on its grid, at its input's block
+        ggrid = np.zeros((2, c, m + (t_n - 1) * block), dtype=flat.dtype)
+        gps = ggrid[..., m:].reshape(2, c, t_n - 1, hp, wp)[..., :h, :wid]
+        for s in reversed(range(t_n)):
+            gh = g[[s, t_n - 1 - s]] if s == t_n - 1 else g[[s, t_n - 1 - s]] + carry
+            # h > 0 exactly where its pre-activation is; gps[:, :, s - 1] is read below
+            gx = np.multiply(gh, states[:, :, s] > 0, out=gps[:, :, s - 1] if s else None)
+            gpre[s] += gx[0]
+            gpre[t_n - 1 - s] += gx[1]
+            if s:
+                carry = _taps_forward(wt, ggrid[..., (s - 1) * block :], flipped, span)
+                carry = carry.reshape(2, c, h, wp)[..., :wid]
+        # summed from 0 over the directions; the last state feeds no conv (none at t=1)
+        gw = sum(_taps_weight_grad(ggrid[d, :, m:], flat[d], taps, wv.shape) for d in range(2))
         return gpre, gw
 
     return Tensor(out, (pre, w), vjp)

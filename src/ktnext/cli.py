@@ -268,7 +268,7 @@ def cmd_evaluate(args) -> dict:
 
     import numpy as np
 
-    from .metrics import compute_metrics
+    from .metrics import GroundTruth
     from .model import ktnext_forward
     from .sampling import load_mask, load_sequence, undersample, zero_filled
 
@@ -281,7 +281,8 @@ def cmd_evaluate(args) -> dict:
             gt = load_sequence(path)
             meas = undersample(gt, mask)
             sigma = ktnext_forward(meas, params, config)[-1]
-            return compute_metrics(sigma, gt), compute_metrics(zero_filled(meas), gt)
+            truth = GroundTruth(gt)  # scored twice: one |gt|, one set of its planes
+            return truth.score(sigma), truth.score(zero_filled(meas))
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -13,8 +13,12 @@ filters a stack of frames as ``L @ frames @ R.T``, where ``L`` ([h][h]) and
 into them.  SSIM uses whole-sample reflection ("mirror": index -1 reads 1,
 and frames narrower than the window reflect more than once), which keeps
 the map the size of the frame; HFEN uses zero extension.  Every frame and
-map of one call goes through the same products, so identical inputs give
-identical filtered planes.
+map goes through the same products, so identical inputs give identical
+filtered planes.
+
+A GroundTruth prepares the ground truth's side once, so scoring a second
+reconstruction filters only its own planes; ``psnr``, ``ssim``, ``hfen`` and
+``compute_metrics`` wrap it, so each formula exists once.
 """
 
 from dataclasses import dataclass
@@ -40,26 +44,6 @@ class ReconMetrics:
     psnr: float
     ssim: float
     hfen: float
-
-
-def _magnitudes(rec: ComplexVolume, gt: ComplexVolume):
-    if rec.data.shape != gt.data.shape:
-        raise ValueError(
-            f"shape mismatch: rec {rec.data.shape} vs gt {gt.data.shape}"
-        )
-    return np.abs(rec.data), np.abs(gt.data)
-
-
-def psnr(rec: ComplexVolume, gt: ComplexVolume) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the volumes agree exactly."""
-    mr, mg = _magnitudes(rec, gt)
-    mse = float(np.mean((mr - mg) ** 2))
-    if mse == 0.0:
-        return float(np.inf)
-    peak = float(mg.max())
-    if peak == 0.0:
-        raise UndefinedMetricError("PSNR needs a nonzero ground-truth peak")
-    return float(10.0 * np.log10(peak * peak / mse))
 
 
 def _gaussian_taps(size: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,54 +96,97 @@ _SSIM_TERMS = ((_SSIM_WINDOW_TAPS, _SSIM_WINDOW_TAPS),)
 _LOG_TERMS = _log_terms(_LOG_SIZE, _LOG_SIGMA)
 
 
-def _filter(planes: np.ndarray, terms, mirror: bool) -> np.ndarray:
+def _bands(shape, terms, mirror: bool):
+    """Each term's row band and transposed column band for [h][w] planes."""
+    h, w = shape[-2:]
+    return [(_band(h, rows, mirror), _band(w, cols, mirror).T) for rows, cols in terms]
+
+
+def _filter(planes: np.ndarray, bands) -> np.ndarray:
     """Correlate every trailing [h][w] plane of ``planes`` with the kernel
-    sum(outer(row_taps, col_taps) for row_taps, col_taps in terms)."""
-    # The band matrices are rebuilt per call (tens of microseconds each): a
-    # cache of them, allocated between forward passes and kept, pinned the
-    # heap and raised evaluate's peak RSS at 64x64 by about 4 MB.
-    h, w = planes.shape[-2:]
+    sum(outer(row_taps, col_taps) for row_taps, col_taps in terms), by _bands."""
     out = None
-    for row_taps, col_taps in terms:
-        part = _band(h, row_taps, mirror) @ planes @ _band(w, col_taps, mirror).T
+    for left, right in bands:
+        part = left @ planes @ right
         out = part if out is None else out + part
     return out
 
 
+class GroundTruth:
+    """A ground truth prepared once for scoring any number of reconstructions."""
+
+    def __init__(self, gt: ComplexVolume):
+        self.mag = np.abs(gt.data)
+        self.peak = float(self.mag.max())
+        self._planes = None
+
+    def _abs(self, rec: ComplexVolume) -> np.ndarray:
+        if rec.data.shape != self.mag.shape:
+            raise ValueError(f"shape mismatch: rec {rec.data.shape} vs gt {self.mag.shape}")
+        return np.abs(rec.data)
+
+    def _gt_planes(self):
+        """SSIM's bands and |gt|'s mean and mean square under them, then the
+        LoG's bands, |gt|'s LoG and its squared norm; built on first use (psnr
+        builds none), with no lock, as evaluate's threads each score their own."""
+        if self._planes is None:
+            ssim = _bands(self.mag.shape, _SSIM_TERMS, mirror=True)
+            log = _bands(self.mag.shape, _LOG_TERMS, mirror=False)
+            plane = _filter(self.mag, log)
+            self._planes = (ssim, *_filter(np.stack([self.mag, self.mag * self.mag]), ssim),
+                            log, plane, float((plane * plane).sum()))
+        return self._planes
+
+    def psnr(self, rec: ComplexVolume) -> float:
+        mse = float(np.mean((self._abs(rec) - self.mag) ** 2))
+        if mse == 0.0:
+            return float(np.inf)
+        if self.peak == 0.0:
+            raise UndefinedMetricError("PSNR needs a nonzero ground-truth peak")
+        return float(10.0 * np.log10(self.peak * self.peak / mse))
+
+    def ssim(self, rec: ComplexVolume) -> float:
+        mr = self._abs(rec)
+        bands, mu_b, eb2 = self._gt_planes()[:3]
+        c1, c2 = (_SSIM_K1 * self.peak) ** 2, (_SSIM_K2 * self.peak) ** 2
+        mu_a, ea2, eab = _filter(np.stack([mr, mr * mr, mr * self.mag]), bands)
+        var_a = ea2 - mu_a * mu_a
+        var_b = eb2 - mu_b * mu_b
+        cov = eab - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        with np.errstate(invalid="ignore"):
+            ssim_map = np.where(den == 0.0, 1.0, num / np.where(den == 0.0, 1.0, den))
+        return float(np.mean(ssim_map.mean(axis=(1, 2))))
+
+    def hfen(self, rec: ComplexVolume) -> float:
+        # the kernel is symmetric, so correlation and convolution coincide
+        bands, fg, den = self._gt_planes()[3:]
+        num = float(((_filter(self._abs(rec), bands) - fg) ** 2).sum())
+        if den == 0.0:
+            raise UndefinedMetricError("LoG of the ground truth is identically zero")
+        return float(np.sqrt(num) / np.sqrt(den))
+
+    def score(self, rec: ComplexVolume) -> ReconMetrics:
+        return ReconMetrics(psnr=self.psnr(rec), ssim=self.ssim(rec), hfen=self.hfen(rec))
+
+
+def psnr(rec: ComplexVolume, gt: ComplexVolume) -> float:
+    """Peak signal-to-noise ratio in dB; +inf when the volumes agree exactly."""
+    return GroundTruth(gt).psnr(rec)
+
+
 def ssim(rec: ComplexVolume, gt: ComplexVolume) -> float:
     """Mean structural similarity, 11x11 Gaussian windows, averaged over frames."""
-    mr, mg = _magnitudes(rec, gt)
-    peak = float(mg.max())
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
-    maps = np.stack([mr, mg, mr * mr, mg * mg, mr * mg])
-    mu_a, mu_b, ea2, eb2, eab = _filter(maps, _SSIM_TERMS, mirror=True)
-    var_a = ea2 - mu_a * mu_a
-    var_b = eb2 - mu_b * mu_b
-    cov = eab - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    with np.errstate(invalid="ignore"):
-        ssim_map = np.where(den == 0.0, 1.0, num / np.where(den == 0.0, 1.0, den))
-    return float(np.mean(ssim_map.mean(axis=(1, 2))))
+    return GroundTruth(gt).ssim(rec)
 
 
 def hfen(rec: ComplexVolume, gt: ComplexVolume) -> float:
-    """High-frequency error norm: relative L2 distance of LoG-filtered magnitudes.
-
-    Uses a 15x15 Laplacian-of-Gaussian kernel (sigma 1.5) with zero padding,
-    pooling the squared errors over every frame before taking the ratio.
-    Raises UndefinedMetricError when the filtered ground truth has zero norm.
-    """
-    mr, mg = _magnitudes(rec, gt)
-    # the kernel is symmetric, so correlation and convolution coincide
-    fr, fg = _filter(np.stack([mr, mg]), _LOG_TERMS, mirror=False)
-    num = float(((fr - fg) ** 2).sum())
-    den = float((fg * fg).sum())
-    if den == 0.0:
-        raise UndefinedMetricError("LoG of the ground truth is identically zero")
-    return float(np.sqrt(num) / np.sqrt(den))
+    """High-frequency error norm: relative L2 distance of magnitudes filtered by
+    a 15x15 Laplacian of Gaussian (sigma 1.5, zero padding), pooled over every
+    frame.  Raises UndefinedMetricError when the filtered ground truth is 0."""
+    return GroundTruth(gt).hfen(rec)
 
 
 def compute_metrics(rec: ComplexVolume, gt: ComplexVolume) -> ReconMetrics:
-    return ReconMetrics(psnr=psnr(rec, gt), ssim=ssim(rec, gt), hfen=hfen(rec, gt))
+    return GroundTruth(gt).score(rec)

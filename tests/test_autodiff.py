@@ -161,6 +161,7 @@ def unblocked_taps(wv, flat, taps, span):
 BLOCK_GRIDS = [(1, 40, 37), (1, 48, 58), (3, 40, 37), (1, 73, 67)]
 # output rows -> (columns per block, grid side): a square grid of odd side,
 # n=1, spans more than one block and ends in a last block 1 mod 8 columns wide
+# (at 16 input channels, so no row count runs its span as one block)
 BLOCK_ROWS = {2: (24576, 161), 4: (12288, 113), 8: (6144, 81), 16: (3072, 73), 32: (3072, 73)}
 BLOCK_CASES = ([pytest.param(16, np.float64, *grid, id="-".join(map(str, grid))) for grid in BLOCK_GRIDS]
                + [pytest.param(rows, dtype, 1, side, side - 6, id=f"{rows}-{np.dtype(dtype).name}")
@@ -177,8 +178,9 @@ def test_taps_forward_blocks_keep_the_bits(rows, dtype, n, h, wid):
     wp = wid + 2 * pad
     span = h * n * wp
     cols, side = BLOCK_ROWS[rows]
-    assert ad._block_columns(rows) == cols and side**2 > cols and side**2 % cols % 8 == 1
-    assert [h * n * (w + 2 * pad) for n, h, w in BLOCK_GRIDS[:3]] == [1720, ad._block_columns(16), 5160]
+    assert ad._block_columns(rows, 16, side**2) == cols and side**2 > cols and side**2 % cols % 8 == 1
+    spans = [h * n * (w + 2 * pad) for n, h, w in BLOCK_GRIDS[:3]]
+    assert spans == [1720, ad._block_columns(16, 16, 3072), 5160]
     rng = np.random.default_rng(span + rows)
     flat = rng.standard_normal((16, (h + 2 * pad) * n * wp + 2 * pad)).astype(dtype)
     wv = rng.standard_normal((rows, 16, k, k)).astype(dtype)
@@ -254,16 +256,49 @@ def relu_masked(rng, shape, dtype):
     return g * (rng.standard_normal(shape) > 0)
 
 
-def width_ending_block(rows, height, pad, least, residue):
+def width_ending_block(height, pad, least, residue):
     """The first width from `least` whose grid span of height * (width + 2p)
-    columns ends in a last block `residue` mod 8 columns wide (height odd)."""
-    cols = ad._block_columns(rows)
-    return next(w for w in range(least, least + 8) if height * (w + 2 * pad) % cols % 8 == residue)
+    columns ends in a last block `residue` mod 8 columns wide (height odd).
+    Block widths are multiples of 16, so that is the span's own residue."""
+    return next(w for w in range(least, least + 8) if height * (w + 2 * pad) % 8 == residue)
 
 
-# (n, ci, co, h, least width, residue of the last block mod 8); the last
-# crosses its 24,576-column block
-CONV_GRAD_CASES = [(1, 8, 8, 7, 9, 1), (3, 4, 16, 7, 9, 2), (1, 16, 2, 9, 11, 3), (3, 2, 8, 61, 134, 4)]
+def test_narrow_kernels_run_a_span_under_1_6_blocks_as_one_block():
+    """With rows and input channels under 16, a span under 1.6 blocks is one
+    block; a kernel 16 wide on either side keeps its block width."""
+    assert [ad._block_columns(8, 8, span) for span in (6145, 9728, 9830, 9831)] == [6145, 9728, 9830, 6144]
+    assert [ad._block_columns(2, 4, span) for span in (39321, 39322)] == [39321, 24576]
+    assert [ad._block_columns(2, 16, 35840), ad._block_columns(8, 16, 9728)] == [24576, 6144]
+    assert [ad._block_columns(16, 4, span) for span in (3073, 4480, 35840)] == [3072] * 3
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows, least", [(2, 250), (4, 125), (8, 62), (16, 20)])
+def test_taps_forward_runs_each_leading_grid_as_its_own_call(rows, least, dtype, residue):
+    """Leading axes on flat are separate grids: two grids in one call give
+    the bytes of one call each, here on a window of a wider buffer, as the
+    sweep passes it, over a span that splits into blocks and ends in a last
+    block `residue` mod 8 columns wide."""
+    h, pad = 157, 1
+    wp = width_ending_block(h, pad, least, residue) + 2 * pad
+    span = h * wp
+    assert span > ad._block_columns(rows, 8, span) and span % 8 == residue
+    rng = np.random.default_rng(10 * rows + residue)
+    flat = rng.standard_normal((2, 8, 5 + (h + 2 * pad) * wp + 2 * pad)).astype(dtype)[..., 5:]
+    wv = rng.standard_normal((rows, 8, 3, 3)).astype(dtype)
+    taps = ad._taps(3, 1, wp)
+    got = ad._taps_forward(wv, flat, taps, span)
+    assert got.shape == (2, rows, span) and got.dtype == dtype
+    for grid, one in zip(got, flat):
+        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span).tobytes()
+
+
+# (n, ci, co, h, least width, residue of the last block mod 8); the input
+# gradients of the last two have 2 rows: the fourth spans 25,620 columns, one
+# block, and the fifth 40,260, past 1.6 blocks of 24,576, so it splits
+CONV_GRAD_CASES = [(1, 8, 8, 7, 9, 1), (3, 4, 16, 7, 9, 2), (1, 16, 2, 9, 11, 3), (3, 2, 8, 61, 134, 4),
+                   (3, 2, 8, 61, 214, 4)]
 
 
 @pytest.mark.parametrize("dilation", [1, 3])
@@ -274,7 +309,7 @@ def test_conv2d_input_grad_is_the_scatter_bitwise(n, ci, co, h, least, residue, 
     kernel on a zero-margined gradient grid, has the bytes of the scatter
     form, with -0.0 in the upstream gradient."""
     pad = dilation
-    wid = width_ending_block(ci, n * h, pad, least, residue)
+    wid = width_ending_block(n * h, pad, least, residue)
     rng = np.random.default_rng(1000 * ci + 10 * h + dilation)
     x = rng.standard_normal((n, ci, h, wid)).astype(dtype)
     wv = (0.3 * rng.standard_normal((co, ci, 3, 3))).astype(dtype)
@@ -286,21 +321,22 @@ def test_conv2d_input_grad_is_the_scatter_bitwise(n, ci, co, h, least, residue, 
     assert gx.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-# (c, h, least width, residue of the last block mod 8); the last crosses its
-# 24,576-column block
-SWEEP_GRAD_CASES = [(8, 9, 9, 1), (4, 7, 13, 4), (2, 157, 150, 2)]
+# (c, h, least width, residue of the last block mod 8); the last two have 2
+# rows: the third spans about one 24,576-column block and runs as one, and the
+# fourth spans 40,506 columns, past 1.6 blocks, so it splits
+SWEEP_GRAD_CASES = [(8, 9, 9, 1), (4, 7, 13, 4), (2, 157, 150, 2), (2, 157, 250, 2)]
 
 
 @pytest.mark.parametrize("dilation", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("t_n", [1, 2, 8])
+@pytest.mark.parametrize("t_n", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("c, h, least, residue", SWEEP_GRAD_CASES)
 def test_crnn_sweep_input_grad_is_the_scatter_bitwise(c, h, least, residue, t_n, dtype, dilation):
     """crnn_sweep's gradient for pre, whose h2h input gradients are
     correlations on a zero-margined gradient grid, has the bytes of
     backpropagation through time with the scatter form."""
     pad = dilation
-    wid = width_ending_block(c, h, pad, least, residue)
+    wid = width_ending_block(h, pad, least, residue)
     rng = np.random.default_rng(100 * c + 10 * t_n + dilation)
     pv = rng.standard_normal((t_n, c, h, wid)).astype(dtype)
     wv = (0.3 * rng.standard_normal((c, c, 3, 3))).astype(dtype)
@@ -569,7 +605,7 @@ def test_no_tape_is_per_thread():
 
 @pytest.mark.parametrize("dilation", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("t_n", [1, 2, 3, 8])
+@pytest.mark.parametrize("t_n", [1, 2, 3, 5, 8])
 def test_no_tape_sweep_matches_the_taped_sweep_bitwise(t_n, dtype, dilation):
     """Without a tape crnn_sweep keeps one state block per direction, where the
     taped sweep keeps every state for its vjp.  Both add each state into the

@@ -8,6 +8,7 @@ setup on import is exercised too.
 import argparse
 import csv
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ktnext import cli, model, network
+from ktnext import cli, metrics, model, network
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
@@ -35,6 +36,7 @@ from ktnext.sampling import (
     zero_filled,
 )
 from ktnext.volume import ComplexVolume, Domain, fft2c
+from test_model import BLAS_FINGERPRINT, blas_fingerprint
 
 
 def run_cli(*argv) -> int:
@@ -311,9 +313,9 @@ def test_evaluate_csv_matches_library_metrics(tmp_path):
                            repr(zf_m.psnr), repr(zf_m.ssim), repr(zf_m.hfen)]
 
 
-def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
+def two_sequences(tmp_path):
+    """tiny_setup's mask and a directory of two sequences, and a checkpoint."""
     mask_p, seq_p, _ = tiny_setup(tmp_path)
-    # second sequence so the pool has more than one item to hand out
     assert run_cli("simulate", "--seed", 2, "--frames", 3, "--rows", 8,
                    "--cols", 8, "--output", tmp_path / "sim2") == 0
     data_dir = tmp_path / "data"
@@ -321,6 +323,12 @@ def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
     (data_dir / "a.ckt").write_bytes(seq_p.read_bytes())
     (data_dir / "b.ckt").write_bytes((tmp_path / "sim2" / "sequence.ckt").read_bytes())
     ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    return mask_p, data_dir, ckpt
+
+
+def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
+    # two sequences so the pool has more than one item to hand out
+    mask_p, data_dir, ckpt = two_sequences(tmp_path)
 
     serial = tmp_path / "serial.csv"
     assert run_cli("evaluate", "--input", data_dir, "--mask", mask_p,
@@ -332,6 +340,19 @@ def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
                    "--checkpoint", ckpt, "--cascades", 1, "--channels", 2,
                    "--output", parallel) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_evaluate_builds_each_band_matrix_once_per_sequence(tmp_path, monkeypatch):
+    """The model and zero-filled images are scored against one prepared
+    ground truth, so each sequence's eight band matrices (SSIM's two, the
+    LoG's six) are built once, not once per score."""
+    mask_p, data_dir, ckpt = two_sequences(tmp_path)
+    built = []
+    band = metrics._band
+    monkeypatch.setattr(metrics, "_band", lambda *args: built.append(args[0]) or band(*args))
+    assert run_cli("evaluate", "--input", data_dir, "--mask", mask_p, "--checkpoint", ckpt,
+                   "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv") == 0
+    assert len(built) == 2 * 8
 
 
 # --------------------------------------------------------------- render
@@ -923,3 +944,191 @@ def test_deterministic_runs_are_byte_identical_across_interpreters(tmp_path, cli
                 p.unlink()
     assert sum(name.endswith("manifest.json") for name in snapshots[0]) == 6
     assert snapshots[0] == snapshots[1]
+
+
+# A --deterministic round trip through every command at the criterion-8 shape
+# (T=8, 32x32, N=2, ch=8), plus a 5-frame sequence whose middle frame both
+# recurrent sweep directions write at the same step.  Relative paths keep the
+# manifests free of the working directory.
+PIN_NET = ("--cascades", 2, "--channels", 8, "--deterministic")
+PIN_RUNS = (
+    ("mask", "--accel", 4, "--frames", 8, "--cols", 32, "--output", "m8.ckm", "--deterministic"),
+    ("mask", "--accel", 4, "--frames", 5, "--cols", 32, "--output", "m5.ckm", "--deterministic"),
+    ("simulate", "--seed", 0, "--mask", "m8.ckm", "--output", "s0", "--deterministic"),
+    ("simulate", "--seed", 1, "--output", "s1", "--deterministic"),
+    ("simulate", "--seed", 2, "--frames", 5, "--mask", "m5.ckm", "--output", "s5", "--deterministic"),
+    ("train", "--input", "s0/sequence.ckt", "--mask", "m8.ckm", "--steps", 3, "--lr", 1e-3,
+     *PIN_NET, "--checkpoint", "hard.ktnp", "--output", "hard.csv"),
+    ("train", "--input", "s1/sequence.ckt", "--mask", "m8.ckm", "--steps", 3, "--lr", 1e-3,
+     *PIN_NET, "--lambda", 0.5, "--checkpoint", "soft.ktnp", "--output", "soft.csv"),
+    ("train", "--input", "s5/sequence.ckt", "--mask", "m5.ckm", "--steps", 3, "--lr", 1e-3,
+     *PIN_NET, "--checkpoint", "odd.ktnp", "--output", "odd.csv"),
+    ("reconstruct", "--input", "s0/kspace.ckt", "--mask", "m8.ckm", "--checkpoint", "hard.ktnp",
+     *PIN_NET, "--output", "rec.ckt"),
+    ("reconstruct", "--input", "s0/kspace.ckt", "--mask", "m8.ckm", "--checkpoint", "soft.ktnp",
+     *PIN_NET, "--lambda", 0.5, "--output", "rec"),
+    ("reconstruct", "--input", "s5/kspace.ckt", "--mask", "m5.ckm", "--checkpoint", "odd.ktnp",
+     *PIN_NET, "--output", "rec5.ckt"),
+    ("evaluate", "--input", "s0/sequence.ckt", "--mask", "m8.ckm", "--checkpoint", "hard.ktnp",
+     *PIN_NET, "--output", "e0.csv"),
+    ("evaluate", "--input", "s1", "--mask", "m8.ckm", "--checkpoint", "soft.ktnp",
+     *PIN_NET, "--lambda", 0.5, "--output", "e1.csv"),
+    ("evaluate", "--input", "s5/sequence.ckt", "--mask", "m5.ckm", "--checkpoint", "odd.ktnp",
+     *PIN_NET, "--output", "e5.csv"),
+    ("render", "--input", "s0/sequence.ckt", "--mask", "m8.ckm", "--checkpoint", "hard.ktnp",
+     *PIN_NET, "--output", "figs"),
+)
+
+
+def pinned_round_trip(directory):
+    """Run PIN_RUNS in `directory` and return each file's sha256 by relative path."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in PIN_RUNS:
+            assert run_cli(*argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return {p.relative_to(directory).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+ROUND_TRIP_SHA256 = {
+    "e0.csv":
+        "f3984d44457238bcceea6d063348343e34c36269fd321789b269c2618e7815b8",
+    "e0.csv.manifest.json":
+        "bffa6165858c41779bcc33d4688db9129c74c5e9eb67950130447de2d8b2e1e3",
+    "e1.csv":
+        "f1d005d4f04a75341ce2894dd24b00d193acc914bd3e78463b7b7c73c89160e1",
+    "e1.csv.manifest.json":
+        "bdf2d5d302adda2185ee25ef6624f410597c371678da8871d524d8f80bfaa725",
+    "e5.csv":
+        "7ac7ba00b785a3810c73f94f1f82b3df193650109075f92dca555c1e7d299eaa",
+    "e5.csv.manifest.json":
+        "cc005ebb08b3dd157f05b7b8e264ec355e2f37bdd87445eb977afb32c06b29e4",
+    "figs/error_000.pgm":
+        "192dab1321f49f3c60d24d40dcdb5dbbbccf56a9770179c17bc5a3e180f83706",
+    "figs/error_001.pgm":
+        "3186bec8498cd0174822e078906804a63348229a295f60dbbb02bc59cce5df56",
+    "figs/error_002.pgm":
+        "7c0c84731a278119bd353642aa2f586293a5cc4764bb59d6fd92b59290d11cad",
+    "figs/error_003.pgm":
+        "e9e913c5f96678fee334a4bcdceadc8e60989a76053b78d2b9d74071e5fd1296",
+    "figs/error_004.pgm":
+        "ee46820745101be15739f04310a04fa07fee2f394f8688b503bc4f853ca57968",
+    "figs/error_005.pgm":
+        "2af4d82a56d82ec9930fec42f88026d2824bedab8f5e658e932f40115ba1b019",
+    "figs/error_006.pgm":
+        "45ba74cb6801301aa34c3d0865785cd7b5d78ff87a88ab3718322e27d3661c56",
+    "figs/error_007.pgm":
+        "a07838b56a0c5c614b476c63daa9eae7e7516d3f7ae12dd5df2ea975ee118e91",
+    "figs/frame_000.pgm":
+        "48d424fadf282f17f62fd935d8cd2d17d3cb5f284ddd3dc2d6dbc606b22d6b56",
+    "figs/frame_001.pgm":
+        "815c8f6e4fe1e8cc91837a757212866c11212d17477507c33d360742bfe9190c",
+    "figs/frame_002.pgm":
+        "e96cbee966219c64940254fb4d1ae1776550261c0633ee3e13ec17d155b77ea7",
+    "figs/frame_003.pgm":
+        "ffbcd4d7fa81d13ebfe80f1d6710f4665233238efe661d76b675fe011814ca31",
+    "figs/frame_004.pgm":
+        "7bb0f0ddb1dec26e470cf57a12d309c7a5e56da535d2145bd193c86a4918f077",
+    "figs/frame_005.pgm":
+        "f15202591069ae753eb25a714fab2befd1cbbc36b09fe5b5677015cad7f0f99b",
+    "figs/frame_006.pgm":
+        "50056e421f01a2bdbc4fc3559ad6682af1a18311516d14dc44eeb0f54df551ed",
+    "figs/frame_007.pgm":
+        "393354006b295ad16e371309f774797942a4f4ee45992032215ec19a2842afed",
+    "figs/manifest.json":
+        "8421438facd3eb0a59c18fd8b49f6464e6ae2b44db88e12fa687b82c987040b2",
+    "figs/recon_frame_000.pgm":
+        "4fabdb801b45443850be1ada2596b5e750c3739e646d05931d745fd058fbba92",
+    "figs/recon_frame_001.pgm":
+        "65b423aad800815343f338b7e6194ce5c357fe8cbe9ad0f4f44143b91218263b",
+    "figs/recon_frame_002.pgm":
+        "178020bcb5d82b45547e1c65827263735ca28c649152b7ec6788cecc3841d71b",
+    "figs/recon_frame_003.pgm":
+        "ea46b240c56734089d2b0ef47bb2f2e8de950e4989ff6356337bd634be9b94b1",
+    "figs/recon_frame_004.pgm":
+        "2f55df73c0613df1934569f74b4feef12b5b7dcfceedf10433c743ae5f17610e",
+    "figs/recon_frame_005.pgm":
+        "f2187bed6114de53d15f50f4f8d7e09073673c62b49242b11dd2181ac758e879",
+    "figs/recon_frame_006.pgm":
+        "82800f4009f8d2ad1c62d3928ef4b6658758f6cdd33aeae72335c483077336bf",
+    "figs/recon_frame_007.pgm":
+        "f530bec3845070a2b2b62b542c68dfcb22b6d1bddce1aa1fb54b40c0d1ee2af4",
+    "figs/recon_xf_plane.pgm":
+        "25dc4a36149449579eaa7cc4d3e7b8faab72b9e9244b401b0bd58400a3a871c2",
+    "figs/recon_xt_profile.pgm":
+        "ffd11971ed3e0e56efdc4ba65d91db25591df79a314d4f11a9981de173f82231",
+    "figs/xf_plane.pgm":
+        "c17288bfd9857ce640d6df12316c37f1ad2e4c73d8f1d944232f941fc3243409",
+    "figs/xt_profile.pgm":
+        "9db1b940b35e943545306c8984553b1312faea10c84d44c880fa69011409746c",
+    "hard.csv":
+        "ec76cd749389f54c5c924fc5013e2f61ad807eb61d2b4836ed105a94ae183e55",
+    "hard.csv.manifest.json":
+        "d304343dc3e22a7c4ca011b0b4f46b450f94a956a42880944eda65928d3e7312",
+    "hard.ktnp":
+        "2721376fb8968b2c73101f6b182785756946668de727640c991a20691a5761e9",
+    "m5.ckm":
+        "99cbc7fbc046e1ab42d6ec911b3bbdae2cc74d969935277101d0f3a9c6a79b3b",
+    "m5.ckm.manifest.json":
+        "26fb6c7b407e1cf27859e83e2971b8239cb47af56ee55f7d9687af04a29bf810",
+    "m8.ckm":
+        "87ee6c01a5abc6e50ef93efc06094f3c8037a054a36c43f78237f593e3e79ecd",
+    "m8.ckm.manifest.json":
+        "7e9c86ba3c5c966f6fd253b5d4f2858a54b88ce6d0c11b2b8d4cc2acb27292a8",
+    "odd.csv":
+        "d8257a8233bd38a9c662fbfc9af284836436da9edad9212d85b84046f8e31f1c",
+    "odd.csv.manifest.json":
+        "70c8fdd890478ac93e4ffe969eb3d9228db8115234f31e10725275e1ffeb6016",
+    "odd.ktnp":
+        "13e80c575f25093f2fdd461aaff2cc54398f353668fd2c17dcd2421e7ae2a612",
+    "rec.ckt":
+        "0395282e5cd56c92e503f839fee4419e314b94f08cbc37e4a25b14a57098fecd",
+    "rec.ckt.manifest.json":
+        "515468025d332e50bc0a8063bd26745f8c0f40ec59d68ea989b9fc42f297d035",
+    "rec/cascade_00.ckt":
+        "12459e4e3f2390234551f9ac9f169d2cab58f4a7f5090d719eeec4777229c66d",
+    "rec/cascade_01.ckt":
+        "e4b53b564f2a9df7759cff87c9fa433cd3692995545beff194e84b3a74d92b0a",
+    "rec/manifest.json":
+        "8ce03f207bce1a81b5eea4a670d389d11f2798e0f26ac5d5dc2a7208e83c2cda",
+    "rec/reconstruction.ckt":
+        "e4b53b564f2a9df7759cff87c9fa433cd3692995545beff194e84b3a74d92b0a",
+    "rec5.ckt":
+        "f2602a81de03981394a246044ec03af858ab5cadbc785942ce849e0068428b2c",
+    "rec5.ckt.manifest.json":
+        "973910ac13334383a9b36b8679cce35e65924bd3a2620f0f89d38428dc7e1a0e",
+    "s0/kspace.ckt":
+        "f53bd8100acb0b3edff07762a4c0179e1ac557779cc3697454ab92fc07ea6015",
+    "s0/manifest.json":
+        "abef1097b60f2b7714ffbc8bbfb74ff60c06697a90a8815c471c1af67f7fde6d",
+    "s0/sequence.ckt":
+        "de71df32adab8e7bf968666f0f1336b880d5f86456daca82b9dd690545914d3e",
+    "s1/manifest.json":
+        "fc477e22a609c1e66923976ac5c50559916551dbdbb48d464257eb1c6fac7273",
+    "s1/sequence.ckt":
+        "11db0ed8be61cf3506ecea48becc4ecf024413efd553934469614cf382e25df8",
+    "s5/kspace.ckt":
+        "b029f1e802e9d0b29e3154d7502b3574e6fb07f839f9c437811fc462d69d2a85",
+    "s5/manifest.json":
+        "568cea53bcb04e108dd7700b1f789a42f5a9c34609cca16a0e38a57ced011e54",
+    "s5/sequence.ckt":
+        "70a1ec61f75c2458261481a54ca27486f5c1a6896bd2a8e62c20e807a85da1db",
+    "soft.csv":
+        "2d1ec105ca558f716e6ae737479cdb54ff7aa51ca5d1cf39308d6b0b82fc4b91",
+    "soft.csv.manifest.json":
+        "3e39db572712816465b652a487393c6be657c08627ad1d10b9e031ce90f88682",
+    "soft.ktnp":
+        "db8b6be7d9177212dbc79e416d808d7917e2fad4ac3fb298bdf567ae58bb88b2",
+}
+
+
+def test_deterministic_outputs_keep_their_bytes(tmp_path):
+    """Every file the round trip writes, manifests included, keeps the bytes
+    pinned below.  A change that moves bits on purpose updates this table and
+    records the move beside its exception in the change log."""
+    if blas_fingerprint() != BLAS_FINGERPRINT:
+        pytest.skip("the pins were taken with a BLAS that rounds differently")
+    assert pinned_round_trip(tmp_path) == ROUND_TRIP_SHA256

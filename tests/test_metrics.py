@@ -8,6 +8,7 @@ from ktnext.metrics import (
     UndefinedMetricError,
     _LOG_TERMS,
     _SSIM_TERMS,
+    _bands,
     _filter,
     compute_metrics,
     hfen,
@@ -191,7 +192,7 @@ def test_filter_matches_scipy_correlate(terms, oracle_kernel, mode, shape):
     from scipy.ndimage import correlate
 
     planes = np.random.default_rng(15).standard_normal((3, *shape))
-    got = _filter(planes, terms, mirror=mode == "mirror")
+    got = _filter(planes, _bands(shape, terms, mirror=mode == "mirror"))
     want = np.stack([correlate(p, oracle_kernel(), mode=mode, cval=0.0) for p in planes])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
