@@ -36,7 +36,7 @@ from ktnext.sampling import (
     zero_filled,
 )
 from ktnext.volume import ComplexVolume, Domain, fft2c
-from test_model import BLAS_FINGERPRINT, blas_fingerprint
+from test_model import BLAS_FINGERPRINT, blas_fingerprint, pin_report
 
 
 def run_cli(*argv) -> int:
@@ -1128,7 +1128,10 @@ ROUND_TRIP_SHA256 = {
 def test_deterministic_outputs_keep_their_bytes(tmp_path):
     """Every file the round trip writes, manifests included, keeps the bytes
     pinned below.  A change that moves bits on purpose updates this table and
-    records the move beside its exception in the change log."""
+    records the move beside its exception in the change log.  On a mismatch
+    the message names each changed, missing or new file and prints the table
+    as it now reads."""
     if blas_fingerprint() != BLAS_FINGERPRINT:
         pytest.skip("the pins were taken with a BLAS that rounds differently")
-    assert pinned_round_trip(tmp_path) == ROUND_TRIP_SHA256
+    got = pinned_round_trip(tmp_path)
+    assert got == ROUND_TRIP_SHA256, pin_report("ROUND_TRIP_SHA256", got, ROUND_TRIP_SHA256)

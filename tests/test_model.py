@@ -1,6 +1,7 @@
 """End-to-end model: cascade assembly, collapse identities, gradients, training."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 import weakref
@@ -763,17 +764,42 @@ def blas_fingerprint():
     return hashlib.sha256((a @ b).tobytes() + np.fft.fft(z, axis=0).tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
-def test_float64_forward_bits_are_pinned(name):
-    """The float64 forward keeps its bits: float32 inference must not move
-    the precision training and the oracle tests run in."""
-    if blas_fingerprint() != BLAS_FINGERPRINT:
-        pytest.skip("the pins were taken with a BLAS that rounds differently")
+def pin_report(name, got, want):
+    """What moved against the pinned sha256 table `name`: each changed,
+    missing and new key, then the table as it now reads, as the Python
+    literal to paste once the move is reviewed."""
+    moved = [f"{kind} {', '.join(keys)}" for kind, keys in (
+        ("changed:", sorted(k for k in got.keys() & want.keys() if got[k] != want[k])),
+        ("missing:", sorted(want.keys() - got.keys())),
+        ("new:", sorted(got.keys() - want.keys()))) if keys]
+    lines = []
+    for key, value in sorted(got.items()):
+        if isinstance(value, str):
+            lines.append(f"    {json.dumps(key)}:\n        {json.dumps(value)},")
+        else:
+            head = f"    {json.dumps(key)}: ("
+            lines.append(head + f",\n{' ' * len(head)}".join(map(json.dumps, value)) + "),")
+    return "\n".join([f"{name} moved; " + "; ".join(moved), f"{name} = {{", *lines, "}"])
+
+
+def forward_pins(name):
+    """sha256 of the float64 forward's final (sigma, rho) at a workload shape."""
     meas, params, cfg = workload_case(name)
     with ad.no_tape():
         rho, sigma = km._forward_graph(meas, params, cfg)[-1]
-    got = tuple(hashlib.sha256(v.value.tobytes()).hexdigest() for v in (sigma, rho))
-    assert got == FORWARD_SHA256[name]
+    return tuple(hashlib.sha256(v.value.tobytes()).hexdigest() for v in (sigma, rho))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
+def test_float64_forward_bits_are_pinned(name):
+    """The float64 forward keeps its bits: float32 inference must not move
+    the precision training and the oracle tests run in.  On a mismatch the
+    message names what moved and prints the table as it now reads."""
+    if blas_fingerprint() != BLAS_FINGERPRINT:
+        pytest.skip("the pins were taken with a BLAS that rounds differently")
+    got = forward_pins(name)
+    assert got == FORWARD_SHA256[name], pin_report(
+        "FORWARD_SHA256", {n: forward_pins(n) for n in WORKLOAD_SHAPES}, FORWARD_SHA256)
 
 
 # --------------------------------------------------------------- joint loss
