@@ -155,6 +155,105 @@ def unblocked_taps(wv, flat, taps, span):
     return out
 
 
+def stacked_taps(wv, flat, taps, span):
+    """The tap sum in the order of _taps_forward's stacked path: per block of
+    _STACK columns, one matmul of the kernel as [co][k*k*ci], tap-major, by
+    the explicit [..][k*k*ci][block] stack of its tap windows.  The kernel
+    matrix is C-ordered, as the program's is: the BLAS may round the last
+    1-4 columns of a transposed operand's product differently."""
+    wk = np.ascontiguousarray(np.concatenate([wv[:, :, i, j] for i, j, _ in taps], axis=1))
+    blocks = [np.matmul(wk, np.concatenate([flat[..., off + lo : off + min(lo + ad._STACK, span)]
+                                            for _, _, off in taps], axis=-2))
+              for lo in range(0, span, ad._STACK)]
+    return np.concatenate(blocks, axis=-1)
+
+
+def assert_roundoff(got, want):
+    """got is want up to roundoff: within 1e-13 (float64) or 1e-5 (float32)
+    of want's peak."""
+    tol = 1e-13 if got.dtype == np.float64 else 1e-5
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+# (co, ci, h, n, w, leading grids): every kernel the three benchmark workloads
+# run stacked, on its grid at dilation 3: conv2d over all frames (or rows) and
+# the lock-step sweep's steps at c = 4 and 8
+STACKED_SHAPES = [(4, 2, 32, 8, 32, ()), (4, 4, 32, 1, 32, (2,)), (4, 4, 32, 8, 32, ()),
+                  (8, 2, 32, 8, 32, ()), (8, 4, 32, 8, 32, ()), (8, 8, 32, 1, 32, (2,)),
+                  (16, 2, 64, 8, 64, ()), (16, 4, 64, 8, 64, ())]
+# (co, ci, span) the workloads run on the tap loop
+TAP_LOOP_SHAPES = [(2, 4, 9728), (2, 8, 9728), (4, 8, 9728), (8, 8, 9728), (2, 16, 35840),
+                   (16, 16, 4480), (16, 16, 35840)]
+
+
+def test_narrow_kernels_run_stacked_and_the_rest_the_tap_loop():
+    """The rule reads only the kernel's shape: stacked for more than 2 output
+    rows with ci <= 4, or ci < 16 over at most _STACK columns; every kernel
+    with 2 output rows or fewer, or 16 input channels or more, keeps the tap
+    loop, whatever its span."""
+    for co, ci, h, n, w, _ in STACKED_SHAPES:
+        assert ad._stacked(co, ci, h * n * (w + 6))
+    assert not any(ad._stacked(*shape) for shape in TAP_LOOP_SHAPES)
+    assert [ad._stacked(8, 8, span) for span in (3072, 3073)] == [True, False]
+    assert [ad._stacked(3, ci, 10**6) for ci in (4, 5)] == [True, False]
+    spans = (1, 1216, 3072, 4480, 9728, 35840)
+    assert not any(ad._stacked(co, ci, span) for co in (1, 2) for ci in (1, 2, 4, 8, 16, 32)
+                   for span in spans)
+    assert not any(ad._stacked(co, ci, span) for co in (3, 4, 8, 16, 32) for ci in (16, 32)
+                   for span in spans)
+
+
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("co, ci, h, n, w, lead", STACKED_SHAPES)
+def test_stacked_kernels_are_one_gemm_per_block(co, ci, h, n, w, lead, dtype, dilation):
+    """At every shape the rule sends to it, the stacked path has the bytes
+    of one matmul per block over the explicit tap stack; in float64 it is
+    one GEMM per tap over the span up to roundoff."""
+    pad = dilation
+    wp = w + 2 * pad
+    span = h * n * wp
+    rng = np.random.default_rng(co * ci + h + dilation)
+    flat = rng.standard_normal((*lead, ci, (h + 2 * pad) * n * wp + 2 * pad)).astype(dtype)
+    wv = rng.standard_normal((co, ci, 3, 3)).astype(dtype)
+    taps = ad._taps(3, dilation, n * wp)
+    assert ad._stacked(co, ci, span)
+    got = ad._taps_forward(wv, flat, taps, span)
+    assert got.shape == (*lead, co, span) and got.dtype == dtype
+    assert got.tobytes() == stacked_taps(wv, flat, taps, span).tobytes()
+    if dtype == np.float64:
+        for one, grid in zip(got.reshape(-1, co, span), flat.reshape(-1, *flat.shape[-2:])):
+            assert_roundoff(one, unblocked_taps(wv, grid, taps, span))
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows, ci, h, least", [(4, 2, 157, 62), (8, 4, 157, 62), (16, 2, 157, 250),
+                                                (8, 8, 11, 150)])
+def test_stacked_blocks_and_leading_grids_keep_the_bits(rows, ci, h, least, dtype, residue):
+    """Spans that split into blocks of _STACK columns (all but the 8-channel
+    one, which the rule runs stacked only up to one block) and end 1-4 mod 8
+    columns wide: two grids on a window of a wider buffer, as the sweep passes
+    them, give the bytes of the explicit stack and of one call each."""
+    pad = 1
+    wp = width_ending_block(h, pad, least, residue) + 2 * pad
+    span = h * wp
+    assert ad._stacked(rows, ci, span) and span % 8 == residue
+    assert (span > ad._STACK) == (ci < 8)
+    rng = np.random.default_rng(10 * rows + ci + residue)
+    flat = rng.standard_normal((2, ci, 5 + (h + 2 * pad) * wp + 2 * pad)).astype(dtype)[..., 5:]
+    wv = rng.standard_normal((rows, ci, 3, 3)).astype(dtype)
+    taps = ad._taps(3, 1, wp)
+    got = ad._taps_forward(wv, flat, taps, span)
+    assert got.shape == (2, rows, span) and got.dtype == dtype
+    assert got.tobytes() == stacked_taps(wv, flat, taps, span).tobytes()
+    for grid, one in zip(got, flat):
+        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span).tobytes()
+    if dtype == np.float64:
+        for grid, one in zip(got, flat):
+            assert_roundoff(grid, unblocked_taps(wv, one, taps, span))
+
+
 # (n, h, w) at dilation 3 for 16 output rows: grid spans of 1,720, 3,072 (one
 # block) and 5,160 columns, and 5,329, whose last block is 2,257 columns
 # (1 mod 8) wide
@@ -202,8 +301,23 @@ def scatter_taps_input_grad(wv, gp, taps, gflat):
     return gflat
 
 
-def conv2d_input_grad_oracle(wv, g, dilation):
-    """conv2d's input gradient for upstream g, by scatter_taps_input_grad."""
+def stacked_taps_input_grad(wv, gp, taps, gflat):
+    """The input gradient of the tap sum in stacked_taps' order, as conv2d's
+    vjp computes it for a kernel the rule runs stacked: the correlation with
+    the transposed, flipped kernel on a zero-margined gradient grid, written
+    into gflat from the first unpadded pixel, m, the centre tap's offset."""
+    co, span = gp.shape
+    m = taps[len(taps) // 2][2]
+    gbuf = np.zeros((co, m + span + m), dtype=gp.dtype)
+    gbuf[:, m : m + span] = gp
+    flipped = [(i, j, 2 * m - off) for i, j, off in taps]
+    gflat[:, m : m + span] = stacked_taps(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)
+    return gflat
+
+
+def conv2d_input_grad_oracle(wv, g, dilation, input_grad=scatter_taps_input_grad):
+    """conv2d's input gradient for upstream g, by scatter_taps_input_grad
+    (or by input_grad, given the same arguments)."""
     n, co, h, wid = g.shape
     ci, k = wv.shape[1], wv.shape[-1]
     pad = dilation * (k - 1) // 2
@@ -211,15 +325,15 @@ def conv2d_input_grad_oracle(wv, g, dilation):
     gp = np.zeros((co, h, n, wp), dtype=g.dtype)
     gp[..., :wid] = g.transpose(1, 2, 0, 3)
     gflat = np.zeros((ci, hp * n * wp + 2 * pad), dtype=g.dtype)
-    scatter_taps_input_grad(wv, gp.reshape(co, -1), ad._taps(k, dilation, n * wp), gflat)
+    input_grad(wv, gp.reshape(co, -1), ad._taps(k, dilation, n * wp), gflat)
     gx = gflat[:, : hp * n * wp].reshape(ci, hp, n, wp)[:, pad : pad + h, :, pad : pad + wid]
     return gx.transpose(2, 0, 1, 3)
 
 
-def crnn_sweep_input_grad_oracle(pv, wv, g, dilation):
+def crnn_sweep_input_grad_oracle(pv, wv, g, dilation, input_grad=scatter_taps_input_grad):
     """crnn_sweep's gradient for pre, by backpropagation through time with
-    scatter_taps_input_grad.  Each direction's states come from the same
-    recurrence on a padded grid at n=1."""
+    scatter_taps_input_grad (or input_grad).  Each direction's states come
+    from the same recurrence on a padded grid at n=1."""
     t_n, c, h, wid = pv.shape
     k = wv.shape[-1]
     pad = dilation * (k - 1) // 2
@@ -244,7 +358,7 @@ def crnn_sweep_input_grad_oracle(pv, wv, g, dilation):
             if s:
                 gp = np.zeros((c, h, wp), dtype=pv.dtype)
                 gp[..., :wid] = gx
-                gflat = scatter_taps_input_grad(wv, gp.reshape(c, -1), taps, np.zeros_like(flat))
+                gflat = input_grad(wv, gp.reshape(c, -1), taps, np.zeros_like(flat))
                 carry = gflat[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + wid]
     return gpre
 
@@ -307,7 +421,9 @@ CONV_GRAD_CASES = [(1, 8, 8, 7, 9, 1), (3, 4, 16, 7, 9, 2), (1, 16, 2, 9, 11, 3)
 def test_conv2d_input_grad_is_the_scatter_bitwise(n, ci, co, h, least, residue, dtype, dilation):
     """conv2d's input gradient, a correlation with the transposed, flipped
     kernel on a zero-margined gradient grid, has the bytes of the scatter
-    form, with -0.0 in the upstream gradient."""
+    form, with -0.0 in the upstream gradient.  Where the rule runs that
+    correlation stacked, it has the bytes of the stacked order instead, and
+    is the scatter form up to roundoff."""
     pad = dilation
     wid = width_ending_block(n * h, pad, least, residue)
     rng = np.random.default_rng(1000 * ci + 10 * h + dilation)
@@ -317,6 +433,9 @@ def test_conv2d_input_grad_is_the_scatter_bitwise(n, ci, co, h, least, residue, 
     g = relu_masked(rng, out.value.shape, dtype)
     gx = out.vjp(g)[0]
     want = conv2d_input_grad_oracle(wv, g, dilation)
+    if ad._stacked(ci, co, n * h * (wid + 2 * pad)):
+        assert_roundoff(gx, want)
+        want = conv2d_input_grad_oracle(wv, g, dilation, stacked_taps_input_grad)
     assert gx.dtype == dtype and gx.shape == want.shape
     assert gx.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -334,7 +453,9 @@ SWEEP_GRAD_CASES = [(8, 9, 9, 1), (4, 7, 13, 4), (2, 157, 150, 2), (2, 157, 250,
 def test_crnn_sweep_input_grad_is_the_scatter_bitwise(c, h, least, residue, t_n, dtype, dilation):
     """crnn_sweep's gradient for pre, whose h2h input gradients are
     correlations on a zero-margined gradient grid, has the bytes of
-    backpropagation through time with the scatter form."""
+    backpropagation through time with the scatter form; where the rule runs
+    them stacked, the bytes of the stacked order, and the scatter form's
+    up to roundoff."""
     pad = dilation
     wid = width_ending_block(h, pad, least, residue)
     rng = np.random.default_rng(100 * c + 10 * t_n + dilation)
@@ -344,6 +465,9 @@ def test_crnn_sweep_input_grad_is_the_scatter_bitwise(c, h, least, residue, t_n,
     g = relu_masked(rng, pv.shape, dtype)
     gpre = out.vjp(g)[0]
     want = crnn_sweep_input_grad_oracle(pv, wv, g, dilation)
+    if ad._stacked(c, c, h * (wid + 2 * pad)):
+        assert_roundoff(gpre, want)
+        want = crnn_sweep_input_grad_oracle(pv, wv, g, dilation, stacked_taps_input_grad)
     assert gpre.dtype == dtype
     assert gpre.tobytes() == want.tobytes()
 

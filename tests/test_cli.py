@@ -995,15 +995,15 @@ def pinned_round_trip(directory):
 
 ROUND_TRIP_SHA256 = {
     "e0.csv":
-        "f3984d44457238bcceea6d063348343e34c36269fd321789b269c2618e7815b8",
+        "5a9ddbf51952193122b2a725c27bf0ebd9705f7cb9784fc31e2852f5b55bb7c5",
     "e0.csv.manifest.json":
         "bffa6165858c41779bcc33d4688db9129c74c5e9eb67950130447de2d8b2e1e3",
     "e1.csv":
-        "f1d005d4f04a75341ce2894dd24b00d193acc914bd3e78463b7b7c73c89160e1",
+        "f68210cbd29db73eb8fce4e5b553fe44a4fdd4f0796fb340d4f228f0f200effe",
     "e1.csv.manifest.json":
         "bdf2d5d302adda2185ee25ef6624f410597c371678da8871d524d8f80bfaa725",
     "e5.csv":
-        "7ac7ba00b785a3810c73f94f1f82b3df193650109075f92dca555c1e7d299eaa",
+        "679e709ee589276513123efe5cbc807bbd11f8c633c097e8653ea9bb91cfef4e",
     "e5.csv.manifest.json":
         "cc005ebb08b3dd157f05b7b8e264ec355e2f37bdd87445eb977afb32c06b29e4",
     "figs/error_000.pgm":
@@ -1065,11 +1065,11 @@ ROUND_TRIP_SHA256 = {
     "figs/xt_profile.pgm":
         "9db1b940b35e943545306c8984553b1312faea10c84d44c880fa69011409746c",
     "hard.csv":
-        "ec76cd749389f54c5c924fc5013e2f61ad807eb61d2b4836ed105a94ae183e55",
+        "1ee405a543b46b36ddf1d25b855c35b7d3abfd56b212557dc352c78cd8fedf11",
     "hard.csv.manifest.json":
         "d304343dc3e22a7c4ca011b0b4f46b450f94a956a42880944eda65928d3e7312",
     "hard.ktnp":
-        "2721376fb8968b2c73101f6b182785756946668de727640c991a20691a5761e9",
+        "a554591947b369466997841cecd7caad5780eade553a5ef0c231e41769b6350c",
     "m5.ckm":
         "99cbc7fbc046e1ab42d6ec911b3bbdae2cc74d969935277101d0f3a9c6a79b3b",
     "m5.ckm.manifest.json":
@@ -1079,25 +1079,25 @@ ROUND_TRIP_SHA256 = {
     "m8.ckm.manifest.json":
         "7e9c86ba3c5c966f6fd253b5d4f2858a54b88ce6d0c11b2b8d4cc2acb27292a8",
     "odd.csv":
-        "d8257a8233bd38a9c662fbfc9af284836436da9edad9212d85b84046f8e31f1c",
+        "5b1166538510be6eda2e79a2717c092f85e05b53b87c8369ceec26d8fe0e0e7f",
     "odd.csv.manifest.json":
         "70c8fdd890478ac93e4ffe969eb3d9228db8115234f31e10725275e1ffeb6016",
     "odd.ktnp":
-        "13e80c575f25093f2fdd461aaff2cc54398f353668fd2c17dcd2421e7ae2a612",
+        "13199b2c378b910966f8e7df31cdaab8fd27aa8f921bc4662d06507dc50c5c73",
     "rec.ckt":
-        "0395282e5cd56c92e503f839fee4419e314b94f08cbc37e4a25b14a57098fecd",
+        "d2652abb604b5d1992aaf035fb5b2be0ead9334aceda37b4b514a438f85f71e8",
     "rec.ckt.manifest.json":
         "515468025d332e50bc0a8063bd26745f8c0f40ec59d68ea989b9fc42f297d035",
     "rec/cascade_00.ckt":
-        "12459e4e3f2390234551f9ac9f169d2cab58f4a7f5090d719eeec4777229c66d",
+        "7176bd7c813fdc9f5ed8494ab2ff44cc2447feadea65fa1aae1e722c2a4fbe58",
     "rec/cascade_01.ckt":
-        "e4b53b564f2a9df7759cff87c9fa433cd3692995545beff194e84b3a74d92b0a",
+        "09be8b7297c3bff0b109cf0f125bcccd10c42c1fb882bfc8907d59b82ba5f06d",
     "rec/manifest.json":
         "8ce03f207bce1a81b5eea4a670d389d11f2798e0f26ac5d5dc2a7208e83c2cda",
     "rec/reconstruction.ckt":
-        "e4b53b564f2a9df7759cff87c9fa433cd3692995545beff194e84b3a74d92b0a",
+        "09be8b7297c3bff0b109cf0f125bcccd10c42c1fb882bfc8907d59b82ba5f06d",
     "rec5.ckt":
-        "f2602a81de03981394a246044ec03af858ab5cadbc785942ce849e0068428b2c",
+        "9c35307bb9732bd8e973cc0e26a5c568fd148fd82725ee0abadddbf5a4a81b17",
     "rec5.ckt.manifest.json":
         "973910ac13334383a9b36b8679cce35e65924bd3a2620f0f89d38428dc7e1a0e",
     "s0/kspace.ckt":
@@ -1117,11 +1117,11 @@ ROUND_TRIP_SHA256 = {
     "s5/sequence.ckt":
         "70a1ec61f75c2458261481a54ca27486f5c1a6896bd2a8e62c20e807a85da1db",
     "soft.csv":
-        "2d1ec105ca558f716e6ae737479cdb54ff7aa51ca5d1cf39308d6b0b82fc4b91",
+        "aba29b0e64648aa961cc213d581025d06b1a10b56729b5bcc9febd96556494cc",
     "soft.csv.manifest.json":
         "3e39db572712816465b652a487393c6be657c08627ad1d10b9e031ce90f88682",
     "soft.ktnp":
-        "db8b6be7d9177212dbc79e416d808d7917e2fad4ac3fb298bdf567ae58bb88b2",
+        "59d407862d0a7f3ca445a3f7bc8a3cfd5d0d112024140ff9c9e2de988aee81a2",
 }
 
 

@@ -744,12 +744,12 @@ def test_float32_forward_matches_float64(name):
 # with OpenBLAS 0.3.31 and numpy 2.4 on x86-64; a BLAS that rounds the
 # fingerprint below differently may round the forward differently too
 FORWARD_SHA256 = {
-    "train_c8": ("54a73b9a70067509b0f34439995aae4a3bfd55f41a4f133016f69439c084413c",
-                 "d7c78c935fddc4ad685b914fa34dde934570365918cebc03ccd2135ae819b7a9"),
-    "eval_wide": ("c1a88506f6c16cf05fa2a06ae60da3932c643ce52c961ccd312f51430aa706f6",
-                  "3d4626644a32f38b8081fdef44639883341f103c3065c7cc88ca11990c225e13"),
-    "eval_toy": ("1cdada6537781c15ed8522efaa89491729c22fee99f23e67930b58086465ba83",
-                 "16ac962bd191838d10a1cb7d7630a6022406ce5b26b020ea5bd962796a9cd5ba"),
+    "eval_toy": ("27a577c3677dea3910d76d7a95ffcd48742191232454073c5276907dca8e36de",
+                 "4a9382f193e9ab010c98a98d96952b968c56dfeb0d442c7b4b64468d54550b63"),
+    "eval_wide": ("003b7a41d6b7818508bb7fb10bb900df3f1bc0e3b674b391ca0dc3cd700312e3",
+                  "d6bd25912dc4f22401bd17d4b49265bdc36cda37dacfdfb197eb05c363bb5873"),
+    "train_c8": ("752d7bea3cb36ba372e50ddf142f59296d1cf70cef257abb0dc664ac57b1fe25",
+                 "09525a14099039e1b92a980bccf560e3b928a44376d14f0767ebea245c8ded2d"),
 }
 BLAS_FINGERPRINT = "5ecf398687693443"
 
