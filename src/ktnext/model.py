@@ -269,9 +269,10 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
     estimates, and apply one ADAM update to a fresh init_params draw.
     Mixed precision: the weights and ADAM moments are float64 masters, and
     each step's forward and backward run on their float32 copy
-    (`float32_params`), whose gradients ADAM reads as float64.  Returns the
-    float64 store.  Deterministic for a fixed seed when numpy runs
-    single-threaded.  lr must be finite and positive.
+    (`float32_params`), whose gradients ADAM reads as float64.  Under hard DC
+    with the k-space centre sampled in every frame, `crnn.out_b` stays 0.
+    Returns the float64 store.  Deterministic for a fixed seed when numpy
+    runs single-threaded.  lr must be finite and positive.
     """
     if not 0.0 < lr < math.inf:  # also rejects nan
         raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
@@ -284,6 +285,10 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
     params = init_params(config, rng)
     adam = init_adam(params)
     history = []
+    # under hard DC, a mask that samples the k-space centre column in every
+    # frame removes out_b's constant image offset: its exact gradient is zero,
+    # and ADAM would scale the float32 roundoff in it to steps of about lr
+    hold_out_b = config.dc_lambda == math.inf and bool(mask.bits[:, mask.cols // 2].all())
     for step in range(1, steps + 1):
         work = float32_params(params.snapshot(), config, f"training weights at step {step}")
         img = dataset[int(rng.integers(len(dataset)))]
@@ -296,6 +301,8 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
                 "lower the learning rate or check the input scaling"
             )
         ad.backward(node)
+        if hold_out_b:
+            work["crnn.out_b"].grad[...] = 0.0  # a zero ADAM step: out_b keeps its init 0
         psnr_train = psnr(ComplexVolume(sigma.value, Domain.IMAGE), img)
         adam_step(params, adam, lr, grads=work)
         history.append(TrainRecord(step=step, loss=loss, psnr_train=psnr_train))

@@ -995,7 +995,7 @@ def pinned_round_trip(directory):
 
 ROUND_TRIP_SHA256 = {
     "e0.csv":
-        "5a9ddbf51952193122b2a725c27bf0ebd9705f7cb9784fc31e2852f5b55bb7c5",
+        "181909ec143e18a02f7a98351311241d98d376632b70edbd3f3439b231278d17",
     "e0.csv.manifest.json":
         "bffa6165858c41779bcc33d4688db9129c74c5e9eb67950130447de2d8b2e1e3",
     "e1.csv":
@@ -1003,25 +1003,25 @@ ROUND_TRIP_SHA256 = {
     "e1.csv.manifest.json":
         "bdf2d5d302adda2185ee25ef6624f410597c371678da8871d524d8f80bfaa725",
     "e5.csv":
-        "679e709ee589276513123efe5cbc807bbd11f8c633c097e8653ea9bb91cfef4e",
+        "2d228fbebce51749e3c90ab096be767cc9265cafa02cc2edc8afbbf9ff9ff8e4",
     "e5.csv.manifest.json":
         "cc005ebb08b3dd157f05b7b8e264ec355e2f37bdd87445eb977afb32c06b29e4",
     "figs/error_000.pgm":
-        "192dab1321f49f3c60d24d40dcdb5dbbbccf56a9770179c17bc5a3e180f83706",
+        "765d88eba5363115035c2f7b57a0ef6c791f02615edd459d6a2b634365ce72de",
     "figs/error_001.pgm":
-        "3186bec8498cd0174822e078906804a63348229a295f60dbbb02bc59cce5df56",
+        "86261ede0b77e6b5c8be3da6e1cd1ae1e1da867de17af6e5a4309de4c656b982",
     "figs/error_002.pgm":
-        "7c0c84731a278119bd353642aa2f586293a5cc4764bb59d6fd92b59290d11cad",
+        "3b114042f3c0a4136ee3e697dae6d4690d7f01c79310f9718701fadad211e150",
     "figs/error_003.pgm":
-        "e9e913c5f96678fee334a4bcdceadc8e60989a76053b78d2b9d74071e5fd1296",
+        "eee96ae9fc8f9bfc3503b554926e8e9252ff87a134af68acc27ecfe18c13a19b",
     "figs/error_004.pgm":
-        "ee46820745101be15739f04310a04fa07fee2f394f8688b503bc4f853ca57968",
+        "62779cd821488fe49aa2edb67c181e49fba8ef072260fdce97045ca0d7387acd",
     "figs/error_005.pgm":
-        "2af4d82a56d82ec9930fec42f88026d2824bedab8f5e658e932f40115ba1b019",
+        "1e371a2966b931c64903bdd800703357d4b4021efdfa9bf5c5bd3049fad1d2bb",
     "figs/error_006.pgm":
-        "45ba74cb6801301aa34c3d0865785cd7b5d78ff87a88ab3718322e27d3661c56",
+        "de6a7d8644ba3ff756dca9b7646797b6c53055d6209362606d561266dc6c42fd",
     "figs/error_007.pgm":
-        "a07838b56a0c5c614b476c63daa9eae7e7516d3f7ae12dd5df2ea975ee118e91",
+        "88b8e644562521e8a0d6ea35a85a73b5a89615f2956bfa952561f3b12930c33a",
     "figs/frame_000.pgm":
         "48d424fadf282f17f62fd935d8cd2d17d3cb5f284ddd3dc2d6dbc606b22d6b56",
     "figs/frame_001.pgm":
@@ -1041,13 +1041,13 @@ ROUND_TRIP_SHA256 = {
     "figs/manifest.json":
         "8421438facd3eb0a59c18fd8b49f6464e6ae2b44db88e12fa687b82c987040b2",
     "figs/recon_frame_000.pgm":
-        "4fabdb801b45443850be1ada2596b5e750c3739e646d05931d745fd058fbba92",
+        "0c25d0f2e23349848d8887f083dec3131d4de1c7736ca6293a2c68b5e50ef368",
     "figs/recon_frame_001.pgm":
         "65b423aad800815343f338b7e6194ce5c357fe8cbe9ad0f4f44143b91218263b",
     "figs/recon_frame_002.pgm":
         "178020bcb5d82b45547e1c65827263735ca28c649152b7ec6788cecc3841d71b",
     "figs/recon_frame_003.pgm":
-        "ea46b240c56734089d2b0ef47bb2f2e8de950e4989ff6356337bd634be9b94b1",
+        "b6dc03e89974b0eb22a720f77014dd3c7316f29faf0fc593c72dcc4440f7e3b2",
     "figs/recon_frame_004.pgm":
         "2f55df73c0613df1934569f74b4feef12b5b7dcfceedf10433c743ae5f17610e",
     "figs/recon_frame_005.pgm":
@@ -1065,11 +1065,11 @@ ROUND_TRIP_SHA256 = {
     "figs/xt_profile.pgm":
         "9db1b940b35e943545306c8984553b1312faea10c84d44c880fa69011409746c",
     "hard.csv":
-        "1ee405a543b46b36ddf1d25b855c35b7d3abfd56b212557dc352c78cd8fedf11",
+        "079c9e890f279fc6f31dbe61506d509deee74cabe813356e5746bd25349db069",
     "hard.csv.manifest.json":
         "d304343dc3e22a7c4ca011b0b4f46b450f94a956a42880944eda65928d3e7312",
     "hard.ktnp":
-        "a554591947b369466997841cecd7caad5780eade553a5ef0c231e41769b6350c",
+        "edcc94d5438a82795a1a081d13cae8f218fb9eef77c14f7ecc9040575c0db679",
     "m5.ckm":
         "99cbc7fbc046e1ab42d6ec911b3bbdae2cc74d969935277101d0f3a9c6a79b3b",
     "m5.ckm.manifest.json":
@@ -1079,13 +1079,13 @@ ROUND_TRIP_SHA256 = {
     "m8.ckm.manifest.json":
         "7e9c86ba3c5c966f6fd253b5d4f2858a54b88ce6d0c11b2b8d4cc2acb27292a8",
     "odd.csv":
-        "5b1166538510be6eda2e79a2717c092f85e05b53b87c8369ceec26d8fe0e0e7f",
+        "aedce5ae5304bdaee71eb3d94cba7d665fdea6e94af109186849ea9fb6c5c647",
     "odd.csv.manifest.json":
         "70c8fdd890478ac93e4ffe969eb3d9228db8115234f31e10725275e1ffeb6016",
     "odd.ktnp":
-        "13199b2c378b910966f8e7df31cdaab8fd27aa8f921bc4662d06507dc50c5c73",
+        "1e2290a360c047afbbce709b0fe6d7436547d6d3638d8a2267b33e83939a6faa",
     "rec.ckt":
-        "d2652abb604b5d1992aaf035fb5b2be0ead9334aceda37b4b514a438f85f71e8",
+        "ccb58e41cd84a11c535d74effb03ea3d5e719967072f18867dc3fa2e80e0e746",
     "rec.ckt.manifest.json":
         "515468025d332e50bc0a8063bd26745f8c0f40ec59d68ea989b9fc42f297d035",
     "rec/cascade_00.ckt":
@@ -1097,7 +1097,7 @@ ROUND_TRIP_SHA256 = {
     "rec/reconstruction.ckt":
         "09be8b7297c3bff0b109cf0f125bcccd10c42c1fb882bfc8907d59b82ba5f06d",
     "rec5.ckt":
-        "9c35307bb9732bd8e973cc0e26a5c568fd148fd82725ee0abadddbf5a4a81b17",
+        "260d6c1220c2030913049af0678cdff520b00854e895ed7e3cedb6fb46d15a27",
     "rec5.ckt.manifest.json":
         "973910ac13334383a9b36b8679cce35e65924bd3a2620f0f89d38428dc7e1a0e",
     "s0/kspace.ckt":

@@ -25,6 +25,7 @@ from ktnext.model import (
 from ktnext.network import save_checkpoint
 from ktnext.sampling import (
     AcquisitionSpec,
+    SamplingMask,
     generate_phantom,
     make_shear_mask,
     undersample,
@@ -671,6 +672,34 @@ def test_fit_float32_gradient_matches_float64_backward(shape, lam, monkeypatch):
             else:
                 err = np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
                 assert err < 3e-3, (seed, name, err)
+
+
+def out_b_after_fit(lam, mask):
+    """crnn.out_b after three `fit` steps at lr 1e-3 (T=8, 16x16, N=1, ch=4)."""
+    cfg = KtNextConfig(n_cascades=1, channels=4, dc_lambda=lam)
+    img = generate_phantom(3, 8, 16, 16)
+    params, _ = fit([img], mask, cfg, steps=3, seed=3, lr=1e-3)
+    return params["crnn.out_b"].value
+
+
+def test_out_b_stays_zero_under_hard_dc():
+    """Under hard DC with the k-space centre column sampled in every frame,
+    out_b's exact gradient is zero, so fit leaves it at its init value of 0,
+    bit for bit, where ADAM would turn float32 roundoff into steps of lr."""
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 16)
+    assert mask.bits[:, 8].all()
+    got = out_b_after_fit(math.inf, mask)
+    assert got.tobytes() == np.zeros(2).tobytes()
+
+
+def test_out_b_trains_under_soft_dc_or_a_frame_without_the_centre():
+    """At lambda 0.5, or under hard DC with one frame lacking the centre
+    column, out_b acts on the image and trains."""
+    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 16)
+    assert np.abs(out_b_after_fit(0.5, mask)).min() > 1e-4
+    bits = mask.bits.copy()
+    bits[5, 8] = 0
+    assert np.abs(out_b_after_fit(math.inf, SamplingMask(bits))).min() > 1e-4
 
 
 def test_float32_backward_keeps_each_leaf_dtype():
