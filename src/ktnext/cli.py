@@ -16,8 +16,11 @@ the last op's pages instead of faulting fresh ones in, and arrays under 32 MiB
 stay on the heap (M_MMAP_THRESHOLD), as any mallopt call ends glibc's sliding
 mmap threshold, which would then map every array of 128 KiB or more afresh.
 
-Exit codes: 0 success, 2 bad flags or values, 3 I/O failure, 4 file format
-violation, 5 numeric failure.
+`train` writes its checkpoint and history to temporary siblings and renames
+both into place only once both are written, so a failed run leaves neither.
+
+Exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation failure,
+4 file format violation, 5 numeric failure.
 """
 
 import argparse
@@ -26,12 +29,13 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 _EXIT_FLAGS = 2
-_EXIT_IO = 3
+_EXIT_IO = 3  # also an allocation failure
 _EXIT_FORMAT = 4
 _EXIT_NUMERIC = 5
 
@@ -223,10 +227,24 @@ def cmd_train(args) -> dict:
     dataset = [load_sequence(f) for f in files]
     params, history = fit(dataset, mask, config, steps=args.steps,
                           seed=args.seed, lr=args.lr)
-    _ensure_parent(args.checkpoint)
-    save_params(args.checkpoint, params)
-    _write_csv(args.output, ["step", "loss", "psnr_train"],
-               ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
+    targets, temps = (Path(args.checkpoint), Path(args.output)), []
+    try:
+        for target in targets:
+            _ensure_parent(target)
+            fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+            os.close(fd)
+            temps.append(Path(temp))
+        save_params(temps[0], params)
+        _write_csv(temps[1], ["step", "loss", "psnr_train"],
+                   ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
+        for target in targets:
+            if target.is_dir():
+                raise IsADirectoryError(21, "Is a directory", str(target))
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     print(f"trained {args.steps} steps on {len(dataset)} sequences; "
           f"loss {history[0].loss!r} -> {history[-1].loss!r}")
     return {"config": asdict(config),
@@ -364,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ktnext",
         description="Dynamic MRI reconstruction by alternating x-f de-aliasing "
                     "and recurrent image refinement.",
+        epilog="exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation "
+               "failure, 4 file format violation, 5 numeric failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,6 +481,9 @@ def main(argv=None) -> int:
         return _EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

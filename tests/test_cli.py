@@ -495,6 +495,60 @@ def test_missing_input_file_exits_3(tmp_path):
     assert rc == 3
 
 
+# each command's handler and the flags it needs to parse; none reads a file
+# once its handler is replaced
+HANDLER_ARGV = {
+    "mask": ("--accel", 4, "--frames", 8, "--cols", 32, "--output", "m.ckm"),
+    "simulate": ("--output", "s"),
+    "train": ("--input", "s.ckt", "--mask", "m.ckm", "--steps", 1, "--checkpoint", "w.ktnp",
+              "--output", "h.csv"),
+    "reconstruct": ("--input", "k.ckt", "--mask", "m.ckm", "--checkpoint", "w.ktnp",
+                    "--output", "r.ckt"),
+    "evaluate": ("--input", "s.ckt", "--mask", "m.ckm", "--checkpoint", "w.ktnp",
+                 "--output", "e.csv"),
+    "render": ("--input", "s.ckt", "--output", "figs"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HANDLER_ARGV))
+def test_an_allocation_failure_exits_3(command, tmp_path, monkeypatch, capsys):
+    """A MemoryError, as numpy raises for `mask --frames 1000000000000 --cols
+    1000000000000` (7.28 TiB), exits 3 with one error line and no manifest.
+    It is injected: a real request that large may succeed lazily and be
+    killed on first touch."""
+    def handler(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *HANDLER_ARGV[command]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_documents_every_exit_code(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "3 I/O or allocation failure" in " ".join(capsys.readouterr().out.split())
+
+
+def test_a_failed_train_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """train writes its checkpoint and history to temporary siblings and
+    renames them only once both are written: with the history path a
+    directory it exits 3 and leaves the directory as it was, with no
+    checkpoint and no temporary file."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    (tmp_path / "isdir.csv").mkdir()
+    before = sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("train", "--input", seq_p, "--mask", mask_p, "--steps", 1, "--channels", 2,
+                 "--cascades", 1, "--checkpoint", "partial.ktnp", "--output", "isdir.csv")
+    assert rc == 3
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'isdir.csv'\n"
+    assert sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir()) == before
+
+
 def test_malformed_mask_file_exits_4(tmp_path):
     bad = tmp_path / "bad.ckm"
     bad.write_bytes(b"JUNKJUNKJUNKJUNK")
