@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -218,6 +217,8 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_train(args) -> dict:
+    import tempfile
+
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
