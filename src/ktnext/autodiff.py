@@ -189,7 +189,7 @@ def _taps_forward(wv, flat, taps, span):
     _STACK columns as one GEMM: w as [co][k*k*ci] times the k*k tap windows,
     copied from one strided view of flat into a [..][k*k*ci][block] stack
     (im2col).  There numpy's dispatch of 2*k*k calls per block costs more than
-    their arithmetic: 1.2-5.3x in float32.  The tap loop stays faster at 2
+    their arithmetic: 1.3-5.4x in float32.  The tap loop stays faster at 2
     output rows, at 16 input channels and at 8 over long spans.  It runs all
     taps on a block of columns (_block_columns) before the next, writing the
     first into an accumulator that stays in cache and adding the rest in tap

@@ -217,6 +217,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_train(args) -> dict:
+    import errno
     import tempfile
 
     from .model import fit, save_params
@@ -240,7 +241,7 @@ def cmd_train(args) -> dict:
                    ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
         for target in targets:
             if target.is_dir():
-                raise IsADirectoryError(21, "Is a directory", str(target))
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for temp, target in zip(temps, targets):
             os.replace(temp, target)
     finally:
