@@ -194,9 +194,9 @@ def _taps_forward(wv, flat, taps, span):
     taps on a block of columns (_block_columns) before the next, writing the
     first into an accumulator that stays in cache and adding the rest in tap
     order: each element is the same sum, in the same order, as with one GEMM
-    per tap over the span.  The BLAS may round the last 1-4 columns of a
-    narrow last block unlike a wide GEMM; conv2d and crnn_sweep cut them away
-    when 2p >= 4.
+    per tap over the span.  The BLAS may round the last columns of a narrow
+    last block unlike a wide GEMM: 1-4 on the tap loop, which conv2d and
+    crnn_sweep cut away when 2p >= 4, and more, kept ones among them, stacked.
     """
     (rows, ci, k), lead = wv.shape[:3], flat.shape[:-2]
     out = np.empty((*lead, rows, span), dtype=flat.dtype)
