@@ -184,10 +184,13 @@ def _stacked(rows: int, ci: int, span: int) -> bool:
 def _taps_forward(wv, flat, taps, span):
     """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window.
 
-    flat is [..][ci][columns]; matmul runs each leading index as its own GEMM,
-    with the bits of a 2-D call.  Narrow kernels (_stacked) run each block of
-    _STACK columns as one GEMM: w as [co][k*k*ci] times the k*k tap windows,
-    copied from one strided view of flat into a [..][k*k*ci][block] stack
+    Returns run(offset), the [..][co][span] output for the windows that start
+    `offset` columns into flat, so a sweep builds its kernel once and runs it
+    at each step's block.  flat is [..][ci][columns]; matmul runs each leading
+    index as its own GEMM, with the bits of a 2-D call.  Narrow kernels
+    (_stacked) run each block of _STACK columns as one GEMM: w as
+    [co][k*k*ci] times the k*k tap windows, copied from one strided view of
+    flat, over every valid window start, into a [..][k*k*ci][block] stack
     (im2col).  There numpy's dispatch of 2*k*k calls per block costs more than
     their arithmetic: 1.3-5.4x in float32.  The tap loop stays faster at 2
     output rows, at 16 input channels and at 8 over long spans.  It runs all
@@ -199,27 +202,35 @@ def _taps_forward(wv, flat, taps, span):
     crnn_sweep cut away when 2p >= 4, and more, kept ones among them, stacked.
     """
     (rows, ci, k), lead = wv.shape[:3], flat.shape[:-2]
-    out = np.empty((*lead, rows, span), dtype=flat.dtype)
     if _stacked(rows, ci, span):
         o, st = taps[0][2], flat.strides
         ij = [(taps[t % len(taps)][2] - o) * st[-1] for t in (k, 1)]  # taps (1, 0) and (0, 1)
-        wins = as_strided(flat[..., o:], (*lead, k, k, ci, span), (*st[:-2], *ij, *st[-2:]))
+        starts = flat.shape[-1] - max(off for *_, off in taps)
+        wins = as_strided(flat[..., o:], (*lead, k, k, ci, starts), (*st[:-2], *ij, *st[-2:]))
         wk = wv.transpose(0, 2, 3, 1).reshape(rows, -1)
-        for lo in range(0, span, _STACK):
-            np.matmul(wk, np.ascontiguousarray(wins[..., lo : lo + _STACK]).reshape(
-                *lead, wk.shape[1], -1), out=out[..., lo : lo + _STACK])
-        return out
+
+        def run(offset):
+            out, win = np.empty((*lead, rows, span), dtype=flat.dtype), wins[..., offset:]
+            for lo in range(0, span, _STACK):
+                np.matmul(wk, np.ascontiguousarray(win[..., lo : min(lo + _STACK, span)]).reshape(
+                    *lead, wk.shape[1], -1), out=out[..., lo : lo + _STACK])
+            return out
+        return run
     cols = _block_columns(rows, ci, span)
     tmp = np.empty((*lead, rows, min(span, cols)), dtype=flat.dtype)
     (i0, j0, off0), rest = taps[0], taps[1:]
-    for lo in range(0, span, cols):
-        hi = min(lo + cols, span)
-        acc, prod = out[..., lo:hi], tmp[..., : hi - lo]
-        np.matmul(wv[:, :, i0, j0], flat[..., off0 + lo : off0 + hi], out=acc)
-        for i, j, off in rest:
-            np.matmul(wv[:, :, i, j], flat[..., off + lo : off + hi], out=prod)
-            acc += prod
-    return out
+
+    def run(offset):
+        out, src = np.empty((*lead, rows, span), dtype=flat.dtype), flat[..., offset:]
+        for lo in range(0, span, cols):
+            hi = min(lo + cols, span)
+            acc, prod = out[..., lo:hi], tmp[..., : hi - lo]
+            np.matmul(wv[:, :, i0, j0], src[..., off0 + lo : off0 + hi], out=acc)
+            for i, j, off in rest:
+                np.matmul(wv[:, :, i, j], src[..., off + lo : off + hi], out=prod)
+                acc += prod
+        return out
+    return run
 
 
 def _taps_weight_grad(gp, flat, taps, shape):
@@ -268,7 +279,7 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
         return flat
 
-    outp = _taps_forward(wv, padded(), taps, span)
+    outp = _taps_forward(wv, padded(), taps, span)(0)
     out = np.ascontiguousarray(outp.reshape(co, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
     parents = (x, w)
     if b is not None:
@@ -282,7 +293,7 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
         gp.reshape(co, h, n, wp)[..., :wid] = g.transpose(1, 2, 0, 3)
         gw = _taps_weight_grad(gp, padded(), taps, wv.shape)
         flipped = [(i, j, 2 * m - off) for i, j, off in taps]
-        gx = _taps_forward(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)
+        gx = _taps_forward(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)(0)
         gx = np.ascontiguousarray(gx.reshape(ci, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
         if b is None:
             return gx, gw
@@ -328,12 +339,12 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     states = flat[..., : kept * block].reshape(2, c, kept, hp, wp)[..., pad : pad + h,
                                                                    pad : pad + wid]
     out = np.zeros_like(pv)  # states are never -0.0
+    h2h = _taps_forward(wv, flat, taps, span)
 
     for s in range(t_n):
         x = pv[[s, t_n - 1 - s]]  # each direction's frame at step s
         if s:
-            x += _taps_forward(wv, flat[..., (s - 1) % kept * block :], taps, span).reshape(
-                2, c, h, wp)[..., :wid]
+            x += h2h((s - 1) % kept * block).reshape(2, c, h, wp)[..., :wid]
         # maximum(x, 0.0), not (0.0, x): NaN passes and -0.0 becomes +0.0
         hs = np.maximum(x, 0.0, out=states[:, :, s % kept])
         out[s] += hs[0]
@@ -346,6 +357,8 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
         # gradient of each h2h conv's output on its grid, at its input's block
         ggrid = np.zeros((2, c, m + (t_n - 1) * block), dtype=flat.dtype)
         gps = ggrid[..., m:].reshape(2, c, t_n - 1, hp, wp)[..., :h, :wid]
+        if t_n > 1:  # a grid with no h2h conv has no window to build on
+            grad_h2h = _taps_forward(wt, ggrid, flipped, span)
         for s in reversed(range(t_n)):
             gh = g[[s, t_n - 1 - s]] if s == t_n - 1 else g[[s, t_n - 1 - s]] + carry
             # h > 0 exactly where its pre-activation is; gps[:, :, s - 1] is read below
@@ -353,8 +366,7 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
             gpre[s] += gx[0]
             gpre[t_n - 1 - s] += gx[1]
             if s:
-                carry = _taps_forward(wt, ggrid[..., (s - 1) * block :], flipped, span)
-                carry = carry.reshape(2, c, h, wp)[..., :wid]
+                carry = grad_h2h((s - 1) * block).reshape(2, c, h, wp)[..., :wid]
         # summed from 0 over the directions; the last state feeds no conv (none at t=1)
         gw = sum(_taps_weight_grad(ggrid[d, :, m:], flat[d], taps, wv.shape) for d in range(2))
         return gpre, gw

@@ -14,7 +14,9 @@ into them.  SSIM uses whole-sample reflection ("mirror": index -1 reads 1,
 and frames narrower than the window reflect more than once), which keeps
 the map the size of the frame; HFEN uses zero extension.  Every frame and
 map goes through the same products, so identical inputs give identical
-filtered planes.
+filtered planes.  The band matrices depend only on the frame shape, so they
+are built once per shape (a small cache of read-only arrays) and shared by
+every sequence and thread that scores frames of that shape.
 
 A GroundTruth prepares the ground truth's side once, so scoring a second
 reconstruction filters only its own planes; ``psnr``, ``ssim``, ``hfen`` and
@@ -22,6 +24,7 @@ reconstruction filters only its own planes; ``psnr``, ``ssim``, ``hfen`` and
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,15 +94,26 @@ def _log_terms(size: int, sigma: float):
     return ((g, q), (q, g), (-mean * ones, ones))
 
 
-_SSIM_WINDOW_TAPS = _gaussian_taps(_SSIM_SIZE, _SSIM_SIGMA)[1]
-_SSIM_TERMS = ((_SSIM_WINDOW_TAPS, _SSIM_WINDOW_TAPS),)
-_LOG_TERMS = _log_terms(_LOG_SIZE, _LOG_SIGMA)
+def _hashable(terms):
+    return tuple(tuple(tuple(taps.tolist()) for taps in term) for term in terms)
 
 
+_SSIM_TERMS = _hashable([[_gaussian_taps(_SSIM_SIZE, _SSIM_SIGMA)[1]] * 2])
+_LOG_TERMS = _hashable(_log_terms(_LOG_SIZE, _LOG_SIGMA))
+
+
+@lru_cache(maxsize=8)
 def _bands(shape, terms, mirror: bool):
-    """Each term's row band and transposed column band for [h][w] planes."""
-    h, w = shape[-2:]
-    return [(_band(h, rows, mirror), _band(w, cols, mirror).T) for rows, cols in terms]
+    """Each term's row band and transposed column band for shape's [h][w]
+    planes, built once per (h, w, terms, mirror) and read-only, so threads
+    share them."""
+    def band(n, taps):
+        m = _band(n, np.array(taps), mirror)
+        m.setflags(write=False)
+        return m
+
+    h, w = shape
+    return tuple((band(h, rows), band(w, cols).T) for rows, cols in terms)
 
 
 def _filter(planes: np.ndarray, bands) -> np.ndarray:
@@ -130,8 +144,8 @@ class GroundTruth:
         LoG's bands, |gt|'s LoG and its squared norm; built on first use (psnr
         builds none), with no lock, as evaluate's threads each score their own."""
         if self._planes is None:
-            ssim = _bands(self.mag.shape, _SSIM_TERMS, mirror=True)
-            log = _bands(self.mag.shape, _LOG_TERMS, mirror=False)
+            ssim = _bands(self.mag.shape[-2:], _SSIM_TERMS, mirror=True)
+            log = _bands(self.mag.shape[-2:], _LOG_TERMS, mirror=False)
             plane = _filter(self.mag, log)
             self._planes = (ssim, *_filter(np.stack([self.mag, self.mag * self.mag]), ssim),
                             log, plane, float((plane * plane).sum()))

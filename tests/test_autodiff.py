@@ -218,7 +218,7 @@ def test_stacked_kernels_are_one_gemm_per_block(co, ci, h, n, w, lead, dtype, di
     wv = rng.standard_normal((co, ci, 3, 3)).astype(dtype)
     taps = ad._taps(3, dilation, n * wp)
     assert ad._stacked(co, ci, span)
-    got = ad._taps_forward(wv, flat, taps, span)
+    got = ad._taps_forward(wv, flat, taps, span)(0)
     assert got.shape == (*lead, co, span) and got.dtype == dtype
     assert got.tobytes() == stacked_taps(wv, flat, taps, span).tobytes()
     if dtype == np.float64:
@@ -244,11 +244,11 @@ def test_stacked_blocks_and_leading_grids_keep_the_bits(rows, ci, h, least, dtyp
     flat = rng.standard_normal((2, ci, 5 + (h + 2 * pad) * wp + 2 * pad)).astype(dtype)[..., 5:]
     wv = rng.standard_normal((rows, ci, 3, 3)).astype(dtype)
     taps = ad._taps(3, 1, wp)
-    got = ad._taps_forward(wv, flat, taps, span)
+    got = ad._taps_forward(wv, flat, taps, span)(0)
     assert got.shape == (2, rows, span) and got.dtype == dtype
     assert got.tobytes() == stacked_taps(wv, flat, taps, span).tobytes()
     for grid, one in zip(got, flat):
-        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span).tobytes()
+        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span)(0).tobytes()
     if dtype == np.float64:
         for grid, one in zip(got, flat):
             assert_roundoff(grid, unblocked_taps(wv, one, taps, span))
@@ -284,7 +284,7 @@ def test_taps_forward_blocks_keep_the_bits(rows, dtype, n, h, wid):
     flat = rng.standard_normal((16, (h + 2 * pad) * n * wp + 2 * pad)).astype(dtype)
     wv = rng.standard_normal((rows, 16, k, k)).astype(dtype)
     taps = ad._taps(k, dilation, n * wp)
-    got = ad._taps_forward(wv, flat, taps, span).reshape(rows, h, n, wp)
+    got = ad._taps_forward(wv, flat, taps, span)(0).reshape(rows, h, n, wp)
     want = unblocked_taps(wv, flat, taps, span).reshape(rows, h, n, wp)
     # the columns conv2d keeps; the cut-away ones read past each row's end
     assert got.dtype == dtype
@@ -348,7 +348,7 @@ def crnn_sweep_input_grad_oracle(pv, wv, g, dilation, input_grad=scatter_taps_in
             x = pv[f]
             if s:
                 grid[...] = hs[-1]
-                x = ad._taps_forward(wv, flat, taps, h * wp).reshape(c, h, wp)[..., :wid] + pv[f]
+                x = ad._taps_forward(wv, flat, taps, h * wp)(0).reshape(c, h, wp)[..., :wid] + pv[f]
             hs.append(np.maximum(x, 0.0))
         carry = None
         for s in reversed(range(t_n)):
@@ -402,10 +402,10 @@ def test_taps_forward_runs_each_leading_grid_as_its_own_call(rows, least, dtype,
     flat = rng.standard_normal((2, 8, 5 + (h + 2 * pad) * wp + 2 * pad)).astype(dtype)[..., 5:]
     wv = rng.standard_normal((rows, 8, 3, 3)).astype(dtype)
     taps = ad._taps(3, 1, wp)
-    got = ad._taps_forward(wv, flat, taps, span)
+    got = ad._taps_forward(wv, flat, taps, span)(0)
     assert got.shape == (2, rows, span) and got.dtype == dtype
     for grid, one in zip(got, flat):
-        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span).tobytes()
+        assert grid.tobytes() == ad._taps_forward(wv, one, taps, span)(0).tobytes()
 
 
 # (n, ci, co, h, least width, residue of the last block mod 8); the input
@@ -470,6 +470,56 @@ def test_crnn_sweep_input_grad_is_the_scatter_bitwise(c, h, least, residue, t_n,
         want = crnn_sweep_input_grad_oracle(pv, wv, g, dilation, stacked_taps_input_grad)
     assert gpre.dtype == dtype
     assert gpre.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tape", [True, False])
+def test_a_sweep_builds_one_window_view_per_pass(monkeypatch, tape):
+    """crnn_sweep builds one tap kernel for its forward steps and one for its
+    BPTT carries, so a stacked sweep (c = 4) makes one strided window view
+    per pass, over every window start of its grid, not one per step."""
+    views = []
+    strided = ad.as_strided
+    monkeypatch.setattr(ad, "as_strided", lambda *args: views.append(args[1]) or strided(*args))
+    t_n, c, h, wid = 8, 4, 7, 9
+    block, span, m = (h + 2) * (wid + 2), h * (wid + 2), wid + 3
+    assert ad._stacked(c, c, span)
+    rng = np.random.default_rng(5)
+    pre = ad.parameter(rng.standard_normal((t_n, c, h, wid)))
+    w = ad.parameter(0.3 * rng.standard_normal((c, c, 3, 3)))
+    with contextlib.nullcontext() if tape else ad.no_tape():
+        out = ad.crnn_sweep(pre, w, 1)
+    kept = t_n if tape else 1
+    assert views == [(2, 3, 3, c, (kept - 1) * block + span)]
+    if tape:
+        ad.backward(ad.sumsq_diff(out, 0.0))
+        assert views[1:] == [(2, 3, 3, c, (t_n - 1) * block - m)]
+
+
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("c", [4, 2])
+def test_a_bptt_kernel_reads_the_last_valid_window(c, dtype, dilation):
+    """A kernel built once on a sweep's zero-margined BPTT grid, with the
+    flipped taps, reaches the last window start whose taps stay on the grid:
+    there it has the bytes of a kernel built on that window alone (and,
+    stacked, of the explicit stack), and one column further does not fit."""
+    t_n, h, wid, pad = 4, 7, 9, dilation
+    wp = wid + 2 * pad
+    block, span, m = (h + 2 * pad) * wp, h * wp, pad * wp + pad
+    rng = np.random.default_rng(c + dilation)
+    ggrid = rng.standard_normal((2, c, m + (t_n - 1) * block)).astype(dtype)
+    wt = (0.3 * rng.standard_normal((c, c, 3, 3))).astype(dtype).transpose(1, 0, 2, 3)
+    flipped = [(i, j, 2 * m - off) for i, j, off in ad._taps(3, dilation, wp)]
+    last = ggrid.shape[-1] - 2 * m - span
+    assert last >= (t_n - 2) * block  # the sweep's last carry starts there
+    run = ad._taps_forward(wt, ggrid, flipped, span)
+    got = run(last)
+    assert got.shape == (2, c, span) and got.dtype == dtype
+    assert got.tobytes() == ad._taps_forward(wt, ggrid[..., last:], flipped, span)(0).tobytes()
+    if ad._stacked(c, c, span):
+        assert got.tobytes() == stacked_taps(wt, ggrid[..., last:], flipped, span).tobytes()
+    with pytest.raises(ValueError):
+        run(last + 1)
 
 
 def test_conv2d_shape_mismatch():

@@ -342,17 +342,41 @@ def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_evaluate_builds_each_band_matrix_once_per_sequence(tmp_path, monkeypatch):
-    """The model and zero-filled images are scored against one prepared
-    ground truth, so each sequence's eight band matrices (SSIM's two, the
-    LoG's six) are built once, not once per score."""
+def test_evaluate_builds_each_band_matrix_once_per_shape(tmp_path, monkeypatch):
+    """The band matrices depend only on the frame shape: from a cleared cache,
+    two sequences of one shape build the eight (SSIM's two, the LoG's six)
+    once, and a third sequence of another shape builds its own eight."""
     mask_p, data_dir, ckpt = two_sequences(tmp_path)
     built = []
     band = metrics._band
     monkeypatch.setattr(metrics, "_band", lambda *args: built.append(args[0]) or band(*args))
-    assert run_cli("evaluate", "--input", data_dir, "--mask", mask_p, "--checkpoint", ckpt,
-                   "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv") == 0
-    assert len(built) == 2 * 8
+
+    def evaluate():
+        metrics._bands.cache_clear()
+        built.clear()
+        assert run_cli("evaluate", "--input", data_dir, "--mask", mask_p, "--checkpoint", ckpt,
+                       "--cascades", 1, "--channels", 2, "--output", tmp_path / "e.csv") == 0
+        return sorted(built)
+
+    assert evaluate() == [8] * 8
+    assert run_cli("simulate", "--seed", 3, "--frames", 3, "--rows", 12, "--cols", 8,
+                   "--output", tmp_path / "sim3") == 0
+    (data_dir / "c.ckt").write_bytes((tmp_path / "sim3" / "sequence.ckt").read_bytes())
+    assert evaluate() == [8] * 12 + [12] * 4
+
+
+def test_evaluate_from_a_cleared_band_cache_matches_serial(tmp_path, monkeypatch):
+    """Two pool threads that find the band cache empty build or share the
+    read-only bands and write the serial run's bytes."""
+    mask_p, data_dir, ckpt = two_sequences(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        metrics._bands.cache_clear()
+        monkeypatch.setenv("KTNEXT_THREADS", threads)
+        outputs.append(tmp_path / f"e{threads}.csv")
+        assert run_cli("evaluate", "--input", data_dir, "--mask", mask_p, "--checkpoint", ckpt,
+                       "--cascades", 1, "--channels", 2, "--output", outputs[-1]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 # --------------------------------------------------------------- render

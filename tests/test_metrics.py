@@ -8,7 +8,10 @@ from ktnext.metrics import (
     UndefinedMetricError,
     _LOG_TERMS,
     _SSIM_TERMS,
+    _band,
     _bands,
+    _gaussian_taps,
+    _log_terms,
     _filter,
     compute_metrics,
     hfen,
@@ -196,6 +199,31 @@ def test_filter_matches_scipy_correlate(terms, oracle_kernel, mode, shape):
     want = np.stack([correlate(p, oracle_kernel(), mode=mode, cval=0.0) for p in planes])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("terms, mirror, oracle_terms", [
+    (_SSIM_TERMS, True, [[_gaussian_taps(11, 1.5)[1]] * 2]),
+    (_LOG_TERMS, False, _log_terms(15, 1.5)),
+], ids=["ssim-mirror", "log-zero"])
+def test_cached_bands_are_a_fresh_build_and_read_only(terms, mirror, oracle_terms):
+    """The cache keys a band set by (h, w, terms, boundary): a hit returns the
+    same read-only arrays, which hold the bytes of bands built afresh from the
+    kernels' own float64 taps, and a second shape gets its own entry."""
+    _bands.cache_clear()
+    for count, shape in enumerate([(8, 8), (7, 33)], start=1):
+        cached = _bands(shape, terms, mirror)
+        assert _bands(shape, terms, mirror) is cached
+        assert _bands.cache_info().currsize == count
+        fresh = [(_band(shape[0], rows, mirror), _band(shape[1], cols, mirror).T)
+                 for rows, cols in oracle_terms]
+        assert len(cached) == len(fresh)
+        for pair, want in zip(cached, fresh):
+            for band, oracle in zip(pair, want):
+                assert band.dtype == oracle.dtype and band.shape == oracle.shape
+                assert band.tobytes() == np.ascontiguousarray(oracle).tobytes()
+                assert not band.flags.writeable
+                with pytest.raises(ValueError):
+                    band[0, 0] = 1.0
 
 
 def test_ssim_matches_windowed_oracle_non_square():

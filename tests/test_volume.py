@@ -89,6 +89,25 @@ def test_fft1c_oracle_all_small_sizes(n, axis):
     assert rel_err(_ifft1c_arr(v.data, AXES[axis]), oracle_ifft_axis(v.data, AXES[axis])) < 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 64])
+@pytest.mark.parametrize("axis", ["t", "y", "x"])
+def test_centring_is_the_numpy_shift_composition_bitwise(n, axis, dtype):
+    """The slice-copy centring moves the values np.fft's shifts move, so each
+    transform equals fftshift(fft(ifftshift(a))) bit for bit, odd n included."""
+    rng = np.random.default_rng(200 + n)
+    shape = [3, 4, 5]
+    shape[AXES[axis]] = n
+    a = random_volume(rng, tuple(shape)).data.astype(dtype)
+    ax = AXES[axis]
+    for got, transform in ((_fft1c_arr, np.fft.fft), (_ifft1c_arr, np.fft.ifft)):
+        want = np.fft.fftshift(transform(np.fft.ifftshift(a, axes=ax), axis=ax, norm="ortho"),
+                               axes=ax)
+        out = got(a, ax)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("axis", ["t", "y", "x"])
 def test_ifft1c_round_trip(axis):
     rng = np.random.default_rng(11)
