@@ -16,8 +16,10 @@ the last op's pages instead of faulting fresh ones in, and arrays under 32 MiB
 stay on the heap (M_MMAP_THRESHOLD), as any mallopt call ends glibc's sliding
 mmap threshold, which would then map every array of 128 KiB or more afresh.
 
-`train` writes its checkpoint and history to temporary siblings and renames
-both into place only once both are written, so a failed run leaves neither.
+Every command that writes more than one file (`simulate`, `train`,
+`reconstruct` into a directory, `render`) writes each to a temporary sibling
+and renames them all into place only once all are written (_staged), so a
+failed run adds no file and changes none.
 
 Exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation failure,
 4 file format violation, 5 numeric failure.
@@ -25,10 +27,12 @@ Exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation failure,
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -106,6 +110,28 @@ def _ensure_parent(path) -> None:
     parent = Path(path).parent
     if str(parent):
         parent.mkdir(parents=True, exist_ok=True)
+
+
+@contextmanager
+def _staged(*targets):
+    """Yield a temporary sibling of each target path; once the block has
+    written them all, rename each over its target.  If a target is a
+    directory, or anything fails, none is renamed and every temporary is
+    removed."""
+    targets = [Path(t) for t in targets]
+    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
+    try:
+        for target in targets:
+            _ensure_parent(target)
+        yield temps
+        for target in targets:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -201,15 +227,14 @@ def cmd_simulate(args) -> dict:
                          f"{args.frames} frames x {args.cols} columns")
     gt = generate_phantom(args.seed, args.frames, args.rows, args.cols)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    written = {"sequence": str(out / "sequence.ckt")}
-    save_sequence(out / "sequence.ckt", gt)
-    if mask is not None:
-        # measure the stored sequence, not the pre-quantization one, so the
-        # file pair stays consistent after the float32 round trip
-        meas = undersample(load_sequence(out / "sequence.ckt"), mask)
-        save_sequence(out / "kspace.ckt", meas.kspace)
-        written["kspace"] = str(out / "kspace.ckt")
+    names = ("sequence", "kspace") if mask is not None else ("sequence",)
+    written = {name: str(out / f"{name}.ckt") for name in names}
+    with _staged(*written.values()) as temps:
+        save_sequence(temps[0], gt)
+        if mask is not None:
+            # measure the stored sequence, not the pre-quantization one, so
+            # the file pair stays consistent after the float32 round trip
+            save_sequence(temps[1], undersample(load_sequence(temps[0]), mask).kspace)
     print(f"wrote {', '.join(sorted(written.values()))}")
     return {"config": {"seed": args.seed, "frames": args.frames,
                        "rows": args.rows, "cols": args.cols},
@@ -217,9 +242,6 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_train(args) -> dict:
-    import errno
-    import tempfile
-
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
@@ -229,24 +251,10 @@ def cmd_train(args) -> dict:
     dataset = [load_sequence(f) for f in files]
     params, history = fit(dataset, mask, config, steps=args.steps,
                           seed=args.seed, lr=args.lr)
-    targets, temps = (Path(args.checkpoint), Path(args.output)), []
-    try:
-        for target in targets:
-            _ensure_parent(target)
-            fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
-            os.close(fd)
-            temps.append(Path(temp))
-        save_params(temps[0], params)
-        _write_csv(temps[1], ["step", "loss", "psnr_train"],
+    with _staged(args.checkpoint, args.output) as (ckpt, hist):
+        save_params(ckpt, params)
+        _write_csv(hist, ["step", "loss", "psnr_train"],
                    ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
-        for target in targets:
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        for temp, target in zip(temps, targets):
-            os.replace(temp, target)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
     print(f"trained {args.steps} steps on {len(dataset)} sequences; "
           f"loss {history[0].loss!r} -> {history[-1].loss!r}")
     return {"config": asdict(config),
@@ -267,18 +275,16 @@ def cmd_reconstruct(args) -> dict:
     # a .ckt path gets only the final volume; anything else is a directory
     # that also receives the per-cascade intermediates
     if str(args.output).endswith(".ckt"):
-        _ensure_parent(args.output)
-        save_sequence(args.output, stages[-1])
-        written = {"reconstruction": str(args.output)}
+        volumes = {"reconstruction": (Path(args.output), stages[-1])}
     else:
         out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        save_sequence(out / "reconstruction.ckt", stages[-1])
-        written = {"reconstruction": str(out / "reconstruction.ckt")}
-        for n, stage in enumerate(stages):
-            name = f"cascade_{n:02d}.ckt"
-            save_sequence(out / name, stage)
-            written[f"cascade_{n:02d}"] = str(out / name)
+        volumes = {"reconstruction": (out / "reconstruction.ckt", stages[-1]),
+                   **{f"cascade_{n:02d}": (out / f"cascade_{n:02d}.ckt", stage)
+                      for n, stage in enumerate(stages)}}
+    with _staged(*(path for path, _ in volumes.values())) as temps:
+        for temp, (_, vol) in zip(temps, volumes.values()):
+            save_sequence(temp, vol)
+    written = {key: str(path) for key, (path, _) in volumes.items()}
     print(f"reconstructed {args.input} -> {written['reconstruction']}")
     return {"config": asdict(config), "outputs": written}
 
@@ -318,20 +324,21 @@ def cmd_evaluate(args) -> dict:
     return {"config": asdict(config), "outputs": {"metrics": str(args.output)}}
 
 
-def _render_sequence(out: Path, prefix: str, vol) -> None:
+def _sequence_figures(prefix: str, vol) -> dict:
+    """A sequence's figures, by file name: its frames, an x-t and an x-f plane."""
     import numpy as np
 
     from .volume import fft_t
 
     mags = np.abs(vol.data)
     scale = float(mags.max()) or 1.0
-    for t in range(mags.shape[0]):
-        _write_pgm(out / f"{prefix}frame_{t:03d}.pgm", mags[t] / scale)
+    figures = {f"{prefix}frame_{t:03d}.pgm": mags[t] / scale for t in range(mags.shape[0])}
     row = vol.rows // 2
-    _write_pgm(out / f"{prefix}xt_profile.pgm", mags[:, row, :] / scale)
+    figures[f"{prefix}xt_profile.pgm"] = mags[:, row, :] / scale
     xf_mag = np.abs(fft_t(vol).data)[:, row, :]
     xf_scale = float(xf_mag.max()) or 1.0  # f=0 dominates; own scale keeps replicas visible
-    _write_pgm(out / f"{prefix}xf_plane.pgm", xf_mag / xf_scale)
+    figures[f"{prefix}xf_plane.pgm"] = xf_mag / xf_scale
+    return figures
 
 
 def cmd_render(args) -> dict:
@@ -353,14 +360,16 @@ def cmd_render(args) -> dict:
         sigma = ktnext_forward(meas, params, model_config)[-1]
         config = asdict(model_config)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    _render_sequence(out, "", seq)
+    figures = _sequence_figures("", seq)
     if sigma is not None:
-        _render_sequence(out, "recon_", sigma)
+        figures.update(_sequence_figures("recon_", sigma))
         scale = float(np.abs(seq.data).max()) or 1.0
         for t in range(seq.t_frames):
             err = np.abs(sigma.data[t] - seq.data[t]) / scale
-            _write_pgm(out / f"error_{t:03d}.pgm", 6.0 * err)  # x6, as error maps are usually shown
+            figures[f"error_{t:03d}.pgm"] = 6.0 * err  # x6, as error maps are usually shown
+    with _staged(*(out / name for name in figures)) as temps:
+        for temp, image in zip(temps, figures.values()):
+            _write_pgm(temp, image)
     print(f"rendered {seq.t_frames} frames to {out}"
           + (" (with reconstruction and error maps)" if sigma is not None else ""))
     return {"config": config, "outputs": {"directory": str(out)}}

@@ -573,6 +573,35 @@ def test_a_failed_train_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir()) == before
 
 
+def tree(root):
+    """Every path under root, with each file's bytes."""
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command, blocked", [("simulate", "out/kspace.ckt"),
+                                              ("reconstruct", "out/cascade_00.ckt"),
+                                              ("render", "out/frame_001.pgm")])
+def test_a_failed_multi_file_write_leaves_no_file(tmp_path, monkeypatch, capsys, command, blocked):
+    """Each writer of several files stages them all before renaming any: with
+    one output path a directory, the command exits 3 and leaves the tree as
+    it was, with no new file, no changed file and no temporary."""
+    mask_p, seq_p, ksp_p = tiny_setup(tmp_path)
+    ckpt, _ = tiny_train(tmp_path, mask_p, seq_p)
+    model_flags = ("--mask", mask_p, "--checkpoint", ckpt, "--channels", 2)
+    argv = {"simulate": ("--frames", 3, "--rows", 8, "--cols", 8, "--mask", mask_p),
+            "reconstruct": ("--input", ksp_p, "--cascades", 2, *model_flags),
+            "render": ("--input", seq_p, "--cascades", 1, *model_flags)}[command]
+    (tmp_path / blocked).mkdir(parents=True)
+    (tmp_path / "out" / "kept.txt").write_text("kept\n")
+    before = tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--output", "out") == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+    assert tree(tmp_path) == before
+
+
 def test_malformed_mask_file_exits_4(tmp_path):
     bad = tmp_path / "bad.ckm"
     bad.write_bytes(b"JUNKJUNKJUNKJUNK")
