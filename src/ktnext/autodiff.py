@@ -184,16 +184,16 @@ def _stacked(rows: int, ci: int, span: int) -> bool:
 def _taps_forward(wv, flat, taps, span):
     """Convolution on the padded grid: sum over taps of w[:, :, i, j] @ window.
 
-    Returns run(offset), the [..][co][span] output for the windows that start
-    `offset` columns into flat, so a sweep builds its kernel once and runs it
-    at each step's block.  flat is [..][ci][columns]; matmul runs each leading
-    index as its own GEMM, with the bits of a 2-D call.  Narrow kernels
-    (_stacked) run each block of _STACK columns as one GEMM: w as
+    Builds the kernel once and returns run(offset), the [..][co][span] output
+    for windows starting `offset` columns into flat, so a sweep runs one
+    kernel at each step's block.  flat is [..][ci][columns]; matmul runs each
+    leading index as its own GEMM, with the bits of a 2-D call.  Narrow
+    kernels (_stacked) run each block of _STACK columns as one GEMM: w as
     [co][k*k*ci] times the k*k tap windows, copied from one strided view of
-    flat, over every valid window start, into a [..][k*k*ci][block] stack
-    (im2col).  There numpy's dispatch of 2*k*k calls per block costs more than
-    their arithmetic: 1.3-5.4x in float32.  The tap loop stays faster at 2
-    output rows, at 16 input channels and at 8 over long spans.  It runs all
+    every window start in flat into a [..][k*k*ci][block] stack (im2col).
+    There numpy's dispatch of 2*k*k calls per block costs more than their
+    arithmetic: 1.3-5.4x in float32.  The tap loop stays faster at 2 output
+    rows, at 16 input channels and at 8 over long spans.  It runs all
     taps on a block of columns (_block_columns) before the next, writing the
     first into an accumulator that stays in cache and adding the rest in tap
     order: each element is the same sum, in the same order, as with one GEMM
@@ -357,8 +357,7 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
         # gradient of each h2h conv's output on its grid, at its input's block
         ggrid = np.zeros((2, c, m + (t_n - 1) * block), dtype=flat.dtype)
         gps = ggrid[..., m:].reshape(2, c, t_n - 1, hp, wp)[..., :h, :wid]
-        if t_n > 1:  # a grid with no h2h conv has no window to build on
-            grad_h2h = _taps_forward(wt, ggrid, flipped, span)
+        grad_h2h = _taps_forward(wt, ggrid, flipped, span) if t_n > 1 else None  # t=1: no window
         for s in reversed(range(t_n)):
             gh = g[[s, t_n - 1 - s]] if s == t_n - 1 else g[[s, t_n - 1 - s]] + carry
             # h > 0 exactly where its pre-activation is; gps[:, :, s - 1] is read below

@@ -14,9 +14,8 @@ into them.  SSIM uses whole-sample reflection ("mirror": index -1 reads 1,
 and frames narrower than the window reflect more than once), which keeps
 the map the size of the frame; HFEN uses zero extension.  Every frame and
 map goes through the same products, so identical inputs give identical
-filtered planes.  The band matrices depend only on the frame shape, so they
-are built once per shape (a small cache of read-only arrays) and shared by
-every sequence and thread that scores frames of that shape.
+filtered planes.  The bands depend only on the frame shape: each shape's are
+built once, read-only, and shared by every sequence and thread.
 
 A GroundTruth prepares the ground truth's side once, so scoring a second
 reconstruction filters only its own planes; ``psnr``, ``ssim``, ``hfen`` and
@@ -60,8 +59,8 @@ def _gaussian_taps(size: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return x, g / g.sum()
 
 
-def _band(n: int, taps: np.ndarray, mirror: bool) -> np.ndarray:
-    """[n][n] matrix M with (M @ v)[i] = sum_k taps[k] * v[i + k - len(taps)//2].
+def _band(n: int, taps, mirror: bool) -> np.ndarray:
+    """Read-only [n][n] matrix M with (M @ v)[i] = sum_k taps[k] * v[i + k - len(taps)//2].
 
     Indices outside 0..n-1 reflect about the end samples when ``mirror``
     (scipy.ndimage's "mirror" mode, period 2(n-1)) and read zero otherwise.
@@ -77,7 +76,9 @@ def _band(n: int, taps: np.ndarray, mirror: bool) -> np.ndarray:
         weights = np.where((cols >= 0) & (cols < n), weights, 0.0)
         cols = np.clip(cols, 0, n - 1)
     flat = (np.arange(n)[:, None] * n + cols).ravel()
-    return np.bincount(flat, weights.ravel(), minlength=n * n).reshape(n, n)
+    band = np.bincount(flat, weights.ravel(), minlength=n * n).reshape(n, n)
+    band.setflags(write=False)
+    return band
 
 
 def _log_terms(size: int, sigma: float):
@@ -94,26 +95,17 @@ def _log_terms(size: int, sigma: float):
     return ((g, q), (q, g), (-mean * ones, ones))
 
 
-def _hashable(terms):
-    return tuple(tuple(tuple(taps.tolist()) for taps in term) for term in terms)
-
-
-_SSIM_TERMS = _hashable([[_gaussian_taps(_SSIM_SIZE, _SSIM_SIGMA)[1]] * 2])
-_LOG_TERMS = _hashable(_log_terms(_LOG_SIZE, _LOG_SIGMA))
+_SSIM_WINDOW_TAPS = tuple(_gaussian_taps(_SSIM_SIZE, _SSIM_SIGMA)[1])  # tuples key _bands' cache
+_SSIM_TERMS = ((_SSIM_WINDOW_TAPS, _SSIM_WINDOW_TAPS),)
+_LOG_TERMS = tuple(tuple(map(tuple, term)) for term in _log_terms(_LOG_SIZE, _LOG_SIGMA))
 
 
 @lru_cache(maxsize=8)
 def _bands(shape, terms, mirror: bool):
-    """Each term's row band and transposed column band for shape's [h][w]
-    planes, built once per (h, w, terms, mirror) and read-only, so threads
-    share them."""
-    def band(n, taps):
-        m = _band(n, np.array(taps), mirror)
-        m.setflags(write=False)
-        return m
-
+    """Each term's row band and transposed column band for [h][w] planes,
+    built once per (h, w, terms, mirror) and read-only, so threads share them."""
     h, w = shape
-    return tuple((band(h, rows), band(w, cols).T) for rows, cols in terms)
+    return tuple((_band(h, rows, mirror), _band(w, cols, mirror).T) for rows, cols in terms)
 
 
 def _filter(planes: np.ndarray, bands) -> np.ndarray:

@@ -6,9 +6,7 @@ connects image and k-space, a 1D transform over t takes image to x-f.  All
 transforms here are centered (zero frequency at index ``N // 2`` for even and
 odd N alike) and orthonormal (``1/sqrt(N)`` on both directions), so the
 inverse is the adjoint and Parseval holds exactly up to rounding.  The
-centring is ifftshift before the FFT and fftshift after it, each done as one
-copy of two slices (np.concatenate), which moves the same values as np.roll
-at a fraction of its cost.
+centring shifts are each one copy of two slices, the values np.fft's move.
 
 A ComplexVolume holds complex128; the array transforms keep their input's
 precision, so the tape's float32 graph runs them on complex64.  Nothing here
@@ -83,23 +81,20 @@ class ComplexVolume:
         return self.data.shape[2]
 
 
-def _roll(arr: np.ndarray, axis: int, k: int) -> np.ndarray:
-    """np.roll(arr, k, axis) for 0 <= k <= N, as one copy of two slices."""
-    n, lead = arr.shape[axis], (slice(None),) * (axis % arr.ndim)
-    return np.concatenate((arr[lead + (slice(n - k, n),)], arr[lead + (slice(0, n - k),)]),
-                          axis=axis)
+def _shift(arr: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """np.fft.fftshift (ifftshift if inverse) along axis, as one two-slice copy."""
+    at, lead = (arr.shape[axis] + (not inverse)) // 2, (slice(None),) * (axis % arr.ndim)
+    return np.concatenate((arr[lead + (slice(at, None),)], arr[lead + (slice(0, at),)]), axis=axis)
 
 
 def _fft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
     # ifftshift moves index N//2 to the origin, so the kernel is
     # exp(-2i pi (k - N//2)(n - N//2) / N) / sqrt(N) after the final fftshift.
-    n = arr.shape[axis]
-    return _roll(np.fft.fft(_roll(arr, axis, n - n // 2), axis=axis, norm="ortho"), axis, n // 2)
+    return _shift(np.fft.fft(_shift(arr, axis, inverse=True), axis=axis, norm="ortho"), axis)
 
 
 def _ifft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
-    return _roll(np.fft.ifft(_roll(arr, axis, n - n // 2), axis=axis, norm="ortho"), axis, n // 2)
+    return _shift(np.fft.ifft(_shift(arr, axis, inverse=True), axis=axis, norm="ortho"), axis)
 
 
 def fft2c(v: ComplexVolume) -> ComplexVolume:

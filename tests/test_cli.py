@@ -573,6 +573,16 @@ def test_a_failed_train_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir()) == before
 
 
+def test_staged_outputs_keep_the_mode_of_a_new_file(tmp_path):
+    """The staged temporaries are created by the writers, as any new file
+    is, so train's checkpoint and history get the process's usual mode."""
+    mask_p, seq_p, _ = tiny_setup(tmp_path)
+    ckpt, hist = tiny_train(tmp_path, mask_p, seq_p)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert ckpt.stat().st_mode == hist.stat().st_mode == plain.stat().st_mode
+
+
 def tree(root):
     """Every path under root, with each file's bytes."""
     return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
