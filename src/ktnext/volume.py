@@ -82,8 +82,10 @@ class ComplexVolume:
 
 
 def _shift(arr: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
-    """np.fft.fftshift (ifftshift if inverse) along axis, as one two-slice copy."""
-    at, lead = (arr.shape[axis] + (not inverse)) // 2, (slice(None),) * (axis % arr.ndim)
+    """np.fft.fftshift (ifftshift if inverse) along axis, as one two-slice copy:
+    the entries from index ``at`` on, then those before it."""
+    n, lead = arr.shape[axis], (slice(None),) * (axis % arr.ndim)
+    at = n // 2 if inverse else n - n // 2
     return np.concatenate((arr[lead + (slice(at, None),)], arr[lead + (slice(0, at),)]), axis=axis)
 
 

@@ -226,6 +226,39 @@ def test_cached_bands_are_a_fresh_build_and_read_only(terms, mirror, oracle_term
                     band[0, 0] = 1.0
 
 
+def test_band_cache_under_concurrent_misses():
+    """Eight threads, more than the cores, with a short switch interval, each
+    ask a cleared cache for the same shapes: every thread gets bands with
+    the bytes of a serial build, and the cache stays within its size."""
+    import sys
+    import threading
+
+    shapes = [(8, 8), (9, 7), (16, 12), (5, 33)]
+    want = {shape: [band.tobytes() for pair in _bands.__wrapped__(shape, _LOG_TERMS, False)
+                    for band in pair] for shape in shapes}
+    _bands.cache_clear()
+    got, interval = [], sys.getswitchinterval()
+
+    def work():
+        for shape in shapes * 5:
+            got.append((shape, [band.tobytes() for pair in _bands(shape, _LOG_TERMS, False)
+                                for band in pair]))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 * 5 * len(shapes)
+    assert all(bands == want[shape] for shape, bands in got)
+    assert _bands.cache_info().currsize == len(shapes) <= _bands.cache_info().maxsize
+
+
 def test_ssim_matches_windowed_oracle_non_square():
     rec, gt = random_pair(16, shape=(3, 7, 13))
     peak = np.abs(gt.data).max()
