@@ -311,13 +311,15 @@ def crnn_sweep(pre: Tensor, w: Tensor, dilation: int) -> Tensor:
     the output is the sum of the two directions' states per frame.
 
     The directions run in lock step, step s being frame s of direction 0 and
-    frame t-1-s of direction 1, so one _taps_forward call runs both h2h
-    convs.  Their states share one buffer [2][c][..]: per direction, conv2d's
+    frame t-1-s of direction 1, so one kernel run covers both h2h convs.
+    Their states share one buffer [2][c][..]: per direction, conv2d's
     zero-padded grid at n=1, one block per state in sweep order, with 2p
-    trailing zeros, so an h2h input is a window of it.  The vjp (BPTT) lays
-    the gradients out alike: a step's h2h input gradients are one correlation
-    with the transposed, flipped kernel on zero-margined blocks, a direction's
-    weight gradient one GEMM per tap over its blocks.  Under no_tape() each
+    trailing zeros, so an h2h input is a window of it, and the sweep builds
+    one _taps_forward kernel on the buffer and runs it at each step's block.
+    The vjp (BPTT) lays the gradients out alike: a step's h2h input gradients
+    are one run of a second kernel, the correlation with the transposed,
+    flipped kernel on zero-margined blocks; a direction's weight gradient is
+    one GEMM per tap over its blocks.  Under no_tape() each
     direction keeps one block, each state overwriting the last once read.
     Each frame of the output and of pre's gradient is two adds onto +0.0,
     direction 0's first at odd t's middle frame; IEEE addition is
