@@ -5,9 +5,9 @@ Heavy imports happen inside the command handlers so the BLAS thread caps set
 by _configure_threads (from KTNEXT_THREADS, forced to 1 by --deterministic)
 take effect before numpy first loads.
 
-Each command handler returns its run record (config, outputs and any extra
-keys); main writes it, with the input flags its subparser declares, as the
-run's JSON manifest once the command has succeeded.  A failed run writes none.
+Each command handler returns its run record (config, outputs, its summary
+line and any extra keys); main writes it, with the input flags its subparser
+declares, as the run's JSON manifest, and prints the summary on success.
 
 After numpy loads, main sets one glibc allocator policy for the whole process,
 which outlives main (later in-process calls keep it) and changes no result:
@@ -16,10 +16,10 @@ the last op's pages instead of faulting fresh ones in, and arrays under 32 MiB
 stay on the heap (M_MMAP_THRESHOLD), as any mallopt call ends glibc's sliding
 mmap threshold, which would then map every array of 128 KiB or more afresh.
 
-Every command that writes more than one file (`simulate`, `train`,
-`reconstruct` into a directory, `render`) writes each to a temporary sibling
-and renames them all into place only once all are written (_staged), so a
-failed run adds no file and changes none.
+Every file a command writes, `mask` and `evaluate` included, goes to the
+temporary sibling that main's one staging scope (_staged) hands the handler,
+the manifest last; all are renamed into place only once all are written, so
+a failed run adds no file or directory, changes none and prints only `error:`.
 
 Exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation failure,
 4 file format violation, 5 numeric failure.
@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -90,7 +90,7 @@ def _manifest_path(output) -> Path:
     return Path(str(out) + ".manifest.json")
 
 
-def _write_manifest(args, config: dict, outputs: dict, **extra) -> None:
+def _write_manifest(path, args, config: dict, outputs: dict, **extra) -> None:
     doc = {
         "command": args.command,
         "config": {k: _jsonable(v) for k, v in config.items()},
@@ -102,40 +102,45 @@ def _write_manifest(args, config: dict, outputs: dict, **extra) -> None:
         else datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **extra,
     }
-    path = _manifest_path(args.output)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _ensure_parent(path) -> None:
-    parent = Path(path).parent
-    if str(parent):
-        parent.mkdir(parents=True, exist_ok=True)
-
-
 @contextmanager
-def _staged(*targets):
-    """Yield a temporary sibling of each target path; once the block has
-    written them all, rename each over its target.  If a target is a
-    directory, or anything fails, none is renamed and every temporary is
-    removed."""
-    targets = [Path(t) for t in targets]
-    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
+def _staged():
+    """Yield stage(target), which makes the target's directory and returns the
+    temporary sibling to write.  Once the block returns, rename each temporary
+    over its target in the order staged.  If a target is a directory, or
+    anything fails, none is renamed, every temporary and every directory stage
+    made is removed (nearest first), and an OSError names the target instead."""
+    temps, made = {}, []
+
+    def stage(target):
+        target = Path(target)
+        made.extend(p for p in reversed(target.parents) if not p.exists())
+        target.parent.mkdir(parents=True, exist_ok=True)
+        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        temps[str(temp)] = target
+        return temp
+
     try:
-        for target in targets:
-            _ensure_parent(target)
-        yield temps
-        for target in targets:
+        yield stage
+        for target in temps.values():
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        for temp, target in zip(temps, targets):
+        for temp, target in temps.items():
             os.replace(temp, target)
-    finally:
+    except BaseException as exc:
         for temp in temps:
-            temp.unlink(missing_ok=True)
+            Path(temp).unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # holds a file only if a rename got that far
+                directory.rmdir()
+        if isinstance(exc, OSError) and str(exc.filename) in temps:
+            exc.filename = str(temps[str(exc.filename)])
+        raise
 
 
 def _write_csv(path, header, rows) -> None:
-    _ensure_parent(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -200,24 +205,23 @@ def _write_pgm(path, image) -> None:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_mask(args) -> dict:
+def cmd_mask(args, stage) -> dict:
     from .sampling import AcquisitionSpec, make_shear_mask, save_mask
 
     spec = AcquisitionSpec(accel=args.accel, n_center=args.center)
     mask = make_shear_mask(spec, args.frames, args.cols)
-    _ensure_parent(args.output)
-    save_mask(args.output, mask)
+    save_mask(stage(args.output), mask)
     sampled = int(mask.bits.sum())
     effective = args.frames * args.cols / sampled
-    print(f"wrote {args.output}: {args.frames} frames x {args.cols} columns, "
-          f"{sampled} sampled, effective acceleration {effective!r}")
     return {"config": {"accel": args.accel, "center": args.center,
                        "frames": args.frames, "cols": args.cols, "shear_step": 1},
             "outputs": {"mask": str(args.output)},
-            "effective_acceleration": effective}
+            "effective_acceleration": effective,
+            "summary": f"wrote {args.output}: {args.frames} frames x {args.cols} columns, "
+                       f"{sampled} sampled, effective acceleration {effective!r}"}
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args, stage) -> dict:
     from .sampling import generate_phantom, load_mask, load_sequence, save_sequence, undersample
 
     # every input is checked before the first file is written
@@ -229,19 +233,18 @@ def cmd_simulate(args) -> dict:
     out = Path(args.output)
     names = ("sequence", "kspace") if mask is not None else ("sequence",)
     written = {name: str(out / f"{name}.ckt") for name in names}
-    with _staged(*written.values()) as temps:
-        save_sequence(temps[0], gt)
-        if mask is not None:
-            # measure the stored sequence, not the pre-quantization one, so
-            # the file pair stays consistent after the float32 round trip
-            save_sequence(temps[1], undersample(load_sequence(temps[0]), mask).kspace)
-    print(f"wrote {', '.join(sorted(written.values()))}")
+    stored = stage(written["sequence"])
+    save_sequence(stored, gt)
+    if mask is not None:
+        # measure the stored sequence, not the pre-quantization one, so
+        # the file pair stays consistent after the float32 round trip
+        save_sequence(stage(written["kspace"]), undersample(load_sequence(stored), mask).kspace)
     return {"config": {"seed": args.seed, "frames": args.frames,
                        "rows": args.rows, "cols": args.cols},
-            "outputs": written}
+            "outputs": written, "summary": f"wrote {', '.join(sorted(written.values()))}"}
 
 
-def cmd_train(args) -> dict:
+def cmd_train(args, stage) -> dict:
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
@@ -251,18 +254,17 @@ def cmd_train(args) -> dict:
     dataset = [load_sequence(f) for f in files]
     params, history = fit(dataset, mask, config, steps=args.steps,
                           seed=args.seed, lr=args.lr)
-    with _staged(args.checkpoint, args.output) as (ckpt, hist):
-        save_params(ckpt, params)
-        _write_csv(hist, ["step", "loss", "psnr_train"],
-                   ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
-    print(f"trained {args.steps} steps on {len(dataset)} sequences; "
-          f"loss {history[0].loss!r} -> {history[-1].loss!r}")
+    save_params(stage(args.checkpoint), params)
+    _write_csv(stage(args.output), ["step", "loss", "psnr_train"],
+               ([rec.step, repr(rec.loss), repr(rec.psnr_train)] for rec in history))
     return {"config": asdict(config),
             "outputs": {"checkpoint": str(args.checkpoint), "history": str(args.output)},
-            "steps": args.steps, "lr": args.lr}
+            "steps": args.steps, "lr": args.lr,
+            "summary": f"trained {args.steps} steps on {len(dataset)} sequences; "
+                       f"loss {history[0].loss!r} -> {history[-1].loss!r}"}
 
 
-def cmd_reconstruct(args) -> dict:
+def cmd_reconstruct(args, stage) -> dict:
     from .model import ktnext_forward
     from .sampling import KtMeasurement, load_mask, load_sequence, save_sequence
     from .volume import Domain
@@ -279,17 +281,16 @@ def cmd_reconstruct(args) -> dict:
     else:
         out = Path(args.output)
         volumes = {"reconstruction": (out / "reconstruction.ckt", stages[-1]),
-                   **{f"cascade_{n:02d}": (out / f"cascade_{n:02d}.ckt", stage)
-                      for n, stage in enumerate(stages)}}
-    with _staged(*(path for path, _ in volumes.values())) as temps:
-        for temp, (_, vol) in zip(temps, volumes.values()):
-            save_sequence(temp, vol)
+                   **{f"cascade_{n:02d}": (out / f"cascade_{n:02d}.ckt", vol)
+                      for n, vol in enumerate(stages)}}
+    for path, vol in volumes.values():
+        save_sequence(stage(path), vol)
     written = {key: str(path) for key, (path, _) in volumes.items()}
-    print(f"reconstructed {args.input} -> {written['reconstruction']}")
-    return {"config": asdict(config), "outputs": written}
+    return {"config": asdict(config), "outputs": written,
+            "summary": f"reconstructed {args.input} -> {written['reconstruction']}"}
 
 
-def cmd_evaluate(args) -> dict:
+def cmd_evaluate(args, stage) -> dict:
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
@@ -315,13 +316,13 @@ def cmd_evaluate(args) -> dict:
             scored = list(pool.map(score, files))
     else:
         scored = [score(path) for path in files]
-    _write_csv(args.output, ["file", "psnr", "ssim", "hfen",
-                             "psnr_zero_filled", "ssim_zero_filled", "hfen_zero_filled"],
+    _write_csv(stage(args.output), ["file", "psnr", "ssim", "hfen",
+                                    "psnr_zero_filled", "ssim_zero_filled", "hfen_zero_filled"],
                ([path.name, repr(model_m.psnr), repr(model_m.ssim), repr(model_m.hfen),
                  repr(zf_m.psnr), repr(zf_m.ssim), repr(zf_m.hfen)]
                 for path, (model_m, zf_m) in zip(files, scored)))
-    print(f"evaluated {len(files)} sequences -> {args.output}")
-    return {"config": asdict(config), "outputs": {"metrics": str(args.output)}}
+    return {"config": asdict(config), "outputs": {"metrics": str(args.output)},
+            "summary": f"evaluated {len(files)} sequences -> {args.output}"}
 
 
 def _sequence_figures(prefix: str, vol) -> dict:
@@ -341,7 +342,7 @@ def _sequence_figures(prefix: str, vol) -> dict:
     return figures
 
 
-def cmd_render(args) -> dict:
+def cmd_render(args, stage) -> dict:
     import numpy as np
 
     from .sampling import load_sequence
@@ -367,12 +368,11 @@ def cmd_render(args) -> dict:
         for t in range(seq.t_frames):
             err = np.abs(sigma.data[t] - seq.data[t]) / scale
             figures[f"error_{t:03d}.pgm"] = 6.0 * err  # x6, as error maps are usually shown
-    with _staged(*(out / name for name in figures)) as temps:
-        for temp, image in zip(temps, figures.values()):
-            _write_pgm(temp, image)
-    print(f"rendered {seq.t_frames} frames to {out}"
-          + (" (with reconstruction and error maps)" if sigma is not None else ""))
-    return {"config": config, "outputs": {"directory": str(out)}}
+    for name, image in figures.items():
+        _write_pgm(stage(out / name), image)
+    return {"config": config, "outputs": {"directory": str(out)},
+            "summary": f"rendered {seq.t_frames} frames to {out}"
+            + (" (with reconstruction and error maps)" if sigma is not None else "")}
 
 
 # ------------------------------------------------------------------ wiring
@@ -481,8 +481,11 @@ def main(argv=None) -> int:
 
     try:
         # overflow surfaces through the non-finite checks, not numpy warnings
-        with np.errstate(all="ignore"):
-            _write_manifest(args, **args.func(args))
+        with _staged() as stage, np.errstate(all="ignore"):
+            record = args.func(args, stage)
+            summary = record.pop("summary")
+            _write_manifest(stage(_manifest_path(args.output)), args, **record)
+        print(summary)
         return 0
     except FileFormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
@@ -496,7 +499,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int too large for numpy
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_FLAGS
 

@@ -8,6 +8,7 @@ setup on import is exercised too.
 import argparse
 import csv
 import ctypes
+import errno
 import hashlib
 import json
 import os
@@ -17,12 +18,15 @@ import resource
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ktnext import cli, metrics, model, network
+from ktnext import cli, metrics, model, network, sampling
 from ktnext.cli import main
 from ktnext.metrics import compute_metrics
 from ktnext.model import KtNextConfig, init_params, ktnext_forward, load_params, save_params
@@ -540,7 +544,7 @@ def test_an_allocation_failure_exits_3(command, tmp_path, monkeypatch, capsys):
     1000000000000` (7.28 TiB), exits 3 with one error line and no manifest.
     It is injected: a real request that large may succeed lazily and be
     killed on first touch."""
-    def handler(args):
+    def handler(args, stage):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
     monkeypatch.setattr(cli, f"cmd_{command}", handler)
@@ -610,6 +614,166 @@ def test_a_failed_multi_file_write_leaves_no_file(tmp_path, monkeypatch, capsys,
     assert run_cli(command, *argv, "--output", "out") == 3
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
     assert tree(tmp_path) == before
+
+
+def full_disk(path, *contents):
+    """A writer that finds no space left on the device."""
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+def test_a_failed_write_names_its_target(tmp_path, monkeypatch, capsys):
+    """An OSError from a writer names the output it was writing, not the
+    hidden temporary the writer was handed."""
+    monkeypatch.setattr(sampling, "save_sequence", full_disk)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--frames", 3, "--rows", 8, "--cols", 8,
+                   "--output", "fresh/dir") == 3
+    assert "'fresh/dir/sequence.ckt'" in capsys.readouterr().err
+
+
+def test_a_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch):
+    """The output directories a failed run created are removed with its
+    temporaries; one that was there before stays."""
+    (tmp_path / "kept").mkdir()
+    before = tree(tmp_path)
+    monkeypatch.setattr(sampling, "save_sequence", full_disk)
+    monkeypatch.chdir(tmp_path)
+    for out in ("fresh/dir", "kept/fresh/dir"):
+        assert run_cli("simulate", "--frames", 3, "--rows", 8, "--cols", 8, "--output", out) == 3
+        assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, output, manifest", [
+    ("mask", "m2.ckm", "m2.ckm.manifest.json"), ("evaluate", "e.csv", "e.csv.manifest.json")])
+def test_a_blocked_manifest_leaves_no_output(tmp_path, monkeypatch, capsys, command, output,
+                                             manifest):
+    """The manifest is staged with the outputs: with its path a directory,
+    even a one-file command exits 3, leaves no output and prints only its
+    error line."""
+    files = setup_files(tmp_path)
+    argv = command_argv(command, files, tmp_path / "out")[:-1] + [output]
+    (tmp_path / manifest).mkdir()
+    before = tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{manifest}'\n")
+    assert tree(tmp_path) == before
+
+
+# every writer a command's files go through, at the module whose global the
+# CLI calls (train saves through `model.save_params`)
+WRITERS = [(sampling, "save_mask"), (sampling, "save_sequence"), (model, "save_checkpoint"),
+           (cli, "_write_csv"), (cli, "_write_pgm"), (cli, "_write_manifest")]
+# flags that make simulate and render write every kind of file they can
+WRITE_ALL = {"simulate": ["--mask", "mask"],
+             "render": ["--mask", "mask", "--checkpoint", "checkpoint", "--cascades", 1,
+                        "--channels", 2]}
+
+
+@pytest.mark.parametrize("command", sorted(HANDLER_ARGV))
+def test_a_failed_write_leaves_the_tree_as_it_was(tmp_path, monkeypatch, capsys, command):
+    """An OSError injected at each write in turn, the manifest's included,
+    exits 3 with one error line naming that write's target, prints nothing
+    on stdout and leaves the tree byte-identical: no new file, directory or
+    temporary.  Each writer fills its temporary before it raises, so the
+    cleanup has a whole file to remove.  The first run past the last write
+    succeeds and leaves one file per write."""
+    files = setup_files(tmp_path)
+    argv = command_argv(command, files, tmp_path / "out" / "new")
+    argv += [files.get(flag, flag) for flag in WRITE_ALL.get(command, [])]
+    before = tree(tmp_path)
+    for fail_at in range(32):
+        writes = []
+
+        def failing(write):
+            def wrapper(path, *rest, **kwargs):
+                write(path, *rest, **kwargs)
+                writes.append(Path(path))
+                if len(writes) > fail_at:
+                    full_disk(path)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for module, name in WRITERS:
+                patch.setattr(module, name, failing(getattr(module, name)))
+            capsys.readouterr()
+            code = run_cli(*argv)
+        targets = [w.with_name(re.fullmatch(r"\.(.+)\.\d+\.tmp", w.name)[1]) for w in writes]
+        if len(writes) <= fail_at:
+            break
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 28] No space left on device: '{targets[-1]}'\n")
+        assert code == 3
+        assert tree(tmp_path) == before
+    assert code == 0
+    assert sorted(targets) == sorted(p for p in tmp_path.rglob("*") if p.is_file()
+                                     and str(p.relative_to(tmp_path)) not in dict(before))
+    assert fail_at == len(targets) >= 2
+
+
+# Each numeric flag's valid values and its bad ones.  A bad size is 0, a
+# negative or at least 2**63 elements, which numpy refuses before it
+# allocates anything; sizes between are never drawn, since an allocation of
+# 2**30 to 2**62 bytes may succeed lazily and be killed on first touch.
+# --steps and --cascades stay small, since a run makes that many of each.
+def size(valid, absurd=True):
+    return valid, st.one_of(st.just(0), st.integers(-2**70, -1),
+                            *([st.integers(2**63, 2**80)] if absurd else []))
+
+
+RUNS = size(st.integers(1, 2), absurd=False)
+SEED = (st.integers(0, 9) | st.integers(2**63, 2**80), st.integers(-2**70, -1))
+NET = {"--cascades": RUNS, "--channels": size(st.none() | st.integers(1, 3)),
+       "--lambda": (st.sampled_from(["0", "0.5", "1e300", "inf"]), st.sampled_from(["-1", "nan"]))}
+NUMERIC_FLAGS = {
+    "mask": {"--accel": size(st.integers(1, 8)), "--center": size(st.integers(0, 4)),
+             "--frames": size(st.integers(1, 4)), "--cols": size(st.integers(4, 12))},
+    "simulate": {"--seed": SEED, "--frames": size(st.integers(1, 3)),
+                 "--rows": size(st.integers(8, 12)), "--cols": size(st.integers(8, 12))},
+    "train": {"--steps": RUNS, "--cascades": RUNS, "--channels": size(st.integers(1, 3)),
+              "--seed": SEED, "--lr": (st.sampled_from(["0.001", "1e300"]),
+                                       st.sampled_from(["0", "-1", "inf", "nan"]))},
+    "reconstruct": NET, "evaluate": NET, "render": NET,
+}
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    return setup_files(tmp_path_factory.mktemp("small"))
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in sorted(NUMERIC_FLAGS)
+                                           for flag in NUMERIC_FLAGS[command]])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_flags_exit_with_a_documented_code(tmp_path, capsys, small_files, command, flag,
+                                                   data):
+    """Whatever values a command's numeric flags take, it exits with a
+    documented code and prints no traceback.  The named flag takes a bad
+    value, a drawn set of the others too and the rest valid ones, so the
+    named flag is often the only bad one."""
+    files, out = small_files, tmp_path / "out"
+    trained = ["--mask", files["mask"], "--checkpoint", files["checkpoint"]]
+    argv = [command, *{"train": ["--input", files["sequence"], "--mask", files["mask"],
+                                 "--checkpoint", out / "w.ktnp"],
+                       "reconstruct": ["--input", files["kspace"], *trained],
+                       "evaluate": ["--input", files["sequence"], *trained],
+                       "render": ["--input", files["sequence"], *trained]}.get(command, []),
+            "--output", out / "o"]
+    bad = {flag} | data.draw(st.sets(st.sampled_from(sorted(NUMERIC_FLAGS[command]))))
+    for name, (valid, wrong) in NUMERIC_FLAGS[command].items():
+        value = data.draw(wrong if name in bad else valid)
+        argv += [] if value is None else [name, value]
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_mask_file_exits_4(tmp_path):
