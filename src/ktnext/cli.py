@@ -66,8 +66,6 @@ def _configure_threads(args) -> int:
 
 
 def _lambda_value(text: str) -> float:
-    if text == "inf":
-        return math.inf
     try:
         value = float(text)
     except ValueError:
@@ -206,10 +204,9 @@ def _write_pgm(path, image) -> None:
 
 
 def cmd_mask(args, stage) -> dict:
-    from .sampling import AcquisitionSpec, make_shear_mask, save_mask
+    from .sampling import make_shear_mask, save_mask
 
-    spec = AcquisitionSpec(accel=args.accel, n_center=args.center)
-    mask = make_shear_mask(spec, args.frames, args.cols)
+    mask = make_shear_mask(args.accel, args.frames, args.cols, n_center=args.center)
     save_mask(stage(args.output), mask)
     sampled = int(mask.bits.sum())
     effective = args.frames * args.cols / sampled

@@ -31,10 +31,6 @@ from .volume import ComplexVolume, Domain, fft_t
 from .xf import cascade_inputs
 
 
-class NonFiniteLossError(FloatingPointError):
-    """Training loss left the representable range; the run cannot continue."""
-
-
 # The one architecture; KtNextConfig's docstring describes it.
 XF_LAYERS = 5
 CRNN_LAYERS = 4
@@ -296,7 +292,7 @@ def fit(dataset, mask, config: KtNextConfig, steps: int, seed, lr: float = 1e-4)
         node = _loss_node(sigma, rho, img.data, fft_t(img).data)
         loss = float(node.value)
         if not math.isfinite(loss):
-            raise NonFiniteLossError(
+            raise FloatingPointError(
                 f"training loss became non-finite ({loss!r}) at step {step}; "
                 "lower the learning rate or check the input scaling"
             )

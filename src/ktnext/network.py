@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .sampling import BadPayloadError, BinaryReader, DimensionOverflowError, FileFormatError
+from .sampling import BinaryReader, FileFormatError
 
 __all__ = [
     "AdamState",
@@ -136,12 +136,12 @@ def save_checkpoint(path, arrays) -> None:
     for name, value in arrays.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise DimensionOverflowError(f"parameter name too long: {name!r}")
+            raise FileFormatError(f"parameter name too long: {name!r}")
         value = np.asarray(value, dtype="<f8")
         if value.ndim > 0xFF:
-            raise DimensionOverflowError(f"rank {value.ndim} exceeds format limit")
+            raise FileFormatError(f"rank {value.ndim} exceeds format limit")
         if max(value.shape, default=0) > 0xFFFFFFFF:
-            raise DimensionOverflowError(f"dimension of {name!r} exceeds u32")
+            raise FileFormatError(f"dimension of {name!r} exceeds u32")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<B", value.ndim))
@@ -153,7 +153,7 @@ def save_checkpoint(path, arrays) -> None:
 def load_checkpoint(path) -> dict:
     """Read a KTNP file back into an ordered name -> float64 array mapping.
 
-    A record holding NaN or Inf raises BadPayloadError, as CKT1 does.
+    A record holding NaN or Inf raises FileFormatError, as CKT1 does.
     """
     reader = BinaryReader(path, b"KTNP")
     (count,) = reader.unpack("<I", "the record count")
@@ -164,12 +164,12 @@ def load_checkpoint(path) -> dict:
         try:
             name = encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise BadPayloadError(f"{path}: record name {encoded!r} is not UTF-8") from exc
+            raise FileFormatError(f"{path}: record name {encoded!r} is not UTF-8") from exc
         (rank,) = reader.unpack("<B", "rank")
         shape = reader.unpack(f"<{rank}I", "dims")
         arr = reader.array("<f8", shape, f"payload of {name!r}").astype(np.float64)
         if not np.all(np.isfinite(arr)):
-            raise BadPayloadError(f"{path}: record {name!r} holds NaN or Inf")
+            raise FileFormatError(f"{path}: record {name!r} holds NaN or Inf")
         if name in out:
             raise FileFormatError(f"{path}: duplicate record {name!r}")
         out[name] = arr

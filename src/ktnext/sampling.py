@@ -5,32 +5,28 @@ readout axis y and subsamples phase-encode columns x.  A mask is therefore a
 binary [t][x] array broadcast over y.
 
 Sequence files ("CKT1") and mask files ("CKM1") are little-endian binary with
-a 4-byte magic; loading failures raise distinct error types so callers can
-map them to exit codes.  :class:`BinaryReader` holds the checks those readers
-share with the checkpoint reader in :mod:`ktnext.network`.
+a 4-byte magic; every loading failure raises :class:`FileFormatError`, whose
+message names the fault (magic, truncation, size or payload).
+:class:`BinaryReader` holds the checks those readers share with the
+checkpoint reader in :mod:`ktnext.network`.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .volume import ComplexVolume, Domain, DomainMismatchError, fft2c, ifft2c
+from .volume import ComplexVolume, Domain, fft2c, ifft2c
 
 __all__ = [
-    "AcquisitionSpec",
-    "BadMagicError",
-    "BadPayloadError",
     "BinaryReader",
-    "DimensionOverflowError",
     "FileFormatError",
     "KtMeasurement",
     "SamplingMask",
-    "TruncatedPayloadError",
     "generate_phantom",
     "load_mask",
     "load_sequence",
@@ -43,23 +39,7 @@ __all__ = [
 
 
 class FileFormatError(ValueError):
-    """Base class for sequence/mask/checkpoint file violations."""
-
-
-class BadMagicError(FileFormatError):
-    pass
-
-
-class TruncatedPayloadError(FileFormatError):
-    pass
-
-
-class DimensionOverflowError(FileFormatError):
-    pass
-
-
-class BadPayloadError(FileFormatError):
-    """The file is complete but holds values its format does not allow."""
+    """A sequence, mask or checkpoint file that breaks its format."""
 
 
 # refuse to allocate for absurd headers (1 TiB payload cap)
@@ -70,7 +50,7 @@ class BinaryReader:
     """Cursor over the bytes of one little-endian binary file, read whole.
 
     The constructor checks the 4-byte magic.  Every read advances the cursor
-    and raises TruncatedPayloadError when the file ends first; ``array``
+    and raises FileFormatError when the file ends first; ``array``
     refuses a payload over the size cap before looking for it, and returns
     a read-only view into the file's bytes; ``finish`` rejects trailing
     bytes.
@@ -80,15 +60,15 @@ class BinaryReader:
         self.path = path
         self.raw = Path(path).read_bytes()
         if len(self.raw) < 4:
-            raise TruncatedPayloadError(f"{path}: shorter than the magic")
+            raise FileFormatError(f"{path}: shorter than the magic")
         if self.raw[:4] != magic:
-            raise BadMagicError(f"{path}: expected magic {magic.decode()}, got {self.raw[:4]!r}")
+            raise FileFormatError(f"{path}: expected magic {magic.decode()}, got {self.raw[:4]!r}")
         self.pos = 4
 
     def _take(self, n: int, what: str) -> int:
         start = self.pos
         if start + n > len(self.raw):
-            raise TruncatedPayloadError(f"{self.path}: truncated while reading {what}")
+            raise FileFormatError(f"{self.path}: truncated while reading {what}")
         self.pos = start + n
         return start
 
@@ -99,35 +79,17 @@ class BinaryReader:
         dtype = np.dtype(dtype)
         count = math.prod(shape)
         if count * dtype.itemsize > _MAX_PAYLOAD_BYTES:
-            raise DimensionOverflowError(f"{self.path}: {what} of shape {shape} out of range")
+            raise FileFormatError(f"{self.path}: {what} of shape {shape} out of range")
         start = self._take(count * dtype.itemsize, what)
         flat = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
         try:
             return flat.reshape(shape)
         except ValueError as exc:  # more axes, or a larger extent, than numpy allows
-            raise DimensionOverflowError(f"{self.path}: {what} of shape {shape}: {exc}") from exc
+            raise FileFormatError(f"{self.path}: {what} of shape {shape}: {exc}") from exc
 
     def finish(self) -> None:
         if self.pos != len(self.raw):
             raise FileFormatError(f"{self.path}: {len(self.raw) - self.pos} trailing bytes")
-
-
-@dataclass(frozen=True)
-class AcquisitionSpec:
-    """Nominal acquisition protocol.
-
-    accel is the nominal acceleration factor; n_center lines around the
-    k-space center are always acquired on top of the shear lattice.
-    """
-
-    accel: int
-    n_center: int = 4
-
-    def __post_init__(self):
-        if self.accel < 1:
-            raise ValueError(f"accel must be >= 1, got {self.accel}")
-        if self.n_center < 0:
-            raise ValueError(f"n_center must be >= 0, got {self.n_center}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +129,7 @@ class KtMeasurement:
 
     def __post_init__(self):
         if self.kspace.domain is not Domain.KSPACE:
-            raise DomainMismatchError("measurement k-space must carry the k-space domain tag")
+            raise ValueError("measurement k-space must carry the k-space domain tag")
         if (self.kspace.t_frames, self.kspace.cols) != (self.mask.t_frames, self.mask.cols):
             raise ValueError(
                 f"k-space {self.kspace.data.shape} does not match "
@@ -178,28 +140,36 @@ class KtMeasurement:
             raise ValueError("k-space carries energy at unsampled positions")
 
 
-def make_shear_mask(spec: AcquisitionSpec, t_frames: int, cols: int) -> SamplingMask:
-    """Shear-grid k-t lattice plus an always-on center block.
+def make_shear_mask(accel: int, t_frames: int, cols: int, n_center: int = 4) -> SamplingMask:
+    """Shear-grid k-t lattice at nominal acceleration accel, plus an always-on
+    center block.
 
     Frame t samples {x : (x - t) mod accel == 0} together with the n_center
-    columns starting at cols//2 - n_center//2.
+    columns starting at cols//2 - n_center//2.  A size beyond CKM1's u32
+    header is refused before anything is allocated.
     """
-    if cols < spec.n_center:
-        raise ValueError(f"cols={cols} is smaller than n_center={spec.n_center}")
+    if accel < 1:
+        raise ValueError(f"accel must be >= 1, got {accel}")
+    if n_center < 0:
+        raise ValueError(f"n_center must be >= 0, got {n_center}")
+    if cols < n_center:
+        raise ValueError(f"cols={cols} is smaller than n_center={n_center}")
     if t_frames < 1:
         raise ValueError("t_frames must be >= 1")
+    if max(t_frames, cols) > 0xFFFFFFFF:
+        raise ValueError(f"mask shape {(t_frames, cols)} too large for CKM1")
     t = np.arange(t_frames)[:, None]
     x = np.arange(cols)[None, :]
-    bits = ((x - t) % spec.accel == 0).astype(np.uint8)
-    start = cols // 2 - spec.n_center // 2
-    bits[:, start : start + spec.n_center] = 1
+    bits = ((x - t) % accel == 0).astype(np.uint8)
+    start = cols // 2 - n_center // 2
+    bits[:, start : start + n_center] = 1
     return SamplingMask(bits)
 
 
 def undersample(img: ComplexVolume, mask: SamplingMask) -> KtMeasurement:
     """Mask the 2D spectrum of an image sequence, broadcast over readout y."""
     if img.domain is not Domain.IMAGE:
-        raise DomainMismatchError(f"undersample expects an image sequence, got {img.domain.value}")
+        raise ValueError(f"undersample expects an image sequence, got {img.domain.value}")
     if (img.t_frames, img.cols) != (mask.t_frames, mask.cols):
         raise ValueError(
             f"image {img.data.shape} does not match mask {mask.bits.shape}"
@@ -286,7 +256,7 @@ def save_sequence(path, v: ComplexVolume) -> None:
     """Write a CKT1 file: magic, u32 T/Y/X, float32 interleaved re/im."""
     t, y, x = v.data.shape
     if max(t, y, x) > 0xFFFFFFFF or 8 * t * y * x > _MAX_PAYLOAD_BYTES:
-        raise DimensionOverflowError(f"volume shape {v.data.shape} too large for CKT1")
+        raise FileFormatError(f"volume shape {v.data.shape} too large for CKT1")
     payload = np.empty((t, y, x, 2), dtype="<f4")
     payload[..., 0] = v.data.real
     payload[..., 1] = v.data.imag
@@ -298,7 +268,7 @@ def load_sequence(path, domain: Domain = Domain.IMAGE) -> ComplexVolume:
     reader = BinaryReader(path, b"CKT1")
     t, y, x = reader.unpack("<III", "the header")
     if min(t, y, x) < 1:
-        raise DimensionOverflowError(f"{path}: declared shape {(t, y, x)} out of range")
+        raise FileFormatError(f"{path}: declared shape {(t, y, x)} out of range")
     arr = reader.array("<f4", (t, y, x, 2), "the payload")
     reader.finish()
     with np.errstate(invalid="ignore"):  # a signaling NaN warns here; ComplexVolume rejects it
@@ -306,14 +276,14 @@ def load_sequence(path, domain: Domain = Domain.IMAGE) -> ComplexVolume:
     try:
         return ComplexVolume(data, domain)
     except ValueError as exc:
-        raise BadPayloadError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_mask(path, mask: SamplingMask) -> None:
     """Write a CKM1 file: magic, u32 T/X, then T*X bytes of 0/1."""
     t, x = mask.bits.shape
     if max(t, x) > 0xFFFFFFFF:
-        raise DimensionOverflowError(f"mask shape {mask.bits.shape} too large for CKM1")
+        raise FileFormatError(f"mask shape {mask.bits.shape} too large for CKM1")
     Path(path).write_bytes(b"CKM1" + struct.pack("<II", t, x) + mask.bits.tobytes())
 
 
@@ -321,10 +291,10 @@ def load_mask(path) -> SamplingMask:
     reader = BinaryReader(path, b"CKM1")
     t, x = reader.unpack("<II", "the header")
     if min(t, x) < 1:
-        raise DimensionOverflowError(f"{path}: declared shape {(t, x)} out of range")
+        raise FileFormatError(f"{path}: declared shape {(t, x)} out of range")
     bits = reader.array(np.uint8, (t, x), "the mask bits")
     reader.finish()
     try:
         return SamplingMask(bits)
     except ValueError as exc:
-        raise BadPayloadError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}: {exc}") from exc

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "ComplexVolume",
     "Domain",
-    "DomainMismatchError",
     "fft2c",
     "fft_t",
     "ifft2c",
@@ -36,10 +35,6 @@ class Domain(Enum):
     IMAGE = "image"
     KSPACE = "k-space"
     XF = "x-f"
-
-
-class DomainMismatchError(ValueError):
-    """An operation received a volume tagged with the wrong domain."""
 
 
 @dataclass(frozen=True)
@@ -102,19 +97,19 @@ def _ifft1c_arr(arr: np.ndarray, axis: int) -> np.ndarray:
 def fft2c(v: ComplexVolume) -> ComplexVolume:
     """Per-frame 2D transform over (y, x): image -> k-space."""
     if v.domain is not Domain.IMAGE:
-        raise DomainMismatchError(f"fft2c needs an image volume, got {v.domain.value}")
+        raise ValueError(f"fft2c needs an image volume, got {v.domain.value}")
     return ComplexVolume(_fft1c_arr(_fft1c_arr(v.data, 1), 2), Domain.KSPACE)
 
 
 def ifft2c(v: ComplexVolume) -> ComplexVolume:
     """Per-frame inverse 2D transform over (y, x): k-space -> image."""
     if v.domain is not Domain.KSPACE:
-        raise DomainMismatchError(f"ifft2c needs a k-space volume, got {v.domain.value}")
+        raise ValueError(f"ifft2c needs a k-space volume, got {v.domain.value}")
     return ComplexVolume(_ifft1c_arr(_ifft1c_arr(v.data, 1), 2), Domain.IMAGE)
 
 
 def fft_t(v: ComplexVolume) -> ComplexVolume:
     """Temporal transform t -> f: image -> x-f."""
     if v.domain is not Domain.IMAGE:
-        raise DomainMismatchError(f"fft_t needs an image volume, got {v.domain.value}")
+        raise ValueError(f"fft_t needs an image volume, got {v.domain.value}")
     return ComplexVolume(_fft1c_arr(v.data, 0), Domain.XF)

@@ -31,7 +31,6 @@ from ktnext.model import (
 )
 from ktnext.network import crnn_bidir_layer
 from ktnext.sampling import (
-    AcquisitionSpec,
     KtMeasurement,
     SamplingMask,
     generate_phantom,
@@ -359,7 +358,7 @@ def test_criterion_06_gradient_suite():
 
     config = KtNextConfig(n_cascades=2, channels=8)
     gt = generate_phantom(6, 4, 8, 8)
-    mask = make_shear_mask(AcquisitionSpec(accel=2, n_center=2), 4, 8)
+    mask = make_shear_mask(2, 4, 8, n_center=2)
     meas = undersample(gt, mask)
     params = randomize_biases(init_params(config, 6), 66)
     rho_gt = fft_t(gt)
@@ -396,8 +395,7 @@ def test_criterion_07_aliasing_replica_superposition():
             img = np.zeros((t_n, rows, cols), dtype=np.complex128)
             img[:, y0, x0] = 1.0  # static point object
             vol = ComplexVolume(img, Domain.IMAGE)
-            spec = AcquisitionSpec(accel=accel, n_center=0)
-            meas = undersample(vol, make_shear_mask(spec, t_n, cols))
+            meas = undersample(vol, make_shear_mask(accel, t_n, cols, n_center=0))
             got = fft_t(zero_filled(meas)).data
 
             # R replicas sheared across (x, f), each 1/R of the fully
@@ -424,7 +422,7 @@ def test_criterion_07_aliasing_replica_superposition():
 def test_criterion_08_overfit_benchmark():
     t0 = time.monotonic()
     gt = generate_phantom(0, 8, 32, 32)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=4), 8, 32)
+    mask = make_shear_mask(4, 8, 32, n_center=4)
     config = KtNextConfig(n_cascades=2, channels=8)
     params, history = fit([gt], mask, config, steps=500, seed=0, lr=1e-4)
     dt = time.monotonic() - t0
@@ -457,7 +455,7 @@ def test_criterion_08_overfit_benchmark():
 def test_criterion_09_generalization_smoke():
     t_n, rows, cols = 4, 16, 16
     config = KtNextConfig(n_cascades=1, channels=4)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=2), t_n, cols)
+    mask = make_shear_mask(4, t_n, cols, n_center=2)
     train_set = [generate_phantom(seed, t_n, rows, cols) for seed in range(8)]
     params, _ = fit(train_set, mask, config, steps=400, seed=0, lr=1e-3)
 

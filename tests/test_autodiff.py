@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ktnext import autodiff as ad
-from ktnext.sampling import AcquisitionSpec, make_shear_mask, undersample
+from ktnext.sampling import make_shear_mask, undersample
 from ktnext.volume import ComplexVolume, Domain, _fft1c_arr, _ifft1c_arr
 from ktnext.xf import dc_array
 
@@ -860,7 +860,7 @@ def test_complex_chain_finite_differences():
     zv = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
     z = ad.parameter(zv.copy())
     target = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
-    bits = make_shear_mask(AcquisitionSpec(accel=3, n_center=1), 3, 6).bits
+    bits = make_shear_mask(3, 3, 6, n_center=1).bits
 
     def build():
         img = ad.data_consistency(z, np.zeros_like(zv), bits, 0.0)  # the x-pass and its inverse
@@ -882,7 +882,7 @@ def test_dc_node_hard_gradient_mask():
         rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8)),
         Domain.IMAGE,
     )
-    meas = undersample(img, make_shear_mask(AcquisitionSpec(accel=4, n_center=2), 4, 8))
+    meas = undersample(img, make_shear_mask(4, 4, 8, n_center=2))
     k_hybrid = _ifft1c_arr(meas.kspace.data, 1)
     zv = rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))
     z = ad.parameter(zv.copy())
@@ -915,7 +915,7 @@ def test_dc_node_is_the_composed_map_bitwise(dtype, lam):
     def cplx():
         return (rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))).astype(dtype)
 
-    bits = make_shear_mask(AcquisitionSpec(accel=4, n_center=2), 4, 8).bits
+    bits = make_shear_mask(4, 4, 8, n_center=2).bits
     img, k_hybrid, g = cplx(), cplx(), cplx()
 
     def composed(a, k):
@@ -934,7 +934,7 @@ def test_dc_node_soft_finite_differences():
         rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6)),
         Domain.IMAGE,
     )
-    meas = undersample(img, make_shear_mask(AcquisitionSpec(accel=3, n_center=1), 3, 6))
+    meas = undersample(img, make_shear_mask(3, 3, 6, n_center=1))
     z = ad.parameter(
         rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
     )

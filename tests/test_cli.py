@@ -133,6 +133,20 @@ def test_mask_center_wider_than_columns_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", [2**32, 2**63 - 2, 2**63 - 1])
+@pytest.mark.parametrize("flag", ["--frames", "--cols"])
+def test_mask_size_beyond_ckm1_exits_2(tmp_path, capsys, flag, value):
+    """A frame or column count past CKM1's u32 header is refused before any
+    array is made, and the error names the value given."""
+    sizes = {"--frames": 6, "--cols": 8, flag: value}
+    out = tmp_path / "m.ckm"
+    assert run_cli("mask", "--accel", 4, *(a for item in sizes.items() for a in item),
+                   "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(value) in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mask_manifest_contents(tmp_path):
     out = tmp_path / "m.ckm"
     assert run_cli("mask", "--accel", 3, "--center", 2, "--frames", 6,

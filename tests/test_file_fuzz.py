@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from ktnext.network import load_checkpoint, save_checkpoint
 from ktnext.sampling import (
-    AcquisitionSpec,
     FileFormatError,
     load_mask,
     load_sequence,
@@ -41,7 +40,7 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     save_sequence(root / "s.ckt", ComplexVolume(
         rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4)), Domain.IMAGE))
-    save_mask(root / "m.ckm", make_shear_mask(AcquisitionSpec(accel=6, n_center=0), 4, 6))
+    save_mask(root / "m.ckm", make_shear_mask(6, 4, 6, n_center=0))
     save_checkpoint(root / "p.ktnp", {"w0": rng.standard_normal((2, 1, 3, 3)),
                                       "b0": rng.standard_normal(2),
                                       "gain": rng.standard_normal(())})

@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 
 from ktnext.sampling import (
-    AcquisitionSpec,
-    BadMagicError,
-    BadPayloadError,
-    DimensionOverflowError,
+    FileFormatError,
     KtMeasurement,
     SamplingMask,
-    TruncatedPayloadError,
     generate_phantom,
     load_mask,
     load_sequence,
@@ -47,15 +43,13 @@ def centered_dft_matrix(n):
 
 
 def test_shear_mask_center_lines_always_sampled():
-    spec = AcquisitionSpec(accel=9, n_center=4)
-    mask = make_shear_mask(spec, t_frames=12, cols=190)
+    mask = make_shear_mask(9, t_frames=12, cols=190, n_center=4)
     start = 190 // 2 - 2
     assert np.all(mask.bits[:, start : start + 4] == 1)
 
 
 def test_shear_mask_lattice_union_covers_all_columns():
-    spec = AcquisitionSpec(accel=4, n_center=0)
-    mask = make_shear_mask(spec, t_frames=4, cols=8)
+    mask = make_shear_mask(4, t_frames=4, cols=8, n_center=0)
     for t in range(4):
         assert set(np.flatnonzero(mask.bits[t])) == {t, t + 4}
     union = np.flatnonzero(mask.bits.any(axis=0))
@@ -63,8 +57,7 @@ def test_shear_mask_lattice_union_covers_all_columns():
 
 
 def test_shear_mask_counts_match_enumeration_oracle():
-    spec = AcquisitionSpec(accel=9, n_center=4)
-    mask = make_shear_mask(spec, t_frames=30, cols=190)
+    mask = make_shear_mask(9, t_frames=30, cols=190, n_center=4)
     for t in range(30):
         expect = sampled_set_oracle(9, 4, 1, t, 190)
         assert set(np.flatnonzero(mask.bits[t])) == expect
@@ -77,8 +70,7 @@ def test_shear_mask_exhaustive_small_grid():
         for n_center in (0, 2, 4):
             lo = max(n_center, 1) if n_center else accel
             for cols in range(lo, 33):
-                spec = AcquisitionSpec(accel=accel, n_center=n_center)
-                mask = make_shear_mask(spec, t_frames=6, cols=cols)
+                mask = make_shear_mask(accel, t_frames=6, cols=cols, n_center=n_center)
                 for t in range(6):
                     expect = sampled_set_oracle(accel, n_center, 1, t, cols)
                     got = set(np.flatnonzero(mask.bits[t]))
@@ -89,31 +81,30 @@ def test_shear_mask_empty_frame_combo_rejected():
     # lattice misses every column of some frame when accel > cols and no
     # center block backs it up; the mask invariant catches that
     with pytest.raises(ValueError):
-        make_shear_mask(AcquisitionSpec(accel=9, n_center=0), t_frames=9, cols=5)
+        make_shear_mask(9, t_frames=9, cols=5, n_center=0)
 
 
 def test_shear_mask_deterministic():
-    spec = AcquisitionSpec(accel=6, n_center=2)
-    a = make_shear_mask(spec, t_frames=10, cols=24)
-    b = make_shear_mask(spec, t_frames=10, cols=24)
+    a = make_shear_mask(6, t_frames=10, cols=24, n_center=2)
+    b = make_shear_mask(6, t_frames=10, cols=24, n_center=2)
     assert np.array_equal(a.bits, b.bits)
 
 
 def test_shear_mask_rejects_too_few_columns():
     with pytest.raises(ValueError):
-        make_shear_mask(AcquisitionSpec(accel=4, n_center=4), t_frames=2, cols=3)
+        make_shear_mask(4, t_frames=2, cols=3, n_center=4)
 
 
 def test_acquisition_spec_validation():
-    with pytest.raises(ValueError):
-        AcquisitionSpec(accel=0)
-    with pytest.raises(ValueError):
-        AcquisitionSpec(accel=4, n_center=-1)
+    with pytest.raises(ValueError, match="accel must be >= 1, got 0"):
+        make_shear_mask(0, t_frames=2, cols=8)
+    with pytest.raises(ValueError, match="n_center must be >= 0, got -1"):
+        make_shear_mask(4, t_frames=2, cols=8, n_center=-1)
     # the center block is checked against the real column count
     with pytest.raises(ValueError, match="cols=190 is smaller than n_center=200"):
-        make_shear_mask(AcquisitionSpec(accel=4, n_center=200), t_frames=2, cols=190)
-    spec = AcquisitionSpec(accel=9)
-    assert spec.n_center == 4
+        make_shear_mask(4, t_frames=2, cols=190, n_center=200)
+    default = make_shear_mask(9, 2, 16)
+    assert np.array_equal(default.bits, make_shear_mask(9, 2, 16, n_center=4).bits)
 
 
 def test_sampling_mask_validation():
@@ -142,7 +133,7 @@ def test_undersample_full_mask_is_fft2c():
 
 def test_undersample_zero_image():
     img = ComplexVolume(np.zeros((2, 8, 8), dtype=complex), Domain.IMAGE)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=2), 2, 8)
+    mask = make_shear_mask(4, 2, 8, n_center=2)
     assert np.all(undersample(img, mask).kspace.data == 0)
 
 
@@ -152,7 +143,7 @@ def test_undersample_support_matches_mask():
         rng.standard_normal((4, 8, 12)) + 1j * rng.standard_normal((4, 8, 12)),
         Domain.IMAGE,
     )
-    mask = make_shear_mask(AcquisitionSpec(accel=3, n_center=0), 4, 12)
+    mask = make_shear_mask(3, 4, 12, n_center=0)
     meas = undersample(img, mask)
     for t in range(4):
         sampled = sampled_set_oracle(3, 0, 1, t, 12)
@@ -198,7 +189,7 @@ def test_zero_filled_projection_property():
         rng.standard_normal((4, 8, 12)) + 1j * rng.standard_normal((4, 8, 12)),
         Domain.IMAGE,
     )
-    mask = make_shear_mask(AcquisitionSpec(accel=3, n_center=2), 4, 12)
+    mask = make_shear_mask(3, 4, 12, n_center=2)
     meas = undersample(img, mask)
     again = undersample(zero_filled(meas), mask)
     err = np.abs(again.kspace.data - meas.kspace.data).max()
@@ -213,7 +204,7 @@ def test_zero_filled_point_object_replicas():
     data = np.zeros((t_frames, rows, cols), dtype=complex)
     data[:, y0, x0] = 1.0
     img = ComplexVolume(data, Domain.IMAGE)
-    mask = make_shear_mask(AcquisitionSpec(accel=accel, n_center=0), t_frames, cols)
+    mask = make_shear_mask(accel, t_frames, cols, n_center=0)
     rec = zero_filled(undersample(img, mask)).data
 
     wy = centered_dft_matrix(rows)
@@ -297,7 +288,7 @@ def test_sequence_save_load_save_byte_identical(tmp_path):
 def test_sequence_bad_magic(tmp_path):
     path = tmp_path / "bad.ckt"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(FileFormatError, match="magic"):
         load_sequence(path)
 
 
@@ -308,7 +299,7 @@ def test_sequence_truncated_payload(tmp_path):
     save_sequence(path, v)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(FileFormatError, match="truncated"):
         load_sequence(path)
 
 
@@ -318,7 +309,7 @@ def test_sequence_dimension_overflow(tmp_path):
     path = tmp_path / "huge.ckt"
     header = b"CKT1" + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
     path.write_bytes(header)
-    with pytest.raises(DimensionOverflowError):
+    with pytest.raises(FileFormatError, match="out of range"):
         load_sequence(path)
 
 
@@ -329,12 +320,12 @@ def test_sequence_signaling_nan_is_a_bad_payload(tmp_path):
 
     path = tmp_path / "snan.ckt"
     path.write_bytes(b"CKT1" + struct.pack("<III", 1, 1, 1) + bytes([1, 0, 0x80, 0x7F]) + bytes(4))
-    with pytest.raises(BadPayloadError, match="NaN"):
+    with pytest.raises(FileFormatError, match="NaN"):
         load_sequence(path)
 
 
 def test_mask_round_trip_and_errors(tmp_path):
-    mask = make_shear_mask(AcquisitionSpec(accel=5, n_center=2), 6, 18)
+    mask = make_shear_mask(5, 6, 18, n_center=2)
     path = tmp_path / "m.ckm"
     save_mask(path, mask)
     assert path.stat().st_size == 12 + 6 * 18
@@ -343,10 +334,10 @@ def test_mask_round_trip_and_errors(tmp_path):
 
     bad = tmp_path / "bad.ckm"
     bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
-    with pytest.raises(BadMagicError):
+    with pytest.raises(FileFormatError, match="magic"):
         load_mask(bad)
 
     trunc = tmp_path / "trunc.ckm"
     trunc.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(FileFormatError, match="truncated"):
         load_mask(trunc)

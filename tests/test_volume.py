@@ -13,7 +13,6 @@ import pytest
 from ktnext.volume import (
     ComplexVolume,
     Domain,
-    DomainMismatchError,
     _fft1c_arr,
     _ifft1c_arr,
     fft2c,
@@ -177,9 +176,9 @@ def test_ifft2c_inverts_fft2c():
 
 def test_fft2c_rejects_kspace_input():
     v = ComplexVolume(np.ones((2, 4, 4), dtype=complex), Domain.KSPACE)
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(ValueError, match="fft2c needs an image volume, got k-space"):
         fft2c(v)
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(ValueError, match="ifft2c needs a k-space volume, got image"):
         ifft2c(ComplexVolume(np.ones((2, 4, 4), dtype=complex), Domain.IMAGE))
 
 
@@ -224,7 +223,7 @@ def test_fft_t_domain_transitions():
     for transform, tag in takes.items():
         assert transform(ComplexVolume(np.ones((2, 4, 4)), tag)).domain is gives[transform]
         for other in set(Domain) - {tag}:
-            with pytest.raises(DomainMismatchError, match=f"got {other.value}"):
+            with pytest.raises(ValueError, match=f"needs an? .* volume, got {other.value}"):
                 transform(ComplexVolume(np.ones((2, 4, 4)), other))
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from ktnext import autodiff as ad
 from ktnext.model import _xf_residual
-from ktnext.sampling import AcquisitionSpec, KtMeasurement, SamplingMask, make_shear_mask, undersample
+from ktnext.sampling import KtMeasurement, SamplingMask, make_shear_mask, undersample
 from ktnext.volume import ComplexVolume, Domain, _ifft1c_arr, fft2c, fft_t, ifft2c
 from ktnext.xf import cascade_inputs, dc_array, kspace_temporal_average
 
@@ -44,7 +44,7 @@ def random_measurement(seed, t_frames=4, rows=6, cols=8, accel=3, n_center=2):
         + 1j * rng.standard_normal((t_frames, rows, cols)),
         Domain.IMAGE,
     )
-    mask = make_shear_mask(AcquisitionSpec(accel=accel, n_center=n_center), t_frames, cols)
+    mask = make_shear_mask(accel, t_frames, cols, n_center=n_center)
     return undersample(img, mask), img
 
 
@@ -324,7 +324,7 @@ def test_xf_transform_point_phantom_vs_composed_primitives():
     data = np.zeros((t_frames, rows, cols), dtype=complex)
     data[:, 2, 5] = 1.0
     img = ComplexVolume(data, Domain.IMAGE)
-    mask = make_shear_mask(AcquisitionSpec(accel=4, n_center=0), t_frames, cols)
+    mask = make_shear_mask(4, t_frames, cols, n_center=0)
     meas = undersample(img, mask)
     sigma = ComplexVolume(np.zeros_like(data), Domain.IMAGE)
     residual, baseline = xf_inputs(sigma, meas)
