@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .sampling import BinaryReader, FileFormatError
+from .sampling import BinaryReader, FileFormatError, check_size
 
 __all__ = [
     "AdamState",
@@ -137,11 +137,8 @@ def save_checkpoint(path, arrays) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FileFormatError(f"parameter name too long: {name!r}")
-        value = np.asarray(value, dtype="<f8")
-        if value.ndim > 0xFF:
-            raise FileFormatError(f"rank {value.ndim} exceeds format limit")
-        if max(value.shape, default=0) > 0xFFFFFFFF:
-            raise FileFormatError(f"dimension of {name!r} exceeds u32")
+        value = np.asarray(value, dtype="<f8")  # numpy's 64 axes fit the u8 rank
+        check_size(value.shape, 8, f"KTNP record {name!r}")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<B", value.ndim))

@@ -4,11 +4,11 @@ The acquisition model is single-coil Cartesian: every frame fully samples the
 readout axis y and subsamples phase-encode columns x.  A mask is therefore a
 binary [t][x] array broadcast over y.
 
-Sequence files ("CKT1") and mask files ("CKM1") are little-endian binary with
-a 4-byte magic; every loading failure raises :class:`FileFormatError`, whose
-message names the fault (magic, truncation, size or payload).
-:class:`BinaryReader` holds the checks those readers share with the
-checkpoint reader in :mod:`ktnext.network`.
+Sequence ("CKT1") and mask ("CKM1") files each hold one little-endian array:
+a 4-byte magic, one u32 per axis, the payload; one writer and one reader serve
+both.  :func:`check_size` is the one size rule, which the KTNP checkpoints of
+:mod:`ktnext.network` share, as they share :class:`BinaryReader`.  Every loading
+failure raises :class:`FileFormatError`, whose message names the fault.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "FileFormatError",
     "KtMeasurement",
     "SamplingMask",
+    "check_size",
     "generate_phantom",
     "load_mask",
     "load_sequence",
@@ -42,8 +43,16 @@ class FileFormatError(ValueError):
     """A sequence, mask or checkpoint file that breaks its format."""
 
 
-# refuse to allocate for absurd headers (1 TiB payload cap)
-_MAX_PAYLOAD_BYTES = 1 << 40
+_MAX_PAYLOAD_BYTES = 1 << 40  # 1 TiB
+
+
+def check_size(shape, itemsize: int, where: str) -> None:
+    """The size rule of CKT1, CKM1 and KTNP: each extent fits a u32 and the
+    payload is at most 1 TiB, the cap every reader keeps too.  Writers call it,
+    and so does a command before it allocates an array for one."""
+    fits_u32 = all(0 <= n <= 0xFFFFFFFF for n in shape)
+    if not fits_u32 or math.prod(shape) * itemsize > _MAX_PAYLOAD_BYTES:
+        raise ValueError(f"shape {tuple(shape)} does not fit {where} (u32 extents, 1 TiB payload)")
 
 
 class BinaryReader:
@@ -145,8 +154,8 @@ def make_shear_mask(accel: int, t_frames: int, cols: int, n_center: int = 4) -> 
     center block.
 
     Frame t samples {x : (x - t) mod accel == 0} together with the n_center
-    columns starting at cols//2 - n_center//2.  A size beyond CKM1's u32
-    header is refused before anything is allocated.
+    columns starting at cols//2 - n_center//2.  A shape CKM1 cannot hold is
+    refused before anything is allocated.
     """
     if accel < 1:
         raise ValueError(f"accel must be >= 1, got {accel}")
@@ -154,10 +163,9 @@ def make_shear_mask(accel: int, t_frames: int, cols: int, n_center: int = 4) -> 
         raise ValueError(f"n_center must be >= 0, got {n_center}")
     if cols < n_center:
         raise ValueError(f"cols={cols} is smaller than n_center={n_center}")
-    if t_frames < 1:
-        raise ValueError("t_frames must be >= 1")
-    if max(t_frames, cols) > 0xFFFFFFFF:
-        raise ValueError(f"mask shape {(t_frames, cols)} too large for CKM1")
+    if min(t_frames, cols) < 1:
+        raise ValueError(f"mask shape {(t_frames, cols)} must be at least 1 x 1")
+    check_size((t_frames, cols), 1, "CKM1")
     t = np.arange(t_frames)[:, None]
     x = np.arange(cols)[None, :]
     bits = ((x - t) % accel == 0).astype(np.uint8)
@@ -252,49 +260,42 @@ def generate_phantom(seed, t_frames, rows, cols) -> ComplexVolume:
 # ------------------------------------------------------------------ files
 
 
+def _save_array(path, magic: bytes, arr: np.ndarray, dtype: str) -> None:
+    """Write the magic, one u32 per axis, then arr cast to dtype (CKT1, CKM1)."""
+    check_size(arr.shape, np.dtype(dtype).itemsize, magic.decode())
+    header = magic + struct.pack(f"<{arr.ndim}I", *arr.shape)
+    Path(path).write_bytes(header + arr.astype(dtype, copy=False).tobytes())
+
+
+def _load_array(path, magic: bytes, dtype: str, ndim: int, build):
+    """Read what _save_array wrote into build(array); its ValueError is a FileFormatError."""
+    reader = BinaryReader(path, magic)
+    shape = reader.unpack(f"<{ndim}I", "the header")
+    if min(shape) < 1:
+        raise FileFormatError(f"{path}: declared shape {shape} out of range")
+    arr = reader.array(dtype, shape, "the payload")
+    reader.finish()
+    try:
+        with np.errstate(invalid="ignore"):  # a signaling NaN warns when cast; build rejects it
+            return build(arr)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def save_sequence(path, v: ComplexVolume) -> None:
-    """Write a CKT1 file: magic, u32 T/Y/X, float32 interleaved re/im."""
-    t, y, x = v.data.shape
-    if max(t, y, x) > 0xFFFFFFFF or 8 * t * y * x > _MAX_PAYLOAD_BYTES:
-        raise FileFormatError(f"volume shape {v.data.shape} too large for CKT1")
-    payload = np.empty((t, y, x, 2), dtype="<f4")
-    payload[..., 0] = v.data.real
-    payload[..., 1] = v.data.imag
-    Path(path).write_bytes(b"CKT1" + struct.pack("<III", t, y, x) + payload.tobytes())
+    """Write a CKT1 file: magic, u32 T/Y/X, complex64 (float32 re/im pairs)."""
+    _save_array(path, b"CKT1", v.data, "<c8")
 
 
 def load_sequence(path, domain: Domain = Domain.IMAGE) -> ComplexVolume:
     """Read a CKT1 file; the domain tag is supplied by the caller."""
-    reader = BinaryReader(path, b"CKT1")
-    t, y, x = reader.unpack("<III", "the header")
-    if min(t, y, x) < 1:
-        raise FileFormatError(f"{path}: declared shape {(t, y, x)} out of range")
-    arr = reader.array("<f4", (t, y, x, 2), "the payload")
-    reader.finish()
-    with np.errstate(invalid="ignore"):  # a signaling NaN warns here; ComplexVolume rejects it
-        data = arr[..., 0].astype(np.float64) + 1j * arr[..., 1].astype(np.float64)
-    try:
-        return ComplexVolume(data, domain)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _load_array(path, b"CKT1", "<c8", 3, lambda data: ComplexVolume(data, domain))
 
 
 def save_mask(path, mask: SamplingMask) -> None:
     """Write a CKM1 file: magic, u32 T/X, then T*X bytes of 0/1."""
-    t, x = mask.bits.shape
-    if max(t, x) > 0xFFFFFFFF:
-        raise FileFormatError(f"mask shape {mask.bits.shape} too large for CKM1")
-    Path(path).write_bytes(b"CKM1" + struct.pack("<II", t, x) + mask.bits.tobytes())
+    _save_array(path, b"CKM1", mask.bits, "u1")
 
 
 def load_mask(path) -> SamplingMask:
-    reader = BinaryReader(path, b"CKM1")
-    t, x = reader.unpack("<II", "the header")
-    if min(t, x) < 1:
-        raise FileFormatError(f"{path}: declared shape {(t, x)} out of range")
-    bits = reader.array(np.uint8, (t, x), "the mask bits")
-    reader.finish()
-    try:
-        return SamplingMask(bits)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _load_array(path, b"CKM1", "u1", 2, SamplingMask)

@@ -6,6 +6,7 @@ setup on import is exercised too.
 """
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import errno
@@ -45,6 +46,27 @@ from test_model import BLAS_FINGERPRINT, blas_fingerprint, pin_report
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+@contextlib.contextmanager
+def address_space_cap(headroom=2 << 30):
+    """Cap this process's address space at its present size plus headroom, so
+    that an allocation the size rule should have refused fails at once with
+    MemoryError (exit 3) instead of succeeding on a host that overcommits."""
+    if sys.platform != "linux":
+        pytest.skip("the cap is sized from /proc/self/status")
+    vm_size = int(re.search(r"VmSize:\s*(\d+) kB", Path("/proc/self/status").read_text())[1])
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = vm_size * 1024 + headroom
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def sizes_id(sizes: dict) -> str:
+    return "-".join(f"{flag}-{value}" for flag, value in sizes.items())
 
 
 def read_pgm(path):
@@ -133,17 +155,39 @@ def test_mask_center_wider_than_columns_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", [2**32, 2**63 - 2, 2**63 - 1])
-@pytest.mark.parametrize("flag", ["--frames", "--cols"])
-def test_mask_size_beyond_ckm1_exits_2(tmp_path, capsys, flag, value):
-    """A frame or column count past CKM1's u32 header is refused before any
-    array is made, and the error names the value given."""
-    sizes = {"--frames": 6, "--cols": 8, flag: value}
+@pytest.mark.parametrize("sizes", [{flag: value} for flag in ("--cols", "--frames")
+                                   for value in (2**32, 2**63 - 2, 2**63 - 1)]
+                         + [{"--frames": 2**20, "--cols": 2**21},
+                            {"--frames": 2**32 - 1, "--cols": 0, "--center": 0}], ids=sizes_id)
+def test_mask_size_beyond_ckm1_exits_2(tmp_path, capsys, sizes):
+    """A frame or column count past CKM1's u32 header, a 2 TiB payload past
+    its 1 TiB cap, or a zero extent beside a u32 one, is refused before any
+    array is made, and the error names each value given."""
+    sizes = {"--frames": 6, "--cols": 8, **sizes}
     out = tmp_path / "m.ckm"
-    assert run_cli("mask", "--accel", 4, *(a for item in sizes.items() for a in item),
-                   "--output", out) == 2
+    with address_space_cap():
+        code = run_cli("mask", "--accel", 4, *(a for item in sizes.items() for a in item),
+                       "--output", out)
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(value) in err
+    assert code == 2 and err.startswith("error: "), err
+    assert all(str(value) in err for value in sizes.values())
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sizes", [{"--rows": 2**32}, {"--frames": 2**32},
+                                   {"--rows": 400_000, "--cols": 400_000},
+                                   {"--cols": 2**63 - 1}], ids=sizes_id)
+def test_simulate_size_beyond_ckt1_exits_2(tmp_path, capsys, sizes):
+    """An extent past CKT1's u32 header, or a payload past its 1 TiB cap
+    (8 x 400,000 x 400,000 complex64 is 9.3 TiB), is refused before the
+    phantom is made, and the error names each value given."""
+    sizes = {"--frames": 8, "--rows": 32, "--cols": 32, **sizes}
+    with address_space_cap():
+        code = run_cli("simulate", *(a for item in sizes.items() for a in item),
+                       "--output", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+    assert all(str(value) in err for value in sizes.values())
     assert not any(tmp_path.iterdir())
 
 
@@ -728,12 +772,16 @@ def test_a_failed_write_leaves_the_tree_as_it_was(tmp_path, monkeypatch, capsys,
 
 # Each numeric flag's valid values and its bad ones.  A bad size is 0, a
 # negative or at least 2**63 elements, which numpy refuses before it
-# allocates anything; sizes between are never drawn, since an allocation of
-# 2**30 to 2**62 bytes may succeed lazily and be killed on first touch.
+# allocates anything.  A mask or simulate size may also be one whose payload
+# is over 1 TiB, which the size rule refuses; the test runs under an
+# address-space cap, so a regression exits 3 instead of allocating.  Sizes
+# that a format can hold, from 2**30 bytes up to 1 TiB, are never drawn, since
+# such an allocation may succeed lazily and be killed on first touch.
 # --steps and --cascades stay small, since a run makes that many of each.
-def size(valid, absurd=True):
+def size(valid, absurd=True, over_tib=False):
     return valid, st.one_of(st.just(0), st.integers(-2**70, -1),
-                            *([st.integers(2**63, 2**80)] if absurd else []))
+                            *([st.integers(2**63, 2**80)] if absurd else []),
+                            *([st.integers(2**40 + 1, 2**63 - 1)] if over_tib else []))
 
 
 RUNS = size(st.integers(1, 2), absurd=False)
@@ -742,9 +790,11 @@ NET = {"--cascades": RUNS, "--channels": size(st.none() | st.integers(1, 3)),
        "--lambda": (st.sampled_from(["0", "0.5", "1e300", "inf"]), st.sampled_from(["-1", "nan"]))}
 NUMERIC_FLAGS = {
     "mask": {"--accel": size(st.integers(1, 8)), "--center": size(st.integers(0, 4)),
-             "--frames": size(st.integers(1, 4)), "--cols": size(st.integers(4, 12))},
-    "simulate": {"--seed": SEED, "--frames": size(st.integers(1, 3)),
-                 "--rows": size(st.integers(8, 12)), "--cols": size(st.integers(8, 12))},
+             "--frames": size(st.integers(1, 4), over_tib=True),
+             "--cols": size(st.integers(4, 12), over_tib=True)},
+    "simulate": {"--seed": SEED, "--frames": size(st.integers(1, 3), over_tib=True),
+                 "--rows": size(st.integers(8, 12), over_tib=True),
+                 "--cols": size(st.integers(8, 12), over_tib=True)},
     "train": {"--steps": RUNS, "--cascades": RUNS, "--channels": size(st.integers(1, 3)),
               "--seed": SEED, "--lr": (st.sampled_from(["0.001", "1e300"]),
                                        st.sampled_from(["0", "-1", "inf", "nan"]))},
@@ -783,7 +833,8 @@ def test_numeric_flags_exit_with_a_documented_code(tmp_path, capsys, small_files
     shutil.rmtree(out, ignore_errors=True)
     capsys.readouterr()
     try:
-        code = run_cli(*argv)
+        with address_space_cap():
+            code = run_cli(*argv)
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     assert code in {0, 2, 3, 4, 5}

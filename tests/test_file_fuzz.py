@@ -10,14 +10,19 @@ source edits, because hypothesis also seeds draws with literals it finds in
 local source files.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ktnext import sampling
 from ktnext.network import load_checkpoint, save_checkpoint
 from ktnext.sampling import (
     FileFormatError,
+    check_size,
     load_mask,
     load_sequence,
     make_shear_mask,
@@ -88,3 +93,56 @@ def test_changed_byte_parses_or_raises_format_error(tmp_path, valid_files, magic
         for value in CHANGED_BYTES:
             changed = raw[:pos] + bytes([value]) + raw[pos + 1:]
             parses(magic, tmp_path / "f.bin", changed, f"byte {pos} set to {value:#04x}")
+
+
+# Per format: its payload dtype, the shape of the largest payload the size
+# rule accepts (1 TiB) in u32 extents, and a shape of one element more, from
+# 2**37 + 1 = 3 * 1777 * 25781083 and 2**40 + 1 = 257 * 4278255361.
+SIZE_LIMITS = {"CKT1": ("<c8", (2**5, 2**16, 2**16), (3, 1777, 25_781_083)),
+               "CKM1": ("u1", (2**20, 2**20), (257, 4_278_255_361)),
+               "KTNP": ("<f8", (2**5, 2**16, 2**16), (3, 1777, 25_781_083))}
+
+
+def header(magic, shape) -> bytes:
+    """A file's bytes up to its payload; a KTNP file holds one record, w."""
+    dims = struct.pack(f"<{len(shape)}I", *shape)
+    if magic == "KTNP":
+        return b"KTNP" + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B", len(shape)) + dims
+    return magic.encode() + dims
+
+
+@pytest.mark.parametrize("magic", READERS)
+def test_readers_writers_and_size_rule_agree_at_the_limit(tmp_path, magic):
+    """A header declaring the largest payload the size rule accepts gets past
+    the reader's size check and fails only as truncated.  One element more is
+    out of range for the reader and refused by the rule and the writer.  The
+    files hold headers alone and the arrays are zero-stride views, so nothing
+    is allocated."""
+    dtype, largest, over = SIZE_LIMITS[magic]
+    itemsize = np.dtype(dtype).itemsize
+    assert math.prod(largest) * itemsize == 2**40 and math.prod(over) == math.prod(largest) + 1
+    path = tmp_path / "f.bin"
+    check_size(largest, itemsize, magic)
+    path.write_bytes(header(magic, largest))
+    with pytest.raises(FileFormatError, match="truncated"):
+        READERS[magic](path)
+
+    with pytest.raises(ValueError, match="does not fit"):
+        check_size(over, itemsize, magic)
+    path.write_bytes(header(magic, over))
+    with pytest.raises(FileFormatError, match="out of range"):
+        READERS[magic](path)
+    empty = np.broadcast_to(np.zeros((), dtype), over)
+    with pytest.raises(ValueError, match="does not fit"):
+        if magic == "KTNP":
+            save_checkpoint(tmp_path / "w.ktnp", {"w": empty})
+        else:
+            sampling._save_array(tmp_path / "w.bin", magic.encode(), empty, dtype)
+    assert not (tmp_path / "w.ktnp").exists() and not (tmp_path / "w.bin").exists()
+
+
+def test_size_rule_bounds_each_extent_by_u32():
+    check_size((1, 2**32 - 1), 1, "CKM1")
+    for shape in ((1, 2**32), (2**32, 0), (-1, 1)):
+        with pytest.raises(ValueError, match=r"does not fit CKM1 \(u32 extents"):
+            check_size(shape, 1, "CKM1")
