@@ -252,10 +252,10 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     j*d columns, so each tap is one 2-D GEMM on a view, with the batch folded
     into the GEMM's column axis, run a block of columns at a time
     (_taps_forward).  The output is computed on the grid [co][h][n][w+2p]; its
-    last 2p columns read past the row's end and are cut away.  The vjp writes
-    g on that grid between zero margins of m = p*n*(w+2p) + p columns; the
-    input gradient is its correlation with the transposed, flipped kernel,
-    tap (i, j) at 2m - off.  The vjp keeps x's value, not the padded grid, and
+    last 2p columns read past the row's end and are cut away.  The vjp pads g
+    onto the same grid, its first pixel at m = p*n*(w+2p) + p; the input
+    gradient is its correlation with the transposed, flipped kernel, tap (i, j)
+    at 2m - off, cut alike.  The vjp keeps x's value, not the padded grid, and
     pads it again, so no code may write a recorded value in place before backward.
     """
     xv, wv = x.value, w.value
@@ -273,14 +273,16 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
     taps = _taps(k, dilation, n * wp)
     dtype = np.result_type(xv, wv)
 
-    def padded():
-        flat = np.zeros((ci, body + 2 * pad), dtype=dtype)
-        grid = flat[:, :body].reshape(ci, hp, n, wp)
-        grid[:, pad : pad + h, :, pad : pad + wid] = xv.transpose(1, 2, 0, 3)
+    def padded(a):  # [n][c][h][w] -> the padded grid, flattened per channel
+        flat = np.zeros((a.shape[1], body + 2 * pad), dtype=dtype)
+        grid = flat[:, :body].reshape(-1, hp, n, wp)
+        grid[:, pad : pad + h, :, pad : pad + wid] = a.transpose(1, 2, 0, 3)
         return flat
 
-    outp = _taps_forward(wv, padded(), taps, span)(0)
-    out = np.ascontiguousarray(outp.reshape(co, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
+    def crop(flat):  # a result on the grid [c][h][n][wp] -> [n][c][h][w]
+        return np.ascontiguousarray(flat.reshape(-1, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
+
+    out = crop(_taps_forward(wv, padded(xv), taps, span)(0))
     parents = (x, w)
     if b is not None:
         out += b.value[None, :, None, None]
@@ -288,13 +290,10 @@ def conv2d(x: Tensor, w: Tensor, b, dilation: int) -> Tensor:
 
     def vjp(g):
         m = pad * n * wp + pad  # where the first unpadded pixel sits in the padded grid
-        gbuf = np.zeros((co, m + span + m), dtype=dtype)
-        gp = gbuf[:, m : m + span]
-        gp.reshape(co, h, n, wp)[..., :wid] = g.transpose(1, 2, 0, 3)
-        gw = _taps_weight_grad(gp, padded(), taps, wv.shape)
+        gbuf = padded(g)
+        gw = _taps_weight_grad(gbuf[:, m : m + span], padded(xv), taps, wv.shape)
         flipped = [(i, j, 2 * m - off) for i, j, off in taps]
-        gx = _taps_forward(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)(0)
-        gx = np.ascontiguousarray(gx.reshape(ci, h, n, wp)[..., :wid].transpose(2, 0, 1, 3))
+        gx = crop(_taps_forward(wv.transpose(1, 0, 2, 3), gbuf, flipped, span)(0))
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -63,16 +63,6 @@ def _configure_threads(args) -> int:
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(count // workers)
     return workers
-
-
-def _lambda_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError("--lambda must be nonnegative")
-    return value
 
 
 def _jsonable(value):
@@ -145,10 +135,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _model_config(args, channels):
+def _model_config(args):
+    """The network flags given, with KtNextConfig's defaults for the rest;
+    KtNextConfig checks them all, so a bad one exits 2 before any file is read."""
     from .model import KtNextConfig
 
-    return KtNextConfig(n_cascades=args.cascades, channels=channels, dc_lambda=args.dc_lambda)
+    given = {"n_cascades": args.cascades, "channels": args.channels, "dc_lambda": args.dc_lambda}
+    return KtNextConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _load_model(args):
@@ -161,15 +154,14 @@ def _load_model(args):
     from .model import float32_params, record_width
     from .network import load_checkpoint
 
-    # bad flag values exit 2 before the file is read
-    config = None if args.channels is None else _model_config(args, args.channels)
+    config = _model_config(args)
     records = load_checkpoint(args.checkpoint)
     width = record_width(records)
-    if config is None:
+    if args.channels is None:
         if not width:
             raise ValueError(f"{args.checkpoint} has no xfcnn.w0 of nonzero width "
                              "to take --channels from")
-        config = _model_config(args, width)
+        config = replace(config, channels=width)
     elif width is not None and width != config.channels:
         raise ValueError(f"--channels {config.channels} does not match {args.checkpoint}, "
                          f"whose network is {width} channels wide")
@@ -247,7 +239,7 @@ def cmd_train(args, stage) -> dict:
     from .model import fit, save_params
     from .sampling import load_mask, load_sequence
 
-    config = _model_config(args, 16 if args.channels is None else args.channels)
+    config = _model_config(args)
     mask = load_mask(args.mask)
     files = _sequence_files(args.input)
     dataset = [load_sequence(f) for f in files]
@@ -313,7 +305,8 @@ def cmd_evaluate(args, stage) -> dict:
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             scored = list(pool.map(score, files))
-    else:  # no pool for one worker: a one-thread pool measured +7% eval_wide peak RSS
+    else:  # no pool for one worker: a pool thread's own glibc malloc arena read +7%
+        # eval_wide peak RSS; one arena (M_ARENA_MAX) undid that but grew two workers'
         scored = [score(path) for path in files]
     _write_csv(stage(args.output), ["file", "psnr", "ssim", "hfen",
                                     "psnr_zero_filled", "ssim_zero_filled", "hfen_zero_filled"],
@@ -346,16 +339,17 @@ def cmd_render(args, stage) -> dict:
 
     from .sampling import load_sequence
 
-    # the reconstruction is computed before the first figure is written
+    # the flags are checked before any file is read, and the reconstruction
+    # is computed before the first figure is written
     if bool(args.checkpoint) != bool(args.mask):
         raise ValueError("rendering a reconstruction needs --mask and --checkpoint together")
+    model_config, params = _load_model(args) if args.checkpoint else (_model_config(args), None)
     seq = load_sequence(args.input)
     sigma, config = None, {}
-    if args.checkpoint:
+    if params is not None:
         from .model import ktnext_forward
         from .sampling import load_mask, undersample
 
-        model_config, params = _load_model(args)
         meas = undersample(seq, load_mask(args.mask))
         sigma = ktnext_forward(meas, params, model_config)[-1]
         config = asdict(model_config)
@@ -381,12 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--deterministic", action="store_true",
                         help="single-threaded, timestamp-free, byte-reproducible run")
-    # the architecture of the checkpoint a command writes or reads
+    # the network a command trains or runs; KtNextConfig holds the defaults and rules
     arch = argparse.ArgumentParser(add_help=False)
-    arch.add_argument("--cascades", type=int, default=4)
+    arch.add_argument("--cascades", type=int)
     arch.add_argument("--channels", type=int,
-                      help="network width (train: 16; otherwise the checkpoint's)")
-    arch.add_argument("--lambda", dest="dc_lambda", type=_lambda_value, default="inf")
+                      help="network width (default: the checkpoint's; train: KtNextConfig's)")
+    arch.add_argument("--lambda", dest="dc_lambda", type=float,
+                      help="data-consistency weight (inf = hard replacement)")
 
     parser = argparse.ArgumentParser(
         prog="ktnext",
@@ -475,7 +470,6 @@ def main(argv=None) -> int:
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         libc.mallopt(-2, 256 << 20)  # M_TOP_PAD
 
-    from .metrics import UndefinedMetricError
     from .sampling import FileFormatError
 
     try:
@@ -489,7 +483,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return _EXIT_FORMAT
-    except (FloatingPointError, UndefinedMetricError) as exc:
+    except FloatingPointError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except OSError as exc:

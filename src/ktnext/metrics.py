@@ -37,10 +37,6 @@ _LOG_SIZE = 15
 _LOG_SIGMA = 1.5
 
 
-class UndefinedMetricError(ValueError):
-    """The metric has no value for this input (zero normalization)."""
-
-
 @dataclass(frozen=True)
 class ReconMetrics:
     psnr: float
@@ -148,7 +144,7 @@ class GroundTruth:
         if mse == 0.0:
             return float(np.inf)
         if self.peak == 0.0:
-            raise UndefinedMetricError("PSNR needs a nonzero ground-truth peak")
+            raise FloatingPointError("PSNR needs a nonzero ground-truth peak")
         return float(10.0 * np.log10(self.peak * self.peak / mse))
 
     def ssim(self, rec: ComplexVolume) -> float:
@@ -170,7 +166,7 @@ class GroundTruth:
         bands, fg, den = self._gt_planes()[3:]
         num = float(((_filter(self._abs(rec), bands) - fg) ** 2).sum())
         if den == 0.0:
-            raise UndefinedMetricError("LoG of the ground truth is identically zero")
+            raise FloatingPointError("LoG of the ground truth is identically zero")
         return float(np.sqrt(num) / np.sqrt(den))
 
     def score(self, rec: ComplexVolume) -> ReconMetrics:
@@ -190,7 +186,7 @@ def ssim(rec: ComplexVolume, gt: ComplexVolume) -> float:
 def hfen(rec: ComplexVolume, gt: ComplexVolume) -> float:
     """High-frequency error norm: relative L2 distance of magnitudes filtered by
     a 15x15 Laplacian of Gaussian (sigma 1.5, zero padding), pooled over every
-    frame.  Raises UndefinedMetricError when the filtered ground truth is 0."""
+    frame.  Raises FloatingPointError when the filtered ground truth is 0."""
     return GroundTruth(gt).hfen(rec)
 
 

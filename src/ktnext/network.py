@@ -136,7 +136,7 @@ def save_checkpoint(path, arrays) -> None:
     for name, value in arrays.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise FileFormatError(f"parameter name too long: {name!r}")
+            raise ValueError(f"parameter name too long: {name!r}")
         value = np.asarray(value, dtype="<f8")  # numpy's 64 axes fit the u8 rank
         check_size(value.shape, 8, f"KTNP record {name!r}")
         chunks.append(struct.pack("<H", len(encoded)))

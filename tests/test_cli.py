@@ -613,6 +613,27 @@ def test_an_allocation_failure_exits_3(command, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, message", [
+    (("--cascades", 0), "n_cascades must be at least 1"),
+    (("--channels", 0), "channels must be at least 1"),
+    (("--lambda", -1), "dc_lambda must be nonnegative (inf = hard replacement)")],
+    ids=["cascades-0", "channels-0", "lambda-minus-1"])
+@pytest.mark.parametrize("command, extra", [
+    ("train", ()), ("reconstruct", ()), ("evaluate", ()), ("render", ()),
+    ("render", ("--mask", "m.ckm", "--checkpoint", "w.ktnp"))],
+    ids=["train", "reconstruct", "evaluate", "render", "render-checkpoint"])
+def test_a_bad_network_flag_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                            command, extra, flag, message):
+    """KtNextConfig checks the network flags before a command opens a file:
+    with every input missing, a bad --cascades, --channels or --lambda exits
+    2 naming its field, whether or not --channels or --checkpoint is given,
+    and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *HANDLER_ARGV[command], *extra, *flag) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_documents_every_exit_code(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

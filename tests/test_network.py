@@ -281,6 +281,20 @@ def test_checkpoint_bytes_match_documented_layout(tmp_path):
     assert path.read_bytes() == want
 
 
+def test_checkpoint_name_past_its_u16_length_is_refused(tmp_path):
+    """A record name of 65,535 UTF-8 bytes round-trips; one byte more is the
+    writer's caller's error, a ValueError that is no FileFormatError (exit 2,
+    not 4), and no file is written."""
+    path = tmp_path / "p.ktnp"
+    save_checkpoint(path, {"w" * 0xFFFF: np.ones(1)})
+    assert list(load_checkpoint(path)) == ["w" * 0xFFFF]
+    path.unlink()
+    with pytest.raises(ValueError, match="parameter name too long") as caught:
+        save_checkpoint(path, {"é" * 0x8000: np.ones(1)})
+    assert not isinstance(caught.value, FileFormatError)
+    assert not path.exists()
+
+
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "p.ktnp"
     save_checkpoint(path, {"w": np.ones((2, 2))})
