@@ -5,9 +5,11 @@ Heavy imports happen inside the command handlers so the BLAS thread caps set
 by _configure_threads (from KTNEXT_THREADS, forced to 1 by --deterministic)
 take effect before numpy first loads.
 
-Each command handler returns its run record (config, outputs, its summary
-line and any extra keys); main writes it, with the input flags its subparser
-declares, as the run's JSON manifest, and prints the summary on success.
+A process builds one parser (_build_parser is cached), and it holds the flags
+alone: main runs the handler `cmd_<command>`, looked up by name at call time,
+which returns its run record (config, outputs, its summary line and any extra
+keys); main writes it, with the command's input files (_INPUTS), as the run's
+JSON manifest, and prints the summary on success.
 
 After numpy loads, main sets one glibc allocator policy for the whole process,
 which outlives main (later in-process calls keep it) and changes no result:
@@ -28,6 +30,7 @@ Exit codes: 0 success, 2 bad flags or values, 3 I/O or allocation failure,
 import argparse
 import csv
 import errno
+import functools
 import json
 import math
 import os
@@ -41,6 +44,9 @@ _EXIT_FLAGS = 2
 _EXIT_IO = 3  # also an allocation failure
 _EXIT_FORMAT = 4
 _EXIT_NUMERIC = 5
+# the flags naming the files each command reads, which its manifest records
+_INPUTS = {"mask": (), "simulate": ("mask",), "train": ("input", "mask"),
+           **dict.fromkeys(("reconstruct", "evaluate", "render"), ("input", "mask", "checkpoint"))}
 
 
 def _configure_threads(args) -> int:
@@ -83,7 +89,7 @@ def _write_manifest(path, args, config: dict, outputs: dict, **extra) -> None:
         "command": args.command,
         "config": {k: _jsonable(v) for k, v in config.items()},
         "seed": getattr(args, "seed", None),
-        "inputs": {name: getattr(args, name) for name in args.inputs},
+        "inputs": {name: getattr(args, name) for name in _INPUTS[args.command]},
         "outputs": outputs,
         "deterministic": bool(args.deterministic),
         "timestamp": None if args.deterministic
@@ -211,8 +217,7 @@ def cmd_mask(args, stage) -> dict:
 
 
 def cmd_simulate(args, stage) -> dict:
-    from .sampling import (check_size, generate_phantom, load_mask, load_sequence, save_sequence,
-                           undersample)
+    from .sampling import check_size, generate_phantom, load_mask, save_sequence, undersample
 
     # every input, and the size against CKT1's rule, is checked before the phantom is made
     mask = load_mask(args.mask) if args.mask else None
@@ -224,12 +229,10 @@ def cmd_simulate(args, stage) -> dict:
     out = Path(args.output)
     names = ("sequence", "kspace") if mask is not None else ("sequence",)
     written = {name: str(out / f"{name}.ckt") for name in names}
-    stored = stage(written["sequence"])
-    save_sequence(stored, gt)
-    if mask is not None:
-        # measure the stored sequence, not the pre-quantization one, so
-        # the file pair stays consistent after the float32 round trip
-        save_sequence(stage(written["kspace"]), undersample(load_sequence(stored), mask).kspace)
+    save_sequence(stage(written["sequence"]), gt)
+    if mask is not None:  # measure the complex64 CKT1 stores, so the file pair agrees
+        stored = replace(gt, data=gt.data.astype("<c8"))
+        save_sequence(stage(written["kspace"]), undersample(stored, mask).kspace)
     return {"config": {"seed": args.seed, "frames": args.frames,
                        "rows": args.rows, "cols": args.cols},
             "outputs": written, "summary": f"wrote {', '.join(sorted(written.values()))}"}
@@ -371,6 +374,7 @@ def cmd_render(args, stage) -> dict:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--deterministic", action="store_true",
@@ -398,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_mask, inputs=())
 
     p = sub.add_parser("simulate", parents=[common],
                        help="generate a dynamic phantom (and its masked k-space)")
@@ -408,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=32)
     p.add_argument("--mask")
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate, inputs=("mask",))
 
     p = sub.add_parser("train", parents=[common, arch], help="train on fully sampled sequences")
     p.add_argument("--input", required=True, help=".ckt file or directory of them")
@@ -418,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--checkpoint", required=True, help="output weights file")
     p.add_argument("--output", required=True, help="output history CSV")
-    p.set_defaults(func=cmd_train, inputs=("input", "mask"))
 
     p = sub.add_parser("reconstruct", parents=[common, arch],
                        help="reconstruct a measured k-space sequence")
@@ -428,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True,
                    help=".ckt file for the final volume, or a directory "
                         "to also keep per-cascade intermediates")
-    p.set_defaults(func=cmd_reconstruct, inputs=("input", "mask", "checkpoint"))
 
     p = sub.add_parser("evaluate", parents=[common, arch],
                        help="score reconstructions against ground truth")
@@ -436,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True, help="output metrics CSV")
-    p.set_defaults(func=cmd_evaluate, inputs=("input", "mask", "checkpoint"))
 
     p = sub.add_parser("render", parents=[common, arch],
                        help="emit grayscale PGM figures for a sequence")
@@ -444,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask")
     p.add_argument("--checkpoint", help="also render the model reconstruction and error maps")
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_render, inputs=("input", "mask", "checkpoint"))
 
     return parser
 
@@ -475,7 +473,7 @@ def main(argv=None) -> int:
     try:
         # overflow surfaces through the non-finite checks, not numpy warnings
         with _staged() as stage, np.errstate(all="ignore"):
-            record = args.func(args, stage)
+            record = globals()[f"cmd_{args.command}"](args, stage)
             summary = record.pop("summary")
             _write_manifest(stage(_manifest_path(args.output)), args, **record)
         print(summary)

@@ -17,8 +17,8 @@ map goes through the same products, so identical inputs give identical
 filtered planes.  The bands depend only on the frame shape: each shape's are
 built once, read-only, and shared by every sequence and thread.
 
-A GroundTruth prepares the ground truth's side once, so scoring a second
-reconstruction filters only its own planes; ``psnr``, ``ssim``, ``hfen`` and
+A GroundTruth prepares the ground truth's side once, and ``score`` takes
+``|rec|`` once for its three metric methods; ``psnr``, ``ssim``, ``hfen`` and
 ``compute_metrics`` wrap it, so each formula exists once.
 """
 
@@ -115,14 +115,15 @@ def _filter(planes: np.ndarray, bands) -> np.ndarray:
 
 
 class GroundTruth:
-    """A ground truth prepared once for scoring any number of reconstructions."""
+    """A ground truth prepared once for scoring any number of reconstructions;
+    the metric methods take |rec| as ``magnitude`` returns it, shape checked."""
 
     def __init__(self, gt: ComplexVolume):
         self.mag = np.abs(gt.data)
         self.peak = float(self.mag.max())
         self._planes = None
 
-    def _abs(self, rec: ComplexVolume) -> np.ndarray:
+    def magnitude(self, rec: ComplexVolume) -> np.ndarray:
         if rec.data.shape != self.mag.shape:
             raise ValueError(f"shape mismatch: rec {rec.data.shape} vs gt {self.mag.shape}")
         return np.abs(rec.data)
@@ -139,16 +140,15 @@ class GroundTruth:
                             log, plane, float((plane * plane).sum()))
         return self._planes
 
-    def psnr(self, rec: ComplexVolume) -> float:
-        mse = float(np.mean((self._abs(rec) - self.mag) ** 2))
+    def psnr(self, mr: np.ndarray) -> float:
+        mse = float(np.mean((mr - self.mag) ** 2))
         if mse == 0.0:
             return float(np.inf)
         if self.peak == 0.0:
             raise FloatingPointError("PSNR needs a nonzero ground-truth peak")
         return float(10.0 * np.log10(self.peak * self.peak / mse))
 
-    def ssim(self, rec: ComplexVolume) -> float:
-        mr = self._abs(rec)
+    def ssim(self, mr: np.ndarray) -> float:
         bands, mu_b, eb2 = self._gt_planes()[:3]
         c1, c2 = (_SSIM_K1 * self.peak) ** 2, (_SSIM_K2 * self.peak) ** 2
         mu_a, ea2, eab = _filter(np.stack([mr, mr * mr, mr * self.mag]), bands)
@@ -161,33 +161,37 @@ class GroundTruth:
             ssim_map = np.where(den == 0.0, 1.0, num / np.where(den == 0.0, 1.0, den))
         return float(np.mean(ssim_map.mean(axis=(1, 2))))
 
-    def hfen(self, rec: ComplexVolume) -> float:
+    def hfen(self, mr: np.ndarray) -> float:
         # the kernel is symmetric, so correlation and convolution coincide
         bands, fg, den = self._gt_planes()[3:]
-        num = float(((_filter(self._abs(rec), bands) - fg) ** 2).sum())
+        num = float(((_filter(mr, bands) - fg) ** 2).sum())
         if den == 0.0:
             raise FloatingPointError("LoG of the ground truth is identically zero")
         return float(np.sqrt(num) / np.sqrt(den))
 
     def score(self, rec: ComplexVolume) -> ReconMetrics:
-        return ReconMetrics(psnr=self.psnr(rec), ssim=self.ssim(rec), hfen=self.hfen(rec))
+        mr = self.magnitude(rec)
+        return ReconMetrics(psnr=self.psnr(mr), ssim=self.ssim(mr), hfen=self.hfen(mr))
 
 
 def psnr(rec: ComplexVolume, gt: ComplexVolume) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the volumes agree exactly."""
-    return GroundTruth(gt).psnr(rec)
+    truth = GroundTruth(gt)
+    return truth.psnr(truth.magnitude(rec))
 
 
 def ssim(rec: ComplexVolume, gt: ComplexVolume) -> float:
     """Mean structural similarity, 11x11 Gaussian windows, averaged over frames."""
-    return GroundTruth(gt).ssim(rec)
+    truth = GroundTruth(gt)
+    return truth.ssim(truth.magnitude(rec))
 
 
 def hfen(rec: ComplexVolume, gt: ComplexVolume) -> float:
     """High-frequency error norm: relative L2 distance of magnitudes filtered by
     a 15x15 Laplacian of Gaussian (sigma 1.5, zero padding), pooled over every
     frame.  Raises FloatingPointError when the filtered ground truth is 0."""
-    return GroundTruth(gt).hfen(rec)
+    truth = GroundTruth(gt)
+    return truth.hfen(truth.magnitude(rec))
 
 
 def compute_metrics(rec: ComplexVolume, gt: ComplexVolume) -> ReconMetrics:

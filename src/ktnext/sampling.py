@@ -207,8 +207,8 @@ def generate_phantom(seed, t_frames, rows, cols) -> ComplexVolume:
     A static background ellipse plus 2 to 4 inner ellipses whose centers and
     radii oscillate sinusoidally.  A smooth static spatial phase makes the
     data genuinely complex.  Magnitudes are clipped to [0, 1].  All random
-    draws happen before the frame loop, so the geometry depends only on the
-    seed and the grid size, never on t_frames.
+    draws happen first, so the geometry depends only on the seed and the grid
+    size, never on t_frames.  Each ellipse is computed for all frames at once.
     """
     if rows < 8 or cols < 8:
         raise ValueError(f"rows and cols must be >= 8, got {rows}x{cols}")
@@ -217,8 +217,6 @@ def generate_phantom(seed, t_frames, rows, cols) -> ComplexVolume:
     rng = np.random.default_rng(seed)
 
     bg_cy, bg_cx = rows / 2.0, cols / 2.0
-    bg_ry, bg_rx = 0.42 * rows, 0.44 * cols
-    bg_val = 0.30
 
     n_inner = int(rng.integers(2, 5))
     cy0 = bg_cy + rng.uniform(-0.16, 0.16, n_inner) * rows
@@ -243,17 +241,17 @@ def generate_phantom(seed, t_frames, rows, cols) -> ComplexVolume:
     )
     phase_factor = np.exp(1j * phase_map)
 
-    data = np.empty((t_frames, rows, cols), dtype=np.complex128)
-    for t in range(t_frames):
-        osc = np.sin(2.0 * np.pi * t / t_frames + osc_phase)
-        mag = bg_val * _soft_ellipse(yy, xx, bg_cy, bg_cx, bg_ry, bg_rx)
-        for k in range(n_inner):
-            cy = cy0[k] + amp_cy[k] * osc[k]
-            cx = cx0[k] + amp_cx[k] * osc[k]
-            ry = ry0[k] * (1.0 + amp_r[k] * osc[k])
-            rx = rx0[k] * (1.0 + amp_r[k] * osc[k])
-            mag = mag + vals[k] * _soft_ellipse(yy, xx, cy, cx, ry, rx)
-        data[t] = np.clip(mag, 0.0, 1.0) * phase_factor
+    # one sin call per frame: a single [t][n_inner] call may round otherwise
+    osc = np.array([np.sin(2.0 * np.pi * t / t_frames + osc_phase) for t in range(t_frames)])
+    osc = osc.T[:, :, None, None]  # [n_inner][t][1][1], against the [y][x] grids
+    mag = 0.30 * _soft_ellipse(yy, xx, bg_cy, bg_cx, 0.42 * rows, 0.44 * cols)  # static
+    for k in range(n_inner):
+        cy = cy0[k] + amp_cy[k] * osc[k]
+        cx = cx0[k] + amp_cx[k] * osc[k]
+        ry = ry0[k] * (1.0 + amp_r[k] * osc[k])
+        rx = rx0[k] * (1.0 + amp_r[k] * osc[k])
+        mag = mag + vals[k] * _soft_ellipse(yy, xx, cy, cx, ry, rx)
+    data = np.clip(mag, 0.0, 1.0) * phase_factor
     return ComplexVolume(data, Domain.IMAGE)
 
 

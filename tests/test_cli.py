@@ -1246,6 +1246,48 @@ def test_parsing_flags_does_not_load_numpy(cli_env):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    """One parser serves every in-process call, and no flag of one call
+    reaches the next: `train --lambda 0.5` and then `train` without it, then
+    `mask`, `simulate` and `evaluate` interleaved, each write the bytes the
+    same call writes on a parser built for it alone."""
+    assert cli._build_parser() is cli._build_parser()
+    net = ("--cascades", 1, "--channels", 2, "--deterministic")
+    argvs = [
+        ("mask", "--accel", 2, "--center", 1, "--frames", 3, "--cols", 8, "--output", "m.ckm",
+         "--deterministic"),
+        ("simulate", "--seed", 3, "--frames", 3, "--rows", 8, "--cols", 8, "--mask", "m.ckm",
+         "--output", "sim", "--deterministic"),
+        ("train", "--input", "sim/sequence.ckt", "--mask", "m.ckm", "--steps", 2, *net,
+         "--lambda", 0.5, "--checkpoint", "soft.ktnp", "--output", "soft.csv"),
+        ("train", "--input", "sim/sequence.ckt", "--mask", "m.ckm", "--steps", 2, *net,
+         "--checkpoint", "hard.ktnp", "--output", "hard.csv"),
+        ("mask", "--accel", 3, "--frames", 3, "--cols", 8, "--output", "m3.ckm", "--deterministic"),
+        ("evaluate", "--input", "sim/sequence.ckt", "--mask", "m.ckm", "--checkpoint",
+         "soft.ktnp", *net, "--lambda", 0.5, "--output", "soft_e.csv"),
+        ("simulate", "--seed", 4, "--frames", 3, "--rows", 9, "--cols", 8, "--output", "sim4",
+         "--deterministic"),
+        ("evaluate", "--input", "sim/sequence.ckt", "--mask", "m.ckm", "--checkpoint",
+         "hard.ktnp", *net, "--output", "hard_e.csv"),
+    ]
+    runs = {}
+    for name in ("cached", "fresh"):
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.chdir(root)
+        for argv in argvs:
+            if name == "fresh":
+                cli._build_parser.cache_clear()
+            assert run_cli(*argv) == 0, argv
+        runs[name] = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert runs["cached"] == runs["fresh"]
+    assert len(runs["cached"]) == 19
+    hard, soft = (json.loads(runs["cached"][Path(f"{name}.csv.manifest.json")])
+                  for name in ("hard", "soft"))
+    assert (soft["config"]["dc_lambda"], hard["config"]["dc_lambda"]) == (0.5, "inf")
+    assert json.loads(runs["cached"][Path("sim4/manifest.json")])["inputs"] == {"mask": None}
+
+
 def test_train_and_evaluate_do_not_load_scipy(tmp_path, cli_env):
     """The program needs numpy alone: a fresh interpreter that trains one
     step and evaluates has not imported scipy."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ktnext.metrics import (
+    GroundTruth,
     ReconMetrics,
     _LOG_TERMS,
     _SSIM_TERMS,
@@ -289,13 +290,22 @@ def test_metrics_phase_invariance():
 
 
 def test_compute_metrics_bundle():
-    rec, gt = random_pair(13)
-    m = compute_metrics(rec, gt)
-    assert isinstance(m, ReconMetrics)
-    assert m.psnr == psnr(rec, gt)
-    assert m.ssim == ssim(rec, gt)
-    assert m.hfen == hfen(rec, gt)
-    assert m.ssim <= 1.0 + 1e-9 and m.hfen >= 0.0
+    """compute_metrics and GroundTruth.score take |rec| once for all three
+    metrics and read, bit for bit, what each metric reads called alone; one
+    GroundTruth scores several reconstructions, as evaluate scores two."""
+    for seed, shape, noise in [(13, (3, 8, 8), 0.3), (15, (2, 12, 9), 0.1), (16, (4, 8, 8), 0.0)]:
+        rec, gt = random_pair(seed, shape, noise)
+        m = compute_metrics(rec, gt)
+        assert isinstance(m, ReconMetrics)
+        assert m.psnr == psnr(rec, gt)
+        assert m.ssim == ssim(rec, gt)
+        assert m.hfen == hfen(rec, gt)
+        assert m.ssim <= 1.0 + 1e-9 and m.hfen >= 0.0
+        truth = GroundTruth(gt)
+        for other in (rec, vol(0.5 * rec.data), rec):
+            mr = truth.magnitude(other)
+            alone = ReconMetrics(truth.psnr(mr), truth.ssim(mr), truth.hfen(mr))
+            assert truth.score(other) == alone == compute_metrics(other, gt)
 
 
 def test_metrics_shape_mismatch():

@@ -247,6 +247,60 @@ def test_phantom_is_genuinely_complex_and_moves():
     assert max(diffs) > 1e-3
 
 
+def phantom_oracle(seed, t_frames, rows, cols):
+    """generate_phantom as a literal frame-by-frame loop, the draws in the
+    same order: the background and each inner ellipse recomputed per frame."""
+    def soft_ellipse(yy, xx, cy, cx, ry, rx, edge=0.35):
+        d = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2
+        u = np.clip((1.0 - d) / edge, 0.0, 1.0)
+        return u * u * (3.0 - 2.0 * u)
+
+    rng = np.random.default_rng(seed)
+    n_inner = int(rng.integers(2, 5))
+    cy0 = rows / 2.0 + rng.uniform(-0.16, 0.16, n_inner) * rows
+    cx0 = cols / 2.0 + rng.uniform(-0.16, 0.16, n_inner) * cols
+    ry0 = rng.uniform(0.08, 0.18, n_inner) * rows
+    rx0 = rng.uniform(0.08, 0.18, n_inner) * cols
+    amp_cy = rng.uniform(0.02, 0.06, n_inner) * rows
+    amp_cx = rng.uniform(0.02, 0.06, n_inner) * cols
+    amp_r = rng.uniform(0.05, 0.20, n_inner)
+    osc_phase = rng.uniform(0.0, 2.0 * np.pi, n_inner)
+    vals = rng.uniform(0.25, 0.65, n_inner)
+    p_lin = rng.uniform(-0.8, 0.8, 2)
+    p_sin = rng.uniform(-0.6, 0.6)
+    p_off = rng.uniform(0.0, 2.0 * np.pi, 2)
+    yy, xx = np.meshgrid(np.arange(rows, dtype=float), np.arange(cols, dtype=float), indexing="ij")
+    phase_map = (
+        p_lin[0] * yy / rows
+        + p_lin[1] * xx / cols
+        + p_sin * np.sin(2 * np.pi * yy / rows + p_off[0]) * np.sin(2 * np.pi * xx / cols + p_off[1])
+    )
+    phase_factor = np.exp(1j * phase_map)
+    data = np.empty((t_frames, rows, cols), dtype=np.complex128)
+    for t in range(t_frames):
+        osc = np.sin(2.0 * np.pi * t / t_frames + osc_phase)
+        mag = 0.30 * soft_ellipse(yy, xx, rows / 2.0, cols / 2.0, 0.42 * rows, 0.44 * cols)
+        for k in range(n_inner):
+            cy = cy0[k] + amp_cy[k] * osc[k]
+            cx = cx0[k] + amp_cx[k] * osc[k]
+            ry = ry0[k] * (1.0 + amp_r[k] * osc[k])
+            rx = rx0[k] * (1.0 + amp_r[k] * osc[k])
+            mag = mag + vals[k] * soft_ellipse(yy, xx, cy, cx, ry, rx)
+        data[t] = np.clip(mag, 0.0, 1.0) * phase_factor
+    return data
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (5, 9, 11), (8, 32, 32), (8, 64, 64), (20, 128, 128)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_phantom_matches_the_frame_loop_bitwise(shape):
+    """Each ellipse computed for all frames at once keeps every element's
+    arithmetic, so the phantom equals the frame-by-frame oracle bit for bit."""
+    for seed in (0, 3, 42, 1001):
+        got = generate_phantom(seed, *shape).data
+        want = phantom_oracle(seed, *shape)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+
+
 def test_phantom_rejects_small_dims():
     with pytest.raises(ValueError):
         generate_phantom(1, t_frames=4, rows=7, cols=16)
